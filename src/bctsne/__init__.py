@@ -1,7 +1,7 @@
 """Batch-corrected t-SNE: embeddings constrained to be orthogonal to known
 batch variables, plus a synthetic data generator and mixing metrics."""
 
-from .design import BatchDesign, Projector, build_design, project, projected_step
+from .design import BatchDesign, Projector, build_design
 from .errors import (
     BctsneError,
     CollinearityError,
@@ -9,7 +9,7 @@ from .errors import (
     OptimizerError,
     ValidationError,
 )
-from .linalg import SvdResult, lstsq, pairwise_sqdist, truncated_svd
+from .linalg import SvdResult, pairwise_sqdist, truncated_svd
 from .metrics import (
     MetricsConfig,
     MetricsReport,

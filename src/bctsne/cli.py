@@ -3,16 +3,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from pathlib import Path
-
-# honor the thread cap before numpy spins up its pools
-if "BCTSNE_THREADS" in os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["BCTSNE_THREADS"])
-
-import numpy as np
 
 from . import matrixio, plot
 from .design import Projector, build_design
@@ -38,30 +30,38 @@ def _add_generate(sub):
     p.set_defaults(func=cmd_generate)
 
 
-def cmd_generate(args):
-    spec = SimSpec(
-        n_cells=args.cells,
-        n_genes=args.genes,
-        n_batches=args.batches,
-        n_groups=args.groups,
-        batch_effect_sd=args.batch_effect_sd,
-        group_effect_sd=args.group_effect_sd,
-        de_prob=args.de_prob,
-        seed=args.seed,
+def _sim_spec(opts):
+    """SimSpec from a mapping keyed by the generate option names."""
+    return SimSpec(
+        n_cells=int(opts["cells"]),
+        n_genes=int(opts["genes"]),
+        n_batches=int(opts["batches"]),
+        n_groups=int(opts["groups"]),
+        batch_effect_sd=float(opts["batch_effect_sd"]),
+        group_effect_sd=float(opts["group_effect_sd"]),
+        de_prob=float(opts["de_prob"]),
+        seed=int(opts["seed"]),
     )
+
+
+def _write_dataset(spec, counts_out, labels_out):
+    """Simulate spec, write its counts and labels CSVs and return
+    (counts, cell ids, {"batch": ..., "group": ...})."""
     out = simulate(spec)
     ids = [f"cell{i + 1}" for i in range(spec.n_cells)]
     genes = [f"gene{j + 1}" for j in range(spec.n_genes)]
-    matrixio.write_matrix_csv(out.counts, ids, genes, args.counts_out)
-    matrixio.write_labels_csv(
-        ids,
-        {"batch": out.batch_labels.tolist(), "group": out.group_labels.tolist()},
-        args.labels_out,
-    )
+    labels = {"batch": out.batch_labels.tolist(), "group": out.group_labels.tolist()}
+    matrixio.write_matrix_csv(out.counts, ids, genes, counts_out)
+    matrixio.write_labels_csv(ids, labels, labels_out)
     print(
         f"generated {spec.n_cells} cells x {spec.n_genes} genes, "
         f"{spec.n_batches} batches, {spec.n_groups} groups, seed {spec.seed}"
     )
+    return out.counts, ids, labels
+
+
+def cmd_generate(args):
+    _write_dataset(_sim_spec(vars(args)), args.counts_out, args.labels_out)
     return 0
 
 
@@ -98,32 +98,39 @@ def _load_design(args, ids):
     return build_design({v: table[v] for v in variables})
 
 
+def _embed(X, ids, design, opts, out):
+    """PCA (residualized on design unless it is None) -> t-SNE (projected off
+    design) with the embed option names in opts; writes the embedding CSV and
+    its trace next to it and returns the embedding."""
+    cfg = OptimizerConfig(
+        n_iter=int(opts["iters"]),
+        perplexity=float(opts["perplexity"]),
+        eta=float(opts["eta"]),
+        exaggeration_factor=float(opts["exaggeration"]),
+        dims=int(opts["dims"]),
+        seed=int(opts["seed"]),
+    )
+    if design is None:
+        reduced, projector = pca_reduce(X, int(opts["k"]), seed=cfg.seed), None
+    else:
+        reduced = residualized_reduce(X, design, int(opts["k"]), seed=cfg.seed)
+        projector = Projector(design)
+    trace = []
+    state = run_tsne(reduced.scores, cfg, projector=projector, on_trace=trace.append)
+    matrixio.write_embedding_csv(state.Y, ids, out)
+    matrixio.write_loss_trace(trace, _trace_path(out))
+    print(f"wrote {out} ({'uncorrected' if design is None else 'corrected'})")
+    return state.Y
+
+
 def cmd_embed(args):
     if not args.no_correction and args.batch_vars is None:
         raise UsageError("--batch-vars is required unless --no-correction is given")
     X, ids, _ = matrixio.read_matrix_csv(args.matrix)
     if args.normalize:
         X = normalize_log1p_cpm(X)
-    cfg = OptimizerConfig(
-        n_iter=args.iters,
-        perplexity=args.perplexity,
-        eta=args.eta,
-        exaggeration_factor=args.exaggeration,
-        dims=args.dims,
-        seed=args.seed,
-    )
-    if args.no_correction:
-        reduced = pca_reduce(X, args.k, seed=args.seed)
-        projector = None
-    else:
-        design = _load_design(args, ids)
-        reduced = residualized_reduce(X, design, args.k, seed=args.seed)
-        projector = Projector(design)
-    trace = []
-    state = run_tsne(reduced.scores, cfg, projector=projector, on_trace=trace.append)
-    matrixio.write_embedding_csv(state.Y, ids, args.out)
-    matrixio.write_loss_trace(trace, _trace_path(args.out))
-    print(f"wrote {args.out} ({'uncorrected' if projector is None else 'corrected'})")
+    design = None if args.no_correction else _load_design(args, ids)
+    _embed(X, ids, design, vars(args), args.out)
     return 0
 
 
@@ -238,44 +245,22 @@ def cmd_pipeline(args):
     cfg = read_config(args.config)
     outdir = Path(cfg["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    counts = outdir / "counts.csv"
-    labels = outdir / "labels.csv"
+    counts_path, labels_path = outdir / "counts.csv", outdir / "labels.csv"
+    counts, ids, labels = _write_dataset(_sim_spec(cfg), counts_path, labels_path)
+    X = normalize_log1p_cpm(counts)
+    design = build_design({"batch": labels["batch"]})
 
-    base = argparse.Namespace(
-        cells=int(cfg["cells"]), genes=int(cfg["genes"]),
-        batches=int(cfg["batches"]), groups=int(cfg["groups"]),
-        batch_effect_sd=float(cfg["batch_effect_sd"]),
-        group_effect_sd=float(cfg["group_effect_sd"]),
-        de_prob=float(cfg["de_prob"]), seed=int(cfg["seed"]),
-        counts_out=str(counts), labels_out=str(labels),
-    )
-    cmd_generate(base)
-
-    artifacts = [counts, labels]
-    for corrected in (True, False):
-        tag = "corrected" if corrected else "uncorrected"
+    artifacts = [counts_path, labels_path]
+    for tag, tag_design in (("corrected", design), ("uncorrected", None)):
         emb = outdir / f"embedding_{tag}.csv"
-        ns = argparse.Namespace(
-            matrix=str(counts), labels=str(labels),
-            batch_vars="batch" if corrected else None,
-            no_correction=not corrected, normalize=True,
-            k=int(cfg["k"]), perplexity=float(cfg["perplexity"]),
-            iters=int(cfg["iters"]), eta=float(cfg["eta"]),
-            exaggeration=float(cfg["exaggeration"]),
-            dims=int(cfg["dims"]), seed=int(cfg["seed"]), out=str(emb),
-        )
-        cmd_embed(ns)
         report = outdir / f"report_{tag}.csv"
-        cmd_evaluate(argparse.Namespace(
-            embedding=str(emb), labels=str(labels), labelings=None,
-            knn=None, n_test=None, alpha=0.05, lisi_perplexity=30.0,
-            seed=int(cfg["seed"]), out=str(report),
-        ))
         svg = outdir / f"embedding_{tag}.svg"
-        cmd_plot(argparse.Namespace(
-            embedding=str(emb), labels=str(labels),
-            color_by="group", shape_by="batch", title=tag, out=str(svg),
-        ))
+        Y = _embed(X, ids, tag_design, cfg, emb)
+        metrics = evaluate(Y, labels, MetricsConfig(seed=int(cfg["seed"])))
+        matrixio.write_report_csv(metrics, report)
+        print(metrics.format_table())
+        plot.write_scatter_svg(svg, Y, color_labels=labels["group"],
+                               shape_labels=labels["batch"], title=tag)
         artifacts += [emb, _trace_path(emb), report, svg]
 
     manifest = outdir / "manifest.txt"

@@ -1,5 +1,5 @@
-"""Batch design encoding and the orthogonal-complement projector applied
-inside the optimization loop.
+"""Batch design encoding and the orthogonal-complement projector: the one
+projection used both to residualize PCA scores and inside the optimizer loop.
 """
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import CollinearityError, ValidationError
 from .linalg import ensure_matrix
-from .tsne import step as tsne_step
 
 _RANK_TOL = 1e-10
 
@@ -113,6 +112,8 @@ class Projector:
 
     The orthonormal basis of span(Z) is cached at construction; projecting is
     then two thin matrix products.  Projection is idempotent and linear.
+    The rank-revealing SVD drops dependent columns (such as a second
+    intercept), so rank is the dimension of span(Z).
     """
 
     def __init__(self, design):
@@ -124,6 +125,7 @@ class Projector:
         else:
             U, S, _ = np.linalg.svd(Z, full_matrices=False)
             self._basis = U[:, S > S[0] * 1e-12]
+        self.rank = 0 if self._basis is None else self._basis.shape[1]
 
     def project(self, Y):
         """Return Y minus its component in span(Z)."""
@@ -142,14 +144,3 @@ class Projector:
             return 0.0
         return float(np.abs(self.Z.T @ Y).max())
 
-
-def project(projector, Y):
-    return projector.project(Y)
-
-
-def projected_step(state, grad, cfg, projector):
-    """Gradient step followed by projection; momentum stays in the constraint
-    set because the previous iterate was itself projected."""
-    new = tsne_step(state, grad, cfg)
-    new.Y = projector.project(new.Y)
-    return new

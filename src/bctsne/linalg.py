@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: truncated SVD, least squares, pairwise distances.
+"""Dense linear-algebra kernel: truncated SVD and pairwise distances.
 
 All routines operate on dense float64 arrays and are pure functions of their
 inputs; determinism for the randomized SVD path is tied to the seed argument.
@@ -72,22 +72,6 @@ def truncated_svd(A, k, seed=0):
         U = Q @ Ub
     U, V = _fix_signs(U[:, :k], Vt[:k].T)
     return SvdResult(U=U, S=S[:k].copy(), V=V)
-
-
-def lstsq(Z, Y):
-    """Minimum-norm solution of min_beta ||Y - Z beta||_F (SVD-based)."""
-    Z = ensure_matrix(Z, "Z")
-    Y = ensure_matrix(Y, "Y")
-    if Z.shape[0] != Y.shape[0]:
-        raise ValidationError(
-            f"row mismatch: Z has {Z.shape[0]} rows, Y has {Y.shape[0]}"
-        )
-    if Z.shape[0] < Z.shape[1]:
-        raise ValidationError(
-            f"underdetermined system: {Z.shape[0]} rows < {Z.shape[1]} columns"
-        )
-    beta, _, _, _ = np.linalg.lstsq(Z, Y, rcond=None)
-    return beta
 
 
 def pairwise_sqdist(A):

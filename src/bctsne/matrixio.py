@@ -1,5 +1,5 @@
 """CSV/TSV persistence for matrices, labels, embeddings, metric reports and
-loss traces, plus a small binary cache for repeated runs.
+loss traces.
 
 All text formats are UTF-8, accept LF or CRLF, and carry cell identifiers in
 the first column; errors name the offending file, line and column.
@@ -7,8 +7,6 @@ the first column; errors name the offending file, line and column.
 from __future__ import annotations
 
 import csv
-import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +14,6 @@ import numpy as np
 from .errors import ValidationError
 
 _FMT = "%.17g"
-_BIN_MAGIC = b"BCTM\x01"
 
 
 def _detect_delimiter(first_line, delimiter=None):
@@ -167,28 +164,3 @@ def write_loss_trace(trace, path):
                 f"{rec.iteration},{_FMT % rec.kl_loss},"
                 f"{_FMT % rec.orthogonality_maxabs}\n"
             )
-
-
-def write_matrix_bin(M, row_ids, col_names, path):
-    """Binary cache: magic, header length + JSON ids/names, dims, LE float64."""
-    M = np.ascontiguousarray(M, dtype="<f8")
-    header = json.dumps({"rows": list(row_ids), "cols": list(col_names)}).encode()
-    path = Path(path)
-    with path.open("wb") as fh:
-        fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<q", len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<qq", *M.shape))
-        fh.write(M.tobytes())
-
-
-def read_matrix_bin(path):
-    path = Path(path)
-    with path.open("rb") as fh:
-        if fh.read(len(_BIN_MAGIC)) != _BIN_MAGIC:
-            raise ValidationError(f"{path}: not a matrix cache file")
-        (hlen,) = struct.unpack("<q", fh.read(8))
-        header = json.loads(fh.read(hlen))
-        n, p = struct.unpack("<qq", fh.read(16))
-        M = np.frombuffer(fh.read(n * p * 8), dtype="<f8").reshape(n, p).copy()
-    return M, header["rows"], header["cols"]

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from .design import Projector
 from .errors import ValidationError
 from .linalg import ensure_matrix, pairwise_sqdist
-from .tsne import calibrate_bandwidths, _conditional_rows
+from .tsne import calibrate_bandwidths, conditional_rows
 
 
 def _levels(labels):
@@ -97,7 +98,7 @@ def lisi(Y, labels, perplexity=30.0):
     levels, codes = _levels(labels)
     D = pairwise_sqdist(Y)
     sigma2 = calibrate_bandwidths(D, perplexity)
-    W = _conditional_rows(D, sigma2)
+    W = conditional_rows(D, sigma2)
     onehot = np.eye(len(levels))[codes]
     per_level = W @ onehot
     simpson = np.sum(per_level**2, axis=1)
@@ -122,12 +123,9 @@ def pc_regression(M, labels):
     U, S = U[:, keep], S[keep]
     if S.size == 0:
         raise ValidationError("matrix has no variance")
-    design = np.column_stack(
-        [np.ones(M.shape[0])] + [(codes == j).astype(float) for j in range(1, len(levels))]
-    )
-    Q, _ = np.linalg.qr(design)
     pcs = U * S  # columns are centered
-    fitted = Q @ (Q.T @ pcs)
+    # the one-hot columns span the same space as [1 | dummies]
+    fitted = pcs - Projector(np.eye(len(levels))[codes]).project(pcs)
     ss_fit = np.sum(fitted**2, axis=0)
     ss_tot = np.sum(pcs**2, axis=0)
     r2 = ss_fit / ss_tot

@@ -4,12 +4,13 @@ matrix before any embedding is attempted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .design import Projector
 from .errors import DomainError, ValidationError
-from .linalg import ensure_matrix, lstsq, truncated_svd
+from .linalg import ensure_matrix, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -51,24 +52,23 @@ def pca_reduce(X, k, center=True, scale=False, seed=0):
 
 
 def residualized_reduce(X, Z, k, center=True, scale=False, seed=0):
-    """PCA scores of X with linear association to the design Z regressed out.
+    """PCA scores of X with linear association to the design Z projected out.
 
-    Z is the batch design (BatchDesign or raw n x b array); an intercept
-    column is prepended before the regression so group mean differences are
-    removed rather than forcing the scores through the origin.  The returned
-    scores are orthogonal to the column span of [1 | Z].
+    Z is the batch design (BatchDesign or raw n x b array).  The PCA scores
+    are projected onto the orthogonal complement of span([1 | Z]) with the
+    Projector the optimizer applies, so group mean differences are removed
+    rather than forcing the scores through the origin.  A BatchDesign that
+    already has an intercept is projected out as is; an intercept column in a
+    raw Z is absorbed by the Projector's rank-revealing SVD.
+    explained_variance is that of the PCA directions before the projection.
     """
+    X = ensure_matrix(X, "X")
     Zarr = ensure_matrix(getattr(Z, "Z", Z), "Z")
-    Xp = _prepare(X, center, scale)
-    if Zarr.shape[0] != Xp.shape[0]:
+    if Zarr.shape[0] != X.shape[0]:
         raise ValidationError(
-            f"row mismatch: X has {Xp.shape[0]} rows, Z has {Zarr.shape[0]}"
+            f"row mismatch: X has {X.shape[0]} rows, Z has {Zarr.shape[0]}"
         )
-    if not 1 <= k <= min(Xp.shape):
-        raise DomainError(f"k={k} outside valid range [1, {min(Xp.shape)}]")
-    total = float(np.sum(Xp * Xp))
-    res = truncated_svd(Xp, k, seed=seed)
-    scores = res.U * res.S
-    Z1 = np.column_stack([np.ones(Zarr.shape[0]), Zarr])
-    adjusted = scores - Z1 @ lstsq(Z1, scores)
-    return ReducedData(scores=adjusted, k=k, explained_variance=res.S**2 / total)
+    reduced = pca_reduce(X, k, center=center, scale=scale, seed=seed)
+    if not getattr(Z, "has_intercept", False):
+        Zarr = np.column_stack([np.ones(Zarr.shape[0]), Zarr])
+    return replace(reduced, scores=Projector(Zarr).project(reduced.scores))

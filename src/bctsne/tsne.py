@@ -41,9 +41,9 @@ class OptimizerConfig:
     def validate(self, n):
         if self.n_iter < 1:
             raise DomainError("n_iter must be >= 1")
-        if not 2.0 <= self.perplexity < n:
+        if not 2.0 <= self.perplexity <= n - 1:
             raise DomainError(
-                f"perplexity must lie in [2, n); got {self.perplexity} with n={n}"
+                f"perplexity must lie in [2, n - 1]; got {self.perplexity} with n={n}"
             )
         if self.eta <= 0:
             raise DomainError("eta must be positive")
@@ -71,7 +71,7 @@ class TraceRecord:
     orthogonality_maxabs: float  # nan for unconstrained runs
 
 
-def _conditional_rows(D, sigma2):
+def conditional_rows(D, sigma2):
     """Row-stochastic conditional neighbor probabilities for given bandwidths."""
     logits = -0.5 * D / sigma2[:, None]
     np.fill_diagonal(logits, -np.inf)
@@ -100,8 +100,8 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
     n = D.shape[0]
     if D.shape[1] != n:
         raise ValidationError("distance matrix must be square")
-    if not 2.0 <= perplexity < n:
-        raise DomainError(f"perplexity must lie in [2, n); got {perplexity}")
+    if not 2.0 <= perplexity <= n - 1:
+        raise DomainError(f"perplexity must lie in [2, n - 1]; got {perplexity}")
     sigma2 = np.empty(n)
     offdiag = ~np.eye(n, dtype=bool)
     for i in range(n):
@@ -134,7 +134,7 @@ def input_affinities(X, perplexity, tol=1e-5, max_iter=200):
         raise ValidationError("need at least 4 points")
     D = pairwise_sqdist(X)
     sigma2 = calibrate_bandwidths(D, perplexity, tol=tol, max_iter=max_iter)
-    cond = _conditional_rows(D, sigma2)
+    cond = conditional_rows(D, sigma2)
     P = (cond + cond.T) / (2.0 * n)
     np.fill_diagonal(P, 0.0)
     return AffinityTable(P=P, sigma2=sigma2, perplexity=float(perplexity))
@@ -193,6 +193,11 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
     X = ensure_matrix(X, "X")
     n = X.shape[0]
     cfg.validate(n)
+    if projector is not None and n - projector.rank < cfg.dims + 1:
+        raise DomainError(
+            f"design of rank {projector.rank} leaves {n - projector.rank} of {n} "
+            f"dimensions free; a {cfg.dims}-D embedding needs {cfg.dims + 1}"
+        )
     table = input_affinities(X, cfg.perplexity)
     P = table.P
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,34 @@ class TestPipelineConfig:
         assert parsed["cells"] == "50"
         assert parsed["seed"] == "9"
         assert parsed["perplexity"] == "30"
+
+
+class TestPipelineMatchesSubcommands:
+    def test_embeddings_and_manifest(self, tmp_path):
+        seed = "5"
+        outdir = tmp_path / "pipe"
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"cells=60\ngenes=100\niters=100\nseed={seed}\noutdir={outdir}\n")
+        assert main(["pipeline", str(cfg)]) == 0
+
+        counts, labels = tmp_path / "counts.csv", tmp_path / "labels.csv"
+        assert main(["generate", "--cells", "60", "--genes", "100", "--seed", seed,
+                     "--counts-out", str(counts), "--labels-out", str(labels)]) == 0
+        assert counts.read_bytes() == (outdir / "counts.csv").read_bytes()
+        assert labels.read_bytes() == (outdir / "labels.csv").read_bytes()
+        for tag, extra in (("corrected", ["--batch-vars", "batch"]),
+                           ("uncorrected", ["--no-correction"])):
+            out = tmp_path / f"embedding_{tag}.csv"
+            assert main(["embed", str(counts), str(labels), "--normalize",
+                         "--iters", "100", "--seed", seed, "--out", str(out), *extra]) == 0
+            assert out.read_bytes() == (outdir / out.name).read_bytes()
+
+        entries = [line.split("  ", 1) for line in
+                   (outdir / "manifest.txt").read_text(encoding="utf-8").splitlines()]
+        expected = ["counts.csv", "labels.csv"] + [
+            name.format(tag) for tag in ("corrected", "uncorrected")
+            for name in ("embedding_{}.csv", "embedding_{}.trace.csv",
+                         "report_{}.csv", "embedding_{}.svg")]
+        assert [name for _, name in entries] == expected
+        for digest, name in entries:
+            assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == digest

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bctsne import (
     CollinearityError,
+    DomainError,
     EmbeddingState,
     OptimizerConfig,
     Projector,
@@ -10,9 +13,9 @@ from bctsne import (
     build_design,
     input_affinities,
     kl_gradient,
-    projected_step,
     run_tsne,
     silhouette,
+    step,
 )
 
 
@@ -109,6 +112,55 @@ class TestProjector:
             Projector(np.ones((5, 1))).project(np.ones((6, 2)))
 
 
+@st.composite
+def design_and_blocks(draw):
+    """A design [one-hot levels | optional dense covariates], optionally with
+    an explicit intercept in front (so [1 | Z] with Z already spanning 1),
+    and two blocks Y1, Y2 of matching rows."""
+    n = draw(st.integers(3, 30))
+    levels = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    columns = [(levels == lev).astype(float) for lev in np.unique(levels)]
+    dense = draw(st.integers(0, 2))
+    if dense:
+        columns += list(draw(hnp.arrays(np.float64, (dense, n),
+                                        elements=st.floats(-10, 10, width=32))))
+    if draw(st.booleans()):
+        columns.insert(0, np.ones(n))
+    Z = np.column_stack(columns)
+    q = draw(st.integers(1, 3))
+    block = hnp.arrays(np.float64, (n, q), elements=st.floats(-1e3, 1e3, width=32))
+    return levels, Z, draw(block), draw(block)
+
+
+class TestProjectorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(design_and_blocks(), st.floats(-10, 10), st.floats(-10, 10))
+    def test_idempotent_linear_contracting_orthogonal(self, case, a, b):
+        _, Z, Y1, Y2 = case
+        P = Projector(Z)
+        T1 = P.project(Y1)
+        scale = 1.0 + np.abs(Y1).max()
+        assert np.abs(P.project(T1) - T1).max() <= 1e-10 * scale
+        lin = P.project(a * Y1 + b * Y2) - (a * T1 + b * P.project(Y2))
+        assert np.abs(lin).max() <= 1e-10 * (1.0 + abs(a) * scale + abs(b) * np.abs(Y2).max())
+        assert np.linalg.norm(T1) <= np.linalg.norm(Y1) * (1 + 1e-12) + 1e-12
+        assert np.abs(Z.T @ T1).max() <= 1e-10 * (1.0 + np.abs(Z).max()) * scale * Z.shape[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(design_and_blocks())
+    def test_rank_deficient_dummy_design_removes_level_means(self, case):
+        # the one-hot columns already sum to the intercept, so [1 | Z] is
+        # rank deficient; its projection still removes each level's mean
+        levels, _, Y, _ = case
+        Z = np.column_stack([(levels == lev).astype(float) for lev in np.unique(levels)])
+        P = Projector(np.column_stack([np.ones(len(levels)), Z]))
+        assert P.rank == Z.shape[1] == np.linalg.matrix_rank(Z)
+        means = np.array([Y[levels == lev].mean(axis=0) for lev in levels])
+        scale = 1.0 + np.abs(Y).max()
+        assert np.abs(P.project(Y) - (Y - means)).max() <= 1e-10 * scale
+        assert np.abs(P.project(Y) - Projector(Z).project(Y)).max() <= 1e-10 * scale
+
+
 class TestProjectedStep:
     def test_fixed_point_in_constraint_set(self):
         rng = np.random.default_rng(5)
@@ -117,8 +169,20 @@ class TestProjectedStep:
         Y = P.project(rng.standard_normal((12, 2)))
         state = EmbeddingState(Y=Y, Y_prev=Y.copy(), gains=np.ones_like(Y), iter=0)
         cfg = OptimizerConfig(momentum_initial=0.0, adaptive_gains=False)
-        new = projected_step(state, np.zeros_like(Y), cfg, P)
-        assert np.abs(new.Y - Y).max() < 1e-12
+        new = step(state, np.zeros_like(Y), cfg)
+        assert np.abs(P.project(new.Y) - Y).max() < 1e-12
+
+    def test_design_spanning_all_rows_rejected(self):
+        # every cell its own batch: the complement of span(Z) is {0}, and an
+        # embedding confined to it would be identically zero
+        X = np.random.default_rng(9).standard_normal((10, 3))
+        design = build_design({"b": [f"c{i}" for i in range(10)]})
+        with pytest.raises(DomainError, match="rank 10"):
+            run_tsne(X, OptimizerConfig(n_iter=5, perplexity=3), projector=Projector(design))
+        # 8 levels leave 2 free dimensions; a 2-D embedding needs dims + 1 = 3
+        design = build_design({"b": [f"c{i // 2}" if i < 4 else f"c{i}" for i in range(10)]})
+        with pytest.raises(DomainError):
+            run_tsne(X, OptimizerConfig(n_iter=5, perplexity=3), projector=Projector(design))
 
     def test_orthogonality_every_iteration(self):
         rng = np.random.default_rng(6)

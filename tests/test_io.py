@@ -8,12 +8,10 @@ from bctsne.matrixio import (
     align_labels,
     read_embedding_csv,
     read_labels_csv,
-    read_matrix_bin,
     read_matrix_csv,
     write_embedding_csv,
     write_labels_csv,
     write_loss_trace,
-    write_matrix_bin,
     write_matrix_csv,
 )
 from bctsne.tsne import TraceRecord
@@ -121,19 +119,3 @@ class TestEmbeddingAndTrace:
         lines = p.read_text().splitlines()
         assert lines[0] == "iteration,kl_loss,orthogonality_maxabs"
         assert len(lines) == 3
-
-
-class TestBinaryCache:
-    def test_round_trip(self, tmp_path):
-        M = np.random.default_rng(1).standard_normal((7, 4))
-        p = tmp_path / "m.bin"
-        write_matrix_bin(M, [f"r{i}" for i in range(7)], list("abcd"), p)
-        M2, ids, cols = read_matrix_bin(p)
-        assert np.array_equal(M, M2)
-        assert cols == list("abcd")
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "junk.bin"
-        p.write_bytes(b"not a cache")
-        with pytest.raises(ValidationError):
-            read_matrix_bin(p)

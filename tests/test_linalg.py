@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bctsne import DomainError, ValidationError, lstsq, pairwise_sqdist, truncated_svd
+from bctsne import DomainError, ValidationError, pairwise_sqdist, truncated_svd
 
 
 def jacobi_svd(A, sweeps=60, tol=1e-14):
@@ -93,41 +93,6 @@ class TestTruncatedSvd:
         A[1, 1] = np.nan
         with pytest.raises(ValidationError):
             truncated_svd(A, 2)
-
-
-class TestLstsq:
-    def test_intercept_only_gives_column_means(self):
-        rng = np.random.default_rng(0)
-        Y = rng.standard_normal((17, 3))
-        beta = lstsq(np.ones((17, 1)), Y)
-        assert np.allclose(beta[0], Y.mean(axis=0))
-
-    def test_orthonormal_design(self):
-        rng = np.random.default_rng(1)
-        Q, _ = np.linalg.qr(rng.standard_normal((20, 4)))
-        Y = rng.standard_normal((20, 2))
-        assert np.allclose(lstsq(Q, Y), Q.T @ Y, atol=1e-12)
-
-    def test_residual_orthogonality_vs_normal_equations(self):
-        rng = np.random.default_rng(2)
-        Z = rng.standard_normal((30, 3))
-        Y = rng.standard_normal((30, 2))
-        beta = lstsq(Z, Y)
-        R = Y - Z @ beta
-        assert np.abs(Z.T @ R).max() < 1e-9
-        beta_ne = np.linalg.solve(Z.T @ Z, Z.T @ Y)  # well-conditioned oracle
-        assert np.allclose(beta, beta_ne, atol=1e-9)
-
-    def test_rank_deficient_minimum_norm(self):
-        Z = np.column_stack([np.ones(10), np.ones(10)])
-        Y = np.arange(10.0)[:, None]
-        beta = lstsq(Z, Y)
-        # minimum-norm solution splits the intercept evenly
-        assert np.allclose(beta[0], beta[1])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            lstsq(np.ones((5, 1)), np.ones((6, 1)))
 
 
 class TestPairwiseSqdist:

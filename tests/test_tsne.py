@@ -89,6 +89,12 @@ class TestCalibrateBandwidths:
             calibrate_bandwidths(D, 1.0)
         with pytest.raises(DomainError):
             calibrate_bandwidths(D, 5.0)
+        # above n - 1, the perplexity of a uniform distribution over the
+        # other points, no bandwidth reaches the target
+        with pytest.raises(DomainError):
+            calibrate_bandwidths(D, 4.5)
+        with pytest.raises(DomainError):
+            OptimizerConfig(perplexity=9.5).validate(10)
 
 
 class TestInputAffinities:

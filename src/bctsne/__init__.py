@@ -4,6 +4,7 @@ batch variables, plus a synthetic data generator and mixing metrics."""
 from .design import BatchDesign, Projector, build_design
 from .errors import (
     BctsneError,
+    CalibrationWarning,
     CollinearityError,
     DomainError,
     OptimizerError,
@@ -16,6 +17,7 @@ from .metrics import (
     evaluate,
     kbet_acceptance,
     lisi,
+    lisi_weights,
     pc_regression,
     silhouette,
 )

@@ -43,3 +43,7 @@ class OptimizerError(BctsneError):
     def __init__(self, message, iteration):
         super().__init__(message)
         self.iteration = iteration
+
+
+class CalibrationWarning(UserWarning):
+    """Bandwidth search ended with rows whose perplexity is off target."""

@@ -17,6 +17,10 @@ from .errors import ValidationError
 from .linalg import ensure_matrix, pairwise_sqdist
 from .tsne import calibrate_bandwidths, conditional_rows
 
+# kBET searches the neighbours of 128 test points at a time, so its scratch
+# memory stays small next to the n x n distances
+_KBET_BLOCK_ROWS = 128
+
 
 def _levels(labels):
     labels = np.asarray(labels)
@@ -26,12 +30,25 @@ def _levels(labels):
     return levels, codes
 
 
-def silhouette(Y, labels):
+def _precomputed(given, n, compute):
+    """A label-independent n x n matrix: the caller's, checked, or compute()."""
+    if given is None:
+        return compute()
+    given = np.asarray(given, dtype=np.float64)
+    if given.shape != (n, n):
+        raise ValidationError(
+            f"precomputed matrix has shape {given.shape}; Y has {n} rows"
+        )
+    return given
+
+
+def silhouette(Y, labels, *, sqdist=None):
     """Mean silhouette width (Euclidean) and its mixing-oriented rescaling.
 
     rescaled = 1 - |raw|: strong clustering by the labels (raw near +1)
     and strong anti-clustering (raw near -1) both map to 0, while a labeling
     spread uniformly through the embedding (raw near 0) maps to 1.
+    sqdist, when given, is pairwise_sqdist(Y).
     """
     Y = ensure_matrix(Y, "Y")
     levels, codes = _levels(labels)
@@ -41,7 +58,7 @@ def silhouette(Y, labels):
     if np.any(counts < 2):
         bad = levels[int(np.argmin(counts))]
         raise ValidationError(f"label level {bad!r} has fewer than 2 members")
-    D = np.sqrt(pairwise_sqdist(Y))
+    D = np.sqrt(_precomputed(sqdist, len(Y), lambda: pairwise_sqdist(Y)))
     onehot = np.eye(len(levels))[codes]
     sums = D @ onehot  # n x L total distance to each level
     a = sums[np.arange(len(codes)), codes] / (counts[codes] - 1)
@@ -53,9 +70,14 @@ def silhouette(Y, labels):
     return raw, 1.0 - abs(raw)
 
 
-def kbet_acceptance(Y, batch, knn=None, n_test=None, alpha=0.05, seed=0):
+def kbet_acceptance(
+    Y, batch, knn=None, n_test=None, alpha=0.05, seed=0, *, sqdist=None
+):
     """Fraction of sampled points whose knn-neighborhood batch composition is
-    consistent (chi-squared) with the global batch proportions."""
+    consistent (chi-squared) with the global batch proportions.
+
+    sqdist, when given, is pairwise_sqdist(Y).
+    """
     Y = ensure_matrix(Y, "Y")
     n = Y.shape[0]
     levels, codes = _levels(batch)
@@ -77,28 +99,38 @@ def kbet_acceptance(Y, batch, knn=None, n_test=None, alpha=0.05, seed=0):
     test_idx = (
         np.arange(n) if n_test >= n else rng.choice(n, size=n_test, replace=False)
     )
-    D = pairwise_sqdist(Y)
-    dof = len(levels) - 1
-    accepted = 0
-    for i in test_idx:
-        row = D[i].copy()
-        row[i] = np.inf
-        neigh = np.argpartition(row, knn)[:knn]
-        observed = np.bincount(codes[neigh], minlength=len(levels))
-        stat = float(np.sum((observed - expected) ** 2 / np.maximum(expected, 1e-12)))
-        if stats.chi2.sf(stat, dof) >= alpha:
-            accepted += 1
+    D = _precomputed(sqdist, n, lambda: pairwise_sqdist(Y))
+    observed = np.empty((len(test_idx), len(levels)), dtype=np.int64)
+    for i in range(0, len(test_idx), _KBET_BLOCK_ROWS):
+        block = test_idx[i : i + _KBET_BLOCK_ROWS]
+        rows = D[block]
+        rows[np.arange(len(block)), block] = np.inf
+        neigh = np.argpartition(rows, knn, axis=1)[:, :knn]
+        observed[i : i + len(block)] = np.sum(
+            codes[neigh][:, :, None] == np.arange(len(levels)), axis=1
+        )
+    stat = np.sum((observed - expected) ** 2 / np.maximum(expected, 1e-12), axis=1)
+    accepted = int(np.count_nonzero(stats.chi2.sf(stat, len(levels) - 1) >= alpha))
     return accepted / len(test_idx)
 
 
-def lisi(Y, labels, perplexity=30.0):
+def lisi_weights(sqdist, perplexity=30.0):
+    """LISI's neighbour weights: Gaussian conditional probabilities with
+    bandwidths calibrated to the perplexity on squared distances sqdist."""
+    return conditional_rows(sqdist, calibrate_bandwidths(sqdist, perplexity))
+
+
+def lisi(Y, labels, perplexity=30.0, *, weights=None):
     """Mean inverse Simpson index of labels under perplexity-calibrated
-    Gaussian neighbor weights; rescaled to [0, 1] by (mean - 1)/(L - 1)."""
+    Gaussian neighbor weights; rescaled to [0, 1] by (mean - 1)/(L - 1).
+
+    weights, when given, is lisi_weights(pairwise_sqdist(Y), perplexity).
+    """
     Y = ensure_matrix(Y, "Y")
     levels, codes = _levels(labels)
-    D = pairwise_sqdist(Y)
-    sigma2 = calibrate_bandwidths(D, perplexity)
-    W = conditional_rows(D, sigma2)
+    W = _precomputed(
+        weights, len(Y), lambda: lisi_weights(pairwise_sqdist(Y), perplexity)
+    )
     onehot = np.eye(len(levels))[codes]
     per_level = W @ onehot
     simpson = np.sum(per_level**2, axis=1)
@@ -181,14 +213,25 @@ class MetricsReport:
 
 
 def evaluate(Y, labelings, cfg=MetricsConfig()):
-    """Run all four metrics for every named labeling."""
+    """Run all four metrics for every named labeling.
+
+    The distances and LISI's neighbour weights do not depend on the labels,
+    so they are computed once per embedding and shared by the labelings.
+    """
+    Y = ensure_matrix(Y, "Y")
+    sqdist = pairwise_sqdist(Y)
+    weights = None
     scores = []
     for name, labels in labelings.items():
-        sil_raw, sil_resc = silhouette(Y, labels)
+        sil_raw, sil_resc = silhouette(Y, labels, sqdist=sqdist)
         kbet = kbet_acceptance(
-            Y, labels, knn=cfg.knn, n_test=cfg.n_test, alpha=cfg.alpha, seed=cfg.seed
+            Y, labels, knn=cfg.knn, n_test=cfg.n_test, alpha=cfg.alpha, seed=cfg.seed,
+            sqdist=sqdist,
         )
-        lisi_mean, lisi_resc = lisi(Y, labels, perplexity=cfg.lisi_perplexity)
+        # computed after the first labeling's checks, so errors keep their order
+        if weights is None:
+            weights = lisi_weights(sqdist, cfg.lisi_perplexity)
+        lisi_mean, lisi_resc = lisi(Y, labels, cfg.lisi_perplexity, weights=weights)
         pcr = pc_regression(Y, labels)
         scores.append(
             LabelingScores(

@@ -4,14 +4,18 @@ with optional per-iteration projection onto a linear constraint set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OptimizerError, ValidationError
-from .linalg import ensure_matrix, pairwise_sqdist
+from .errors import CalibrationWarning, DomainError, OptimizerError, ValidationError
+from .linalg import ensure_matrix, pairwise_sqdist, serial_blas
 
 PROB_FLOOR = 1e-12
+# the bandwidth search works through 128 rows at a time, so its scratch
+# memory does not grow with the number of rows
+_SEARCH_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -76,25 +80,43 @@ def conditional_rows(D, sigma2):
     logits = -0.5 * D / sigma2[:, None]
     np.fill_diagonal(logits, -np.inf)
     logits -= logits.max(axis=1, keepdims=True)
-    P = np.exp(logits)
+    P = np.exp(logits, out=logits)
     P /= P.sum(axis=1, keepdims=True)
     return P
 
 
-def _row_perplexity(d, sigma2):
-    logits = -0.5 * d / sigma2
-    logits -= logits.max()
-    p = np.exp(logits)
-    p /= p.sum()
-    h = -np.sum(p * np.log(np.maximum(p, PROB_FLOOR)))
-    return np.exp(h)
+def _offdiag(D, rows):
+    """D[rows] without each row's own entry: a new len(rows) x (n - 1) array."""
+    return D[rows][np.arange(len(D)) != rows[:, None]].reshape(len(rows), -1)
+
+
+def _row_perplexities(D, rows, sigma2):
+    """Perplexity of the given rows of D (self excluded) under Gaussian
+    bandwidths sigma2, one per row."""
+    perp = np.empty(len(rows))
+    for i in range(0, len(rows), _SEARCH_BLOCK_ROWS):
+        block = slice(i, i + _SEARCH_BLOCK_ROWS)
+        logits = _offdiag(D, rows[block])
+        logits *= -0.5
+        logits /= sigma2[block, None]
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits, out=logits)
+        p /= p.sum(axis=1, keepdims=True)
+        logp = np.maximum(p, PROB_FLOOR)
+        np.log(logp, out=logp)
+        logp *= p
+        perp[block] = np.exp(-np.sum(logp, axis=1))
+    return perp
 
 
 def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
     """Per-point bandwidth sigma^2 matching the target perplexity.
 
-    Binary search over log(sigma^2) with expanding brackets; stops when the
-    achieved perplexity is within tol of the target or max_iter steps elapse.
+    Binary search over log(sigma^2) with expanding brackets, run on all rows
+    at once; a row leaves the search when its achieved perplexity is within
+    tol of the target, and the search ends after max_iter steps.  Rows still
+    off target then issue a CalibrationWarning; their sigma^2 is returned as
+    the search left it.
     """
     D = ensure_matrix(D, "D")
     n = D.shape[0]
@@ -102,27 +124,51 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
         raise ValidationError("distance matrix must be square")
     if not 2.0 <= perplexity <= n - 1:
         raise DomainError(f"perplexity must lie in [2, n - 1]; got {perplexity}")
-    sigma2 = np.empty(n)
-    offdiag = ~np.eye(n, dtype=bool)
-    for i in range(n):
-        d = D[i, offdiag[i]]
-        if np.all(d == 0):
+    start = np.empty(n)
+    for i in range(0, n, _SEARCH_BLOCK_ROWS):
+        block = np.arange(i, min(i + _SEARCH_BLOCK_ROWS, n))
+        d = _offdiag(D, block)
+        duplicates = block[np.all(d == 0, axis=1)]
+        if duplicates.size:
             raise ValidationError(
-                f"row {i} has zero distance to every other point (duplicates)"
+                f"row {duplicates[0]} has zero distance to every other point "
+                "(duplicates)"
             )
-        x = np.log(d[d > 0].mean())
-        lo, hi = -np.inf, np.inf
-        for _ in range(max_iter):
-            perp = _row_perplexity(d, np.exp(x))
-            if abs(perp - perplexity) < tol:
-                break
-            if perp > perplexity:  # bandwidth too wide
-                hi = x
-                x = (lo + x) / 2.0 if np.isfinite(lo) else x - 1.0
-            else:
-                lo = x
-                x = (x + hi) / 2.0 if np.isfinite(hi) else x + 1.0
-        sigma2[i] = np.exp(x)
+        positive = d > 0
+        start[block] = d.mean(axis=1)
+        for j in np.flatnonzero(~positive.all(axis=1)):
+            start[block[j]] = d[j][positive[j]].mean()
+    x = np.log(start)
+    lo = np.full(n, -np.inf)
+    hi = np.full(n, np.inf)
+    active = np.arange(n)
+    for _ in range(max_iter):
+        perp = _row_perplexities(D, active, np.exp(x[active]))
+        searching = ~(np.abs(perp - perplexity) < tol)
+        active, perp = active[searching], perp[searching]
+        if not active.size:
+            break
+        xa, lo_a, hi_a = x[active], lo[active], hi[active]
+        wide = perp > perplexity  # bandwidth too wide
+        hi[active] = np.where(wide, xa, hi_a)
+        lo[active] = np.where(wide, lo_a, xa)
+        x[active] = np.where(
+            wide,
+            np.where(np.isfinite(lo_a), (lo_a + xa) / 2.0, xa - 1.0),
+            np.where(np.isfinite(hi_a), (xa + hi_a) / 2.0, xa + 1.0),
+        )
+    sigma2 = np.exp(x)
+    if active.size:
+        miss = np.abs(_row_perplexities(D, active, sigma2[active]) - perplexity)
+        off = ~(miss < tol)
+        if off.any():
+            warnings.warn(
+                f"{int(off.sum())} of {n} rows missed perplexity {perplexity} by "
+                f"tol={tol} or more after {max_iter} bisection steps; worst "
+                f"|perplexity - target| = {miss[off].max():.3g}",
+                CalibrationWarning,
+                stacklevel=2,
+            )
     return sigma2
 
 
@@ -140,11 +186,28 @@ def input_affinities(X, perplexity, tol=1e-5, max_iter=200):
     return AffinityTable(P=P, sigma2=sigma2, perplexity=float(perplexity))
 
 
+def _student_t(Y, W, G):
+    """Student-t kernel weights 1 / (1 + |y_i - y_j|^2), zero diagonal, written
+    into the n x n array W; G is n x n scratch.  Returns W."""
+    sq = np.einsum("ij,ij->i", Y, Y)
+    np.matmul(Y, Y.T, out=G)
+    G *= 2.0
+    np.add.outer(sq, sq, out=W)
+    W -= G
+    np.maximum(W, 0.0, out=W)  # clamp negatives from cancellation
+    # Y @ Y.T is exactly symmetric (BLAS syrk fills one triangle and mirrors
+    # it), so W needs no symmetrisation
+    W += 1.0
+    np.divide(1.0, W, out=W)
+    np.fill_diagonal(W, 0.0)
+    return W
+
+
 def embedding_affinities(Y):
     """Student-t kernel weights W and globally normalized affinities Q."""
     Y = ensure_matrix(Y, "Y")
-    W = 1.0 / (1.0 + pairwise_sqdist(Y))
-    np.fill_diagonal(W, 0.0)
+    n = Y.shape[0]
+    W = _student_t(Y, np.empty((n, n)), np.empty((n, n)))
     Q = W / W.sum()
     return Q, W
 
@@ -157,12 +220,30 @@ def kl_loss(P, Q):
     return max(float(np.sum(P[mask] * logratio[mask])), 0.0)
 
 
-def kl_gradient(P, Y):
-    """Analytic gradient 4 sum_j (p_ij - q_ij) w_ij (y_i - y_j)."""
+def kl_gradient(P, Y, buffers=None):
+    """Analytic gradient 4 sum_j (p_ij - q_ij) w_ij (y_i - y_j).
+
+    buffers, when given, is a pair of distinct C-contiguous n x n float64
+    arrays that the pass uses as scratch and overwrites completely, so one
+    pair can serve every iteration of a run.
+    """
     P = np.asarray(getattr(P, "P", P), dtype=np.float64)
     Y = ensure_matrix(Y, "Y")
-    Q, W = embedding_affinities(Y)
-    M = (P - Q) * W
+    n = Y.shape[0]
+    if buffers is None:
+        buffers = (np.empty((n, n)), np.empty((n, n)))
+    W, M = buffers
+    if np.shares_memory(W, M) or any(
+        b.shape != (n, n) or b.dtype != np.float64 or not b.flags.c_contiguous
+        for b in buffers
+    ):
+        raise ValidationError(
+            f"buffers must be two separate C-contiguous {n} x {n} float64 arrays"
+        )
+    _student_t(Y, W, M)
+    np.divide(W, W.sum(), out=M)  # Q
+    np.subtract(P, M, out=M)
+    M *= W
     return 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
 
 
@@ -181,6 +262,7 @@ def step(state, grad, cfg):
     return EmbeddingState(Y=Y_new, Y_prev=state.Y, gains=gains, iter=state.iter + 1)
 
 
+@serial_blas  # the same bits at any BLAS thread count
 def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
     """Full optimization loop over the configured number of iterations.
 
@@ -188,7 +270,8 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
     exaggeration multiplies the input affinities for the configured duration,
     and a projector (when given) re-imposes the linear constraint after every
     step.  Trace records are emitted through on_trace every trace_every
-    iterations and at the final iteration.
+    iterations and at the final iteration.  BLAS runs on one thread
+    throughout, so the result does not depend on the BLAS thread count.
     """
     X = ensure_matrix(X, "X")
     n = X.shape[0]
@@ -207,10 +290,12 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
         Y = projector.project(Y)
     state = EmbeddingState(Y=Y, Y_prev=Y.copy(), gains=np.ones_like(Y), iter=0)
 
+    exaggerate = cfg.exaggeration_iters > 0 and cfg.exaggeration_factor != 1.0
+    P_early = P * cfg.exaggeration_factor if exaggerate else P
+    buffers = (np.empty((n, n)), np.empty((n, n)))  # kernel scratch for every step
     for t in range(cfg.n_iter):
-        exaggerating = t < cfg.exaggeration_iters and cfg.exaggeration_factor != 1.0
-        Pt = P * cfg.exaggeration_factor if exaggerating else P
-        grad = kl_gradient(Pt, state.Y)
+        Pt = P_early if t < cfg.exaggeration_iters else P
+        grad = kl_gradient(Pt, state.Y, buffers)
         state = step(state, grad, cfg)
         # no explicit re-centering: the gradient rows sum to zero, so the
         # embedding mean stays at its initial value (and an identity

@@ -1,8 +1,11 @@
 """Brute-force reference implementations shared by the unit and acceptance
 tests.  Each is a literal transcription of the defining formula, kept free of
-the vectorized shortcuts used by the package itself.
+the vectorized shortcuts used by the package itself, or a copy of the
+package's earlier row-by-row or unbuffered code, which the faster code must
+reproduce bit for bit.
 """
 import numpy as np
+from scipy import stats
 
 
 def literal_input_affinities(X, sigma2):
@@ -57,3 +60,90 @@ def hat_matrix_projection(Z, Y):
     n = Z.shape[0]
     H = Z @ np.linalg.inv(Z.T @ Z) @ Z.T
     return (np.eye(n) - H) @ Y
+
+
+def _row_perplexity(d, sigma2):
+    logits = -0.5 * d / sigma2
+    logits -= logits.max()
+    p = np.exp(logits)
+    p /= p.sum()
+    h = -np.sum(p * np.log(np.maximum(p, 1e-12)))
+    return np.exp(h)
+
+
+def calibrate_bandwidths_loop(D, perplexity, tol=1e-5, max_iter=200):
+    """Bandwidth bisection one row at a time: the package's search before it
+    ran on all rows at once.  The package must match it bit for bit."""
+    n = D.shape[0]
+    sigma2 = np.empty(n)
+    offdiag = ~np.eye(n, dtype=bool)
+    for i in range(n):
+        d = D[i, offdiag[i]]
+        x = np.log(d[d > 0].mean())
+        lo, hi = -np.inf, np.inf
+        for _ in range(max_iter):
+            perp = _row_perplexity(d, np.exp(x))
+            if abs(perp - perplexity) < tol:
+                break
+            if perp > perplexity:  # bandwidth too wide
+                hi = x
+                x = (lo + x) / 2.0 if np.isfinite(lo) else x - 1.0
+            else:
+                lo = x
+                x = (x + hi) / 2.0 if np.isfinite(hi) else x + 1.0
+        sigma2[i] = np.exp(x)
+    return sigma2
+
+
+def row_perplexities(D, sigma2):
+    """Perplexity each row of D reaches with bandwidths sigma2."""
+    n = D.shape[0]
+    offdiag = ~np.eye(n, dtype=bool)
+    return np.array([_row_perplexity(D[i, offdiag[i]], sigma2[i]) for i in range(n)])
+
+
+def reference_embedding_affinities(Y):
+    """Student-t affinities as the package computed them with freshly
+    allocated temporaries and an explicit symmetrisation."""
+    sq = np.einsum("ij,ij->i", Y, Y)
+    D = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
+    np.maximum(D, 0.0, out=D)
+    D = 0.5 * (D + D.T)
+    np.fill_diagonal(D, 0.0)
+    W = 1.0 / (1.0 + D)
+    np.fill_diagonal(W, 0.0)
+    return W / W.sum(), W
+
+
+def reference_kl_gradient(P, Y):
+    """The gradient expression the buffered kernel must reproduce bit for bit."""
+    Q, W = reference_embedding_affinities(Y)
+    M = (P - Q) * W
+    return 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
+
+
+def kbet_loop(Y, batch, knn, n_test, alpha=0.05, seed=0):
+    """kBET acceptance with one neighbour search and one test per sampled
+    row: the package's kBET before it handled all rows at once."""
+    n = Y.shape[0]
+    levels = sorted(set(batch), key=str)
+    codes = np.array([levels.index(b) for b in batch])
+    expected = np.bincount(codes, minlength=len(levels)) / n * knn
+    rng = np.random.default_rng(seed)
+    test_idx = (
+        np.arange(n) if n_test >= n else rng.choice(n, size=n_test, replace=False)
+    )
+    sq = np.einsum("ij,ij->i", Y, Y)
+    D = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T), 0.0)
+    D = 0.5 * (D + D.T)
+    np.fill_diagonal(D, 0.0)
+    accepted = 0
+    for i in test_idx:
+        row = D[i].copy()
+        row[i] = np.inf
+        neigh = np.argpartition(row, knn)[:knn]
+        observed = np.bincount(codes[neigh], minlength=len(levels))
+        stat = float(np.sum((observed - expected) ** 2 / np.maximum(expected, 1e-12)))
+        if stats.chi2.sf(stat, len(levels) - 1) >= alpha:
+            accepted += 1
+    return accepted / len(test_idx)

@@ -14,7 +14,16 @@ from bctsne import (
 )
 
 
-from oracles import silhouette_oracle
+from oracles import kbet_loop, silhouette_oracle
+
+
+def kbet_layouts():
+    """Tie-free and tied 2-D layouts with a partly batch-driven structure."""
+    rng = np.random.default_rng(30)
+    batch = rng.integers(0, 3, 150)
+    smooth = rng.standard_normal((150, 2)) + 1.5 * batch[:, None]
+    grid = np.round(smooth)  # many equal distances, also at the k-th neighbour
+    return {"tie_free": smooth, "tied": grid}, [f"b{b}" for b in batch]
 
 
 class TestSilhouette:
@@ -98,6 +107,23 @@ class TestKbet:
         assert a1 == a2
 
 
+    @pytest.mark.parametrize("layout", ["tie_free", "tied"])
+    def test_matches_row_loop_oracle(self, layout):
+        layouts, batch = kbet_layouts()
+        Y = layouts[layout]
+        values = set()
+        for knn, n_test, seed in [(10, 150, 0), (12, 60, 1), (25, 100, 2), (40, 149, 3)]:
+            acc = kbet_acceptance(Y, batch, knn=knn, n_test=n_test, seed=seed)
+            assert acc == kbet_loop(Y, batch, knn, n_test, seed=seed)
+            values.add(acc)
+        assert len(values) > 1 and 0.0 < min(values) and max(values) < 1.0
+
+    def test_precomputed_shape_checked(self):
+        layouts, batch = kbet_layouts()
+        with pytest.raises(ValidationError, match="shape"):
+            kbet_acceptance(layouts["tied"], batch, sqdist=np.zeros((10, 10)))
+
+
 class TestLisi:
     def test_single_label(self):
         rng = np.random.default_rng(6)
@@ -177,6 +203,22 @@ class TestEvaluate:
         rows = report.rows()
         assert len(rows) == 8
         assert {r[1] for r in rows} == {"silhouette", "kbet", "lisi", "pcreg"}
+
+    @pytest.mark.parametrize("layout", ["tie_free", "tied"])
+    def test_rows_equal_separate_metric_calls(self, layout):
+        layouts, batch = kbet_layouts()
+        Y = layouts[layout]
+        group = (np.arange(150) % 4).tolist()
+        cfg = MetricsConfig(knn=12, n_test=80, lisi_perplexity=20.0, seed=4)
+        expected = []
+        for name, labels in (("batch", batch), ("group", group)):
+            raw, resc = silhouette(Y, labels)
+            kbet = kbet_acceptance(Y, labels, knn=12, n_test=80, seed=4)
+            lisi_mean, lisi_resc = lisi(Y, labels, perplexity=20.0)
+            pcr = pc_regression(Y, labels)
+            expected += [(name, "silhouette", raw, resc), (name, "kbet", kbet, kbet),
+                         (name, "lisi", lisi_mean, lisi_resc), (name, "pcreg", pcr, pcr)]
+        assert evaluate(Y, {"batch": batch, "group": group}, cfg).rows() == expected
 
     def test_orientation_limits(self):
         rng = np.random.default_rng(13)

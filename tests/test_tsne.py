@@ -1,7 +1,15 @@
+import os
+import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bctsne import (
+    CalibrationWarning,
     DomainError,
     EmbeddingState,
     OptimizerConfig,
@@ -19,7 +27,36 @@ from bctsne import (
 )
 
 
-from oracles import literal_embedding_affinities, literal_input_affinities
+from oracles import (
+    calibrate_bandwidths_loop,
+    literal_embedding_affinities,
+    literal_input_affinities,
+    reference_embedding_affinities,
+    reference_kl_gradient,
+    row_perplexities,
+)
+
+
+def calibration_inputs():
+    """Squared-distance matrices that exercise every branch of the search."""
+    rng = np.random.default_rng(20)
+    clustered = np.vstack([
+        rng.standard_normal((40, 5)),
+        rng.standard_normal((40, 5)) + 8.0,
+        rng.standard_normal((3, 5)) * 60.0,  # far outliers
+    ])
+    duplicated = rng.standard_normal((30, 3))
+    duplicated[10:15] = duplicated[:5]  # rows with zero distances
+    duplicated[20:23] = duplicated[5]
+    return {
+        "random": pairwise_sqdist(rng.standard_normal((50, 4))),
+        "clustered_outliers": pairwise_sqdist(clustered),
+        "collinear": pairwise_sqdist(np.arange(12.0)[:, None] * [1.0, 2.0]),
+        "duplicates": pairwise_sqdist(duplicated),
+    }
+
+
+CALIBRATION_INPUTS = calibration_inputs()
 
 
 def entropy_bisect_oracle(d, perplexity, lo=1e-12, hi=1e12, steps=200):
@@ -82,6 +119,44 @@ class TestCalibrateBandwidths:
         D = np.zeros((4, 4))
         with pytest.raises(ValidationError, match="row 0"):
             calibrate_bandwidths(D, 2.0)
+
+    @pytest.mark.parametrize("name", sorted(CALIBRATION_INPUTS))
+    @pytest.mark.parametrize("perplexity", [2.5, 8.0])
+    def test_matches_row_loop_oracle_bitwise(self, name, perplexity):
+        D = CALIBRATION_INPUTS[name]
+        for max_iter in (200, 5, 2, 1, 0):  # small max_iter leaves rows unconverged
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CalibrationWarning)
+                sigma2 = calibrate_bandwidths(D, perplexity, max_iter=max_iter)
+            oracle = calibrate_bandwidths_loop(D, perplexity, max_iter=max_iter)
+            assert np.array_equal(sigma2, oracle), (name, max_iter)
+
+    def test_zero_distance_rows_start_from_positive_mean(self):
+        D = CALIBRATION_INPUTS["duplicates"]
+        with pytest.warns(CalibrationWarning):
+            start = calibrate_bandwidths(D, 5.0, max_iter=0)
+        for i in range(D.shape[0]):
+            d = np.delete(D[i], i)
+            assert start[i] == np.exp(np.log(d[d > 0].mean()))
+        assert np.any(D + np.eye(30) == 0)
+
+    def test_unconverged_rows_warn_with_count_and_worst_miss(self):
+        D = CALIBRATION_INPUTS["clustered_outliers"]
+        with pytest.warns(CalibrationWarning) as record:
+            sigma2 = calibrate_bandwidths(D, 10.0, max_iter=2)
+        assert np.array_equal(sigma2, calibrate_bandwidths_loop(D, 10.0, max_iter=2))
+        miss = np.abs(row_perplexities(D, sigma2) - 10.0)
+        off = miss >= 1e-5
+        message = str(record[0].message)
+        count, worst = re.search(r"^(\d+) of 83 rows.* = (\S+)$", message).groups()
+        assert int(count) == off.sum() > 0
+        assert float(worst) == pytest.approx(miss[off].max(), rel=1e-2)
+
+    def test_converged_search_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CalibrationWarning)
+            for D in CALIBRATION_INPUTS.values():
+                calibrate_bandwidths(D, 8.0)
 
     def test_perplexity_range(self):
         D = pairwise_sqdist(np.arange(5.0)[:, None])
@@ -223,6 +298,43 @@ class TestKlGradient:
         l2 = kl_loss(t, embedding_affinities(shifted)[0])
         assert abs(l1 - l2) < 1e-10
 
+    def test_buffered_kernel_matches_reference_bitwise(self):
+        # 20 consecutive calls share one pair of buffers, which start out as
+        # NaN; every result must equal the unbuffered expression exactly, so
+        # anything a call leaves behind in a buffer fails the test
+        rng = np.random.default_rng(21)
+        n = 60
+        P = input_affinities(rng.standard_normal((n, 5)), 10.0).P
+        buffers = (np.full((n, n), np.nan), np.full((n, n), np.nan))
+        for factor in (1.0, 12.0):
+            for k in range(20):
+                Y = rng.standard_normal((n, 2 + k % 2)) * 10.0 ** rng.uniform(-4, 2)
+                grad = kl_gradient(P * factor, Y, buffers)
+                assert np.array_equal(grad, reference_kl_gradient(P * factor, Y)), k
+        assert np.array_equal(kl_gradient(P, Y), reference_kl_gradient(P, Y))
+
+    def test_embedding_affinities_match_reference_bitwise(self):
+        rng = np.random.default_rng(22)
+        for n in (3, 40, 257):
+            Y = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-4, 2)
+            Q, W = embedding_affinities(Y)
+            Qr, Wr = reference_embedding_affinities(Y)
+            assert np.array_equal(Q, Qr) and np.array_equal(W, Wr)
+
+    def test_bad_buffers_rejected(self):
+        P = np.full((5, 5), 0.05)
+        np.fill_diagonal(P, 0.0)
+        Y = np.arange(10.0).reshape(5, 2)
+        shared = np.empty((5, 5))
+        for buffers in (
+            (shared, shared),
+            (np.empty((5, 5)), np.empty((4, 4))),
+            (np.empty((5, 5)), np.empty((5, 5), dtype=np.float32)),
+            (np.empty((5, 5)), np.empty((5, 5), order="F")),
+        ):
+            with pytest.raises(ValidationError):
+                kl_gradient(P, Y, buffers)
+
 
 class TestStep:
     def _state(self, Y):
@@ -294,6 +406,30 @@ class TestRunTsne:
         )
         assert [r.iteration for r in trace] == [0, 50, 100, 150, 199]
         assert all(np.isnan(r.orthogonality_maxabs) for r in trace)
+
+    def test_blas_thread_count_leaves_embedding_unchanged(self):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from bctsne import OptimizerConfig, run_tsne\n"
+            "X = np.random.default_rng(23).standard_normal((1000, 10))\n"
+            "Y = run_tsne(X, OptimizerConfig(n_iter=50, seed=0)).Y\n"
+            "print(hashlib.sha256(Y.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=60,
+            )
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
     def test_affinity_normalization_at_checkpoints(self):
         rng = np.random.default_rng(15)

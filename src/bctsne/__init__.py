@@ -17,7 +17,6 @@ from .metrics import (
     evaluate,
     kbet_acceptance,
     lisi,
-    lisi_weights,
     pc_regression,
     silhouette,
 )

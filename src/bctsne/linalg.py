@@ -5,20 +5,11 @@ inputs; determinism for the randomized SVD path is tied to the seed argument.
 """
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-
-try:
-    from numpy._core import _multiarray_umath
-except ImportError:  # numpy < 2
-    from numpy.core import _multiarray_umath
 
 # below this min-dimension a full Golub-Kahan SVD is cheap and exact
 DENSE_SVD_CEILING = 512
@@ -92,63 +83,3 @@ def pairwise_sqdist(A):
     D = 0.5 * (D + D.T)
     np.fill_diagonal(D, 0.0)
     return D
-
-
-@functools.cache
-def _openblas_thread_control():
-    """Getter and setter of the thread count of the OpenBLAS that numpy uses,
-    or None for any other BLAS."""
-    try:
-        # dlsym on numpy's extension module also searches the BLAS it links
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-    except OSError:
-        return None
-    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-        try:
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-class _SerialBlas(contextlib.ContextDecorator):
-    """Context manager and decorator that runs numpy's OpenBLAS on one thread.
-
-    OpenBLAS rounds differently in its threaded and serial kernels: the
-    product of an n x n and an n x 2 matrix, as in the t-SNE gradient, differs
-    in the last bits between 1 and 2 threads at n = 1000.  Inside this
-    context results therefore do not depend on OPENBLAS_NUM_THREADS.  Entries
-    may nest and overlap across Python threads: the first saves the thread
-    count and the last exit restores it.  Other BLAS libraries are left as
-    they are.  The thread count belongs to the process, so there is one
-    instance, `serial_blas`.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = None
-
-    def __enter__(self):
-        with self._lock:
-            control = _openblas_thread_control()
-            if self._depth == 0 and control is not None:
-                get, put = control
-                self._saved = get()
-                put(1)
-            self._depth += 1
-        return self
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._saved is not None:
-                _openblas_thread_control()[1](self._saved)
-                self._saved = None
-
-
-serial_blas = _SerialBlas()

@@ -124,7 +124,8 @@ def lisi(Y, labels, perplexity=30.0, *, weights=None):
     """Mean inverse Simpson index of labels under perplexity-calibrated
     Gaussian neighbor weights; rescaled to [0, 1] by (mean - 1)/(L - 1).
 
-    weights, when given, is lisi_weights(pairwise_sqdist(Y), perplexity).
+    weights, when given, is lisi_weights(pairwise_sqdist(Y), perplexity);
+    perplexity is then ignored, since the weights already fix it.
     """
     Y = ensure_matrix(Y, "Y")
     levels, codes = _levels(labels)

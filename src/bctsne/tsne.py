@@ -4,18 +4,21 @@ with optional per-iteration projection onto a linear constraint set.
 """
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationWarning, DomainError, OptimizerError, ValidationError
-from .linalg import ensure_matrix, pairwise_sqdist, serial_blas
+from .linalg import ensure_matrix, pairwise_sqdist
 
 PROB_FLOOR = 1e-12
 # the bandwidth search works through 128 rows at a time, so its scratch
 # memory does not grow with the number of rows
 _SEARCH_BLOCK_ROWS = 128
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,16 @@ def conditional_rows(D, sigma2):
     P = np.exp(logits, out=logits)
     P /= P.sum(axis=1, keepdims=True)
     return P
+
+
+def _warn_caller(message, category):
+    """warnings.warn attributed to the first caller outside this package, so
+    filters keyed on the caller's module match whichever bctsne function it
+    called."""
+    frame, stacklevel = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, stacklevel = frame.f_back, stacklevel + 1
+    warnings.warn(message, category, stacklevel=stacklevel)
 
 
 def _offdiag(D, rows):
@@ -162,12 +175,11 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
         miss = np.abs(_row_perplexities(D, active, sigma2[active]) - perplexity)
         off = ~(miss < tol)
         if off.any():
-            warnings.warn(
+            _warn_caller(
                 f"{int(off.sum())} of {n} rows missed perplexity {perplexity} by "
                 f"tol={tol} or more after {max_iter} bisection steps; worst "
                 f"|perplexity - target| = {miss[off].max():.3g}",
                 CalibrationWarning,
-                stacklevel=2,
             )
     return sigma2
 
@@ -262,7 +274,6 @@ def step(state, grad, cfg):
     return EmbeddingState(Y=Y_new, Y_prev=state.Y, gains=gains, iter=state.iter + 1)
 
 
-@serial_blas  # the same bits at any BLAS thread count
 def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
     """Full optimization loop over the configured number of iterations.
 
@@ -270,8 +281,7 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
     exaggeration multiplies the input affinities for the configured duration,
     and a projector (when given) re-imposes the linear constraint after every
     step.  Trace records are emitted through on_trace every trace_every
-    iterations and at the final iteration.  BLAS runs on one thread
-    throughout, so the result does not depend on the BLAS thread count.
+    iterations and at the final iteration.
     """
     X = ensure_matrix(X, "X")
     n = X.shape[0]

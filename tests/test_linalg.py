@@ -1,12 +1,7 @@
-import sys
-import threading
-import time
-
 import numpy as np
 import pytest
 
-from bctsne import DomainError, ValidationError, linalg, pairwise_sqdist, truncated_svd
-from bctsne.linalg import serial_blas
+from bctsne import DomainError, ValidationError, pairwise_sqdist, truncated_svd
 
 
 def jacobi_svd(A, sweeps=60, tol=1e-14):
@@ -132,54 +127,3 @@ class TestPairwiseSqdist:
             for j in range(12):
                 for k in range(12):
                     assert E[i, j] <= E[i, k] + E[k, j] + 1e-10
-
-
-class TestSerialBlas:
-    def test_nests_and_restores_thread_count(self):
-        control = linalg._openblas_thread_control()
-        count = (lambda: control[0]()) if control else (lambda: None)
-        before = count()
-        with serial_blas:
-            with serial_blas:
-                inner = count()
-            middle = count()
-        assert count() == before
-        if control is not None:
-            assert inner == middle == 1
-
-    def test_overlapping_threads_restore_thread_count(self):
-        control = linalg._openblas_thread_control()
-        count = (lambda: control[0]()) if control else (lambda: None)
-        before = count()
-        seen, interval = [], sys.getswitchinterval()
-
-        def work():
-            for _ in range(200):
-                with serial_blas:
-                    seen.append(count())
-                    time.sleep(0)  # let other threads enter and leave meanwhile
-                    seen.append(count())
-
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=work) for _ in range(8)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
-        assert len(seen) == 3200
-        assert count() == before
-        if control is not None:
-            assert set(seen) == {1}
-
-    def test_decorated_function_keeps_its_name_and_result(self):
-        @serial_blas
-        def product(A):
-            return A @ A.T
-
-        A = np.arange(6.0).reshape(3, 2)
-        assert product.__name__ == "product"
-        assert np.array_equal(product(A), A @ A.T)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -10,38 +11,77 @@ from . import matrixio, plot
 from .design import Projector, build_design
 from .errors import BctsneError
 from .metrics import MetricsConfig, evaluate
-from .reduce import pca_reduce, residualized_reduce
+from .reduce import pca_reduce
 from .simulate import SimSpec, normalize_log1p_cpm, simulate
 from .tsne import OptimizerConfig, run_tsne
 
+# The option tables below are the only definition of each setting: the
+# subcommands are built from them, `read_config` parses a pipeline config with
+# them, and an option's dest names the library config field it sets.
 
-def _add_generate(sub):
-    p = sub.add_parser("generate", help="write a synthetic counts + labels dataset")
-    p.add_argument("--cells", type=int, default=800)
-    p.add_argument("--genes", type=int, default=2000)
-    p.add_argument("--batches", type=int, default=4)
-    p.add_argument("--groups", type=int, default=4)
+
+def _generate_options():
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--cells", dest="n_cells", type=int, default=SimSpec.n_cells)
+    p.add_argument("--genes", dest="n_genes", type=int, default=SimSpec.n_genes)
+    p.add_argument("--batches", dest="n_batches", type=int, default=SimSpec.n_batches)
+    p.add_argument("--groups", dest="n_groups", type=int, default=SimSpec.n_groups)
     p.add_argument("--batch-effect-sd", type=float, default=SimSpec.batch_effect_sd)
     p.add_argument("--group-effect-sd", type=float, default=SimSpec.group_effect_sd)
     p.add_argument("--de-prob", type=float, default=SimSpec.de_prob)
+    return p
+
+
+def _embed_options():
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--k", type=int, default=30)
+    p.add_argument("--perplexity", type=float, default=OptimizerConfig.perplexity)
+    p.add_argument("--iters", dest="n_iter", type=int, default=OptimizerConfig.n_iter)
+    p.add_argument("--eta", type=float, default=OptimizerConfig.eta)
+    p.add_argument("--exaggeration", dest="exaggeration_factor", type=float,
+                   default=OptimizerConfig.exaggeration_factor)
+    p.add_argument("--dims", type=int, default=OptimizerConfig.dims, choices=(2, 3))
+    return p
+
+
+def _seed_option():
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--seed", type=int, default=0)
+    return p
+
+
+def _config(cls, opts):
+    """The dataclass cls with each field that opts has set from opts."""
+    fields = [f.name for f in dataclasses.fields(cls) if hasattr(opts, f.name)]
+    return cls(**{name: getattr(opts, name) for name in fields})
+
+
+def _names(text):
+    """The comma-separated names in text, blanks dropped."""
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+def _read_labels(path, ids, columns=None):
+    """The named columns (all when None) of the labels file at path, with
+    rows in the order of ids."""
+    label_ids, table = matrixio.read_labels_csv(path)
+    table = matrixio.align_labels(label_ids, table, ids)
+    if columns is None:
+        return table
+    unknown = [c for c in columns if c not in table]
+    if unknown:
+        raise BctsneError(
+            f"unknown label column(s) {unknown}; {path} has {sorted(table)}"
+        )
+    return {c: table[c] for c in columns}
+
+
+def _add_generate(sub):
+    p = sub.add_parser("generate", parents=[_generate_options(), _seed_option()],
+                       help="write a synthetic counts + labels dataset")
     p.add_argument("--counts-out", required=True)
     p.add_argument("--labels-out", required=True)
     p.set_defaults(func=cmd_generate)
-
-
-def _sim_spec(opts):
-    """SimSpec from a mapping keyed by the generate option names."""
-    return SimSpec(
-        n_cells=int(opts["cells"]),
-        n_genes=int(opts["genes"]),
-        n_batches=int(opts["batches"]),
-        n_groups=int(opts["groups"]),
-        batch_effect_sd=float(opts["batch_effect_sd"]),
-        group_effect_sd=float(opts["group_effect_sd"]),
-        de_prob=float(opts["de_prob"]),
-        seed=int(opts["seed"]),
-    )
 
 
 def _write_dataset(spec, counts_out, labels_out):
@@ -61,65 +101,37 @@ def _write_dataset(spec, counts_out, labels_out):
 
 
 def cmd_generate(args):
-    _write_dataset(_sim_spec(vars(args)), args.counts_out, args.labels_out)
+    _write_dataset(_config(SimSpec, args), args.counts_out, args.labels_out)
     return 0
 
 
 def _add_embed(sub):
-    p = sub.add_parser("embed", help="estimate a (batch-corrected) embedding")
+    p = sub.add_parser("embed", parents=[_embed_options(), _seed_option()],
+                       help="estimate a (batch-corrected) embedding")
     p.add_argument("matrix")
     p.add_argument("labels", nargs="?")
-    p.add_argument("--batch-vars", default=None, help="comma-separated label columns")
+    p.add_argument("--batch-vars", type=_names, default=None,
+                   help="comma-separated label columns")
     p.add_argument("--no-correction", action="store_true")
     p.add_argument("--normalize", action="store_true",
                    help="treat the matrix as counts and apply log1p-CPM first")
-    p.add_argument("--k", type=int, default=30)
-    p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--eta", type=float, default=200.0)
-    p.add_argument("--exaggeration", type=float, default=12.0)
-    p.add_argument("--dims", type=int, default=2, choices=(2, 3))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_embed)
 
 
-def _load_design(args, ids):
-    if args.labels is None:
-        raise BctsneError("a labels file is required for batch correction")
-    label_ids, table = matrixio.read_labels_csv(args.labels)
-    table = matrixio.align_labels(label_ids, table, ids)
-    variables = [v.strip() for v in args.batch_vars.split(",") if v.strip()]
-    unknown = [v for v in variables if v not in table]
-    if unknown:
-        raise BctsneError(
-            f"unknown batch variable(s) {unknown}; file has {sorted(table)}"
-        )
-    return build_design({v: table[v] for v in variables})
-
-
-def _embed(X, ids, design, opts, out):
-    """PCA (residualized on design unless it is None) -> t-SNE (projected off
-    design) with the embed option names in opts; writes the embedding CSV and
-    its trace next to it and returns the embedding."""
-    cfg = OptimizerConfig(
-        n_iter=int(opts["iters"]),
-        perplexity=float(opts["perplexity"]),
-        eta=float(opts["eta"]),
-        exaggeration_factor=float(opts["exaggeration"]),
-        dims=int(opts["dims"]),
-        seed=int(opts["seed"]),
-    )
-    if design is None:
-        reduced, projector = pca_reduce(X, int(opts["k"]), seed=cfg.seed), None
-    else:
-        reduced = residualized_reduce(X, design, int(opts["k"]), seed=cfg.seed)
-        projector = Projector(design)
+def _embed(scores, ids, projector, opts, out):
+    """t-SNE of the PCA scores with the embed options and seed in opts; with a
+    projector, the scores and every iterate are projected off its design.
+    Writes the embedding CSV and its trace next to it and returns the
+    embedding."""
+    cfg = _config(OptimizerConfig, opts)
+    if projector is not None:
+        scores = projector.project(scores)
     trace = []
-    state = run_tsne(reduced.scores, cfg, projector=projector, on_trace=trace.append)
+    state = run_tsne(scores, cfg, projector=projector, on_trace=trace.append)
     matrixio.write_embedding_csv(state.Y, ids, out)
     matrixio.write_loss_trace(trace, _trace_path(out))
-    print(f"wrote {out} ({'uncorrected' if design is None else 'corrected'})")
+    print(f"wrote {out} ({'uncorrected' if projector is None else 'corrected'})")
     return state.Y
 
 
@@ -129,8 +141,13 @@ def cmd_embed(args):
     X, ids, _ = matrixio.read_matrix_csv(args.matrix)
     if args.normalize:
         X = normalize_log1p_cpm(X)
-    design = None if args.no_correction else _load_design(args, ids)
-    _embed(X, ids, design, vars(args), args.out)
+    projector = None
+    if not args.no_correction:
+        if args.labels is None:
+            raise BctsneError("a labels file is required for batch correction")
+        labels = _read_labels(args.labels, ids, args.batch_vars)
+        projector = Projector(build_design(labels))
+    _embed(pca_reduce(X, args.k, seed=args.seed).scores, ids, projector, args, args.out)
     return 0
 
 
@@ -140,38 +157,24 @@ def _trace_path(out):
 
 
 def _add_evaluate(sub):
-    p = sub.add_parser("evaluate", help="score an embedding against labelings")
+    p = sub.add_parser("evaluate", parents=[_seed_option()],
+                       help="score an embedding against labelings")
     p.add_argument("embedding")
     p.add_argument("labels")
-    p.add_argument("--labelings", default=None,
+    p.add_argument("--labelings", type=_names, default=None,
                    help="comma-separated label columns (default: all)")
     p.add_argument("--knn", type=int, default=None)
     p.add_argument("--n-test", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--lisi-perplexity", type=float, default=30.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float, default=MetricsConfig.alpha)
+    p.add_argument("--lisi-perplexity", type=float, default=MetricsConfig.lisi_perplexity)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
 
 def cmd_evaluate(args):
     Y, ids = matrixio.read_embedding_csv(args.embedding)
-    label_ids, table = matrixio.read_labels_csv(args.labels)
-    table = matrixio.align_labels(label_ids, table, ids)
-    if args.labelings:
-        wanted = [v.strip() for v in args.labelings.split(",") if v.strip()]
-        unknown = [v for v in wanted if v not in table]
-        if unknown:
-            raise BctsneError(f"unknown labeling(s) {unknown}")
-        table = {v: table[v] for v in wanted}
-    cfg = MetricsConfig(
-        knn=args.knn,
-        n_test=args.n_test,
-        alpha=args.alpha,
-        lisi_perplexity=args.lisi_perplexity,
-        seed=args.seed,
-    )
-    report = evaluate(Y, table, cfg)
+    table = _read_labels(args.labels, ids, args.labelings or None)
+    report = evaluate(Y, table, _config(MetricsConfig, args))
     matrixio.write_report_csv(report, args.out)
     print(report.format_table())
     return 0
@@ -190,11 +193,8 @@ def _add_plot(sub):
 
 def cmd_plot(args):
     Y, ids = matrixio.read_embedding_csv(args.embedding)
-    label_ids, table = matrixio.read_labels_csv(args.labels)
-    table = matrixio.align_labels(label_ids, table, ids)
-    for name in (args.color_by, args.shape_by):
-        if name is not None and name not in table:
-            raise BctsneError(f"unknown label column {name!r}")
+    columns = [c for c in (args.color_by, args.shape_by) if c is not None]
+    table = _read_labels(args.labels, ids, columns)
     plot.write_scatter_svg(
         args.out,
         Y,
@@ -214,18 +214,27 @@ def _add_pipeline(sub):
     p.set_defaults(func=cmd_pipeline)
 
 
-_PIPELINE_DEFAULTS = {
-    "cells": "800", "genes": "2000", "batches": "4", "groups": "4",
-    "batch_effect_sd": str(SimSpec.batch_effect_sd),
-    "group_effect_sd": str(SimSpec.group_effect_sd),
-    "de_prob": str(SimSpec.de_prob),
-    "k": "30", "perplexity": "30", "iters": "1000", "eta": "200",
-    "exaggeration": "12", "dims": "2", "seed": "0", "outdir": "out",
-}
+class _ConfigParser(argparse.ArgumentParser):
+    """The generate and embed options, seed and outdir, parsed from a config
+    file's lines; a bad line raises BctsneError naming the file."""
+
+    def __init__(self, path):
+        super().__init__(
+            parents=[_generate_options(), _embed_options(), _seed_option()],
+            add_help=False,
+            allow_abbrev=False,
+        )
+        self.add_argument("--outdir", default="out")
+        self.path = path
+
+    def error(self, message):
+        raise BctsneError(f"{self.path}: {message}")
 
 
 def read_config(path):
-    cfg = dict(_PIPELINE_DEFAULTS)
+    """Typed pipeline settings from a flat key=value file whose keys are the
+    generate and embed option names with _ for -, seed and outdir."""
+    argv = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -234,29 +243,26 @@ def read_config(path):
             if "=" not in line:
                 raise BctsneError(f"{path}: line {lineno}: expected key=value")
             key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in _PIPELINE_DEFAULTS:
-                raise BctsneError(f"{path}: line {lineno}: unknown key {key!r}")
-            cfg[key] = value.strip()
-    return cfg
+            argv.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return _ConfigParser(path).parse_args(argv)
 
 
 def cmd_pipeline(args):
     cfg = read_config(args.config)
-    outdir = Path(cfg["outdir"])
+    outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     counts_path, labels_path = outdir / "counts.csv", outdir / "labels.csv"
-    counts, ids, labels = _write_dataset(_sim_spec(cfg), counts_path, labels_path)
-    X = normalize_log1p_cpm(counts)
-    design = build_design({"batch": labels["batch"]})
+    counts, ids, labels = _write_dataset(_config(SimSpec, cfg), counts_path, labels_path)
+    scores = pca_reduce(normalize_log1p_cpm(counts), cfg.k, seed=cfg.seed).scores
+    projector = Projector(build_design({"batch": labels["batch"]}))
 
     artifacts = [counts_path, labels_path]
-    for tag, tag_design in (("corrected", design), ("uncorrected", None)):
+    for tag, tag_projector in (("corrected", projector), ("uncorrected", None)):
         emb = outdir / f"embedding_{tag}.csv"
         report = outdir / f"report_{tag}.csv"
         svg = outdir / f"embedding_{tag}.svg"
-        Y = _embed(X, ids, tag_design, cfg, emb)
-        metrics = evaluate(Y, labels, MetricsConfig(seed=int(cfg["seed"])))
+        Y = _embed(scores, ids, tag_projector, cfg, emb)
+        metrics = evaluate(Y, labels, MetricsConfig(seed=cfg.seed))
         matrixio.write_report_csv(metrics, report)
         print(metrics.format_table())
         plot.write_scatter_svg(svg, Y, color_labels=labels["group"],

@@ -23,10 +23,6 @@ class BatchDesign:
     encoding: tuple  # (variable, levels, reference) per input variable
     has_intercept: bool
 
-    @property
-    def n(self):
-        return self.Z.shape[0]
-
 
 def _encode_columns(labels):
     """One-hot columns per variable, dropping each variable's first level."""
@@ -118,7 +114,6 @@ class Projector:
 
     def __init__(self, design):
         Z = ensure_matrix(getattr(design, "Z", design), "Z")
-        self.design = design if isinstance(design, BatchDesign) else None
         self.Z = Z
         if Z.shape[1] == 0:
             self._basis = None

@@ -2,12 +2,15 @@
 loss traces.
 
 All text formats are UTF-8, accept LF or CRLF, and carry cell identifiers in
-the first column; errors name the offending file, line and column.
+the first column; errors name the offending file, line and column.  Ids,
+names and labels may hold commas, quotes, tabs and line breaks.
 """
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -16,44 +19,57 @@ from .errors import ValidationError
 _FMT = "%.17g"
 
 
-def _detect_delimiter(first_line, delimiter=None):
-    if delimiter is not None:
-        return delimiter
-    return "\t" if "\t" in first_line else ","
-
-
-def _read_rows(path, delimiter):
+def _read_table(path):
+    """(header, [(line number, fields)]) of a table with unique ids in its
+    first column; tab-delimited when the first header field holds a tab."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
         first = fh.readline()
         if not first.strip():
             raise ValidationError(f"{path}: empty file")
-        delim = _detect_delimiter(first, delimiter)
+        delimiter = "\t" if "\t" in first.split(",", 1)[0] else ","
         fh.seek(0)
-        return list(csv.reader(fh, delimiter=delim)), delim
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader)
+            body = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+    if len(header) < 2:
+        raise ValidationError(f"{path}: header needs an id column and one more")
+    for lineno, row in body:
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}: line {lineno}: expected {len(header)} fields, found {len(row)}"
+            )
+    if not body:
+        raise ValidationError(f"{path}: no data rows")
+    counts = Counter(row[0] for _, row in body)
+    dupes = sorted(i for i, count in counts.items() if count > 1)
+    if dupes:
+        raise ValidationError(f"{path}: duplicate ids: {dupes}")
+    return header, body
 
 
-def read_matrix_csv(path, delimiter=None):
+def _write_table(path, header, rows):
+    # csv.writer quotes a field holding a bare CR only when CR is part of the
+    # line terminator, so it writes CRLF, one whole record per call, and each
+    # record reaches the file with LF
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        lf = SimpleNamespace(write=lambda record: fh.write(record[:-2] + "\n"))
+        writer = csv.writer(lf, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_matrix_csv(path):
     """Parse a labeled matrix file: header of feature names, first column ids.
 
     Returns (matrix, row_ids, column_names).
     """
-    path = Path(path)
-    rows, _ = _read_rows(path, delimiter)
-    header = rows[0]
-    if len(header) < 2:
-        raise ValidationError(f"{path}: header must contain at least one feature")
-    col_names = header[1:]
-    width = len(header)
-    ids, data = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected {width} fields, found {len(row)}"
-            )
-        ids.append(row[0])
+    header, body = _read_table(path)
+    data = []
+    for lineno, row in body:
         try:
             data.append(np.array(row[1:], dtype=np.float64))
         except ValueError:
@@ -66,53 +82,31 @@ def read_matrix_csv(path, delimiter=None):
                         f"non-numeric value {cell!r}"
                     ) from None
             raise
-    if not ids:
-        raise ValidationError(f"{path}: no data rows")
-    if len(set(ids)) != len(ids):
-        seen = set()
-        dupes = sorted({i for i in ids if i in seen or seen.add(i)})
-        raise ValidationError(f"{path}: duplicate ids: {dupes}")
     M = np.vstack(data)
     if not np.isfinite(M).all():
         raise ValidationError(f"{path}: non-finite values present")
-    return M, ids, col_names
+    return M, [row[0] for _, row in body], header[1:]
 
 
-def write_matrix_csv(M, row_ids, col_names, path, delimiter=","):
+def write_matrix_csv(M, row_ids, col_names, path):
     M = np.asarray(M, dtype=np.float64)
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(delimiter.join(["id", *col_names]) + "\n")
-        for rid, row in zip(row_ids, M):
-            fh.write(rid + delimiter + delimiter.join(_FMT % v for v in row) + "\n")
+    _write_table(
+        path,
+        ["id", *col_names],
+        ([rid, *(_FMT % v for v in row)] for rid, row in zip(row_ids, M)),
+    )
 
 
-def read_labels_csv(path, delimiter=None):
+def read_labels_csv(path):
     """Parse a label table: first column ids, remaining columns categorical.
 
     Returns (ids, {column: list of strings}).
     """
-    path = Path(path)
-    rows, _ = _read_rows(path, delimiter)
-    header = rows[0]
-    if len(header) < 2:
-        raise ValidationError(f"{path}: need at least one label column")
-    width = len(header)
-    ids = []
-    table = {name: [] for name in header[1:]}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected {width} fields, found {len(row)}"
-            )
-        ids.append(row[0])
-        for name, value in zip(header[1:], row[1:]):
-            table[name].append(value)
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"{path}: duplicate ids")
-    return ids, table
+    header, body = _read_table(path)
+    table = {
+        name: [row[j] for _, row in body] for j, name in enumerate(header[1:], start=1)
+    }
+    return [row[0] for _, row in body], table
 
 
 def align_labels(ids, table, reference_ids):
@@ -125,13 +119,13 @@ def align_labels(ids, table, reference_ids):
     return {name: [values[i] for i in order] for name, values in table.items()}
 
 
-def write_labels_csv(ids, table, path, delimiter=","):
-    path = Path(path)
+def write_labels_csv(ids, table, path):
     names = list(table)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(delimiter.join(["id", *names]) + "\n")
-        for i, rid in enumerate(ids):
-            fh.write(delimiter.join([rid, *(str(table[n][i]) for n in names)]) + "\n")
+    _write_table(
+        path,
+        ["id", *names],
+        ([rid, *(str(table[n][i]) for n in names)] for i, rid in enumerate(ids)),
+    )
 
 
 def write_embedding_csv(Y, ids, path):
@@ -148,19 +142,18 @@ def read_embedding_csv(path):
 
 
 def write_report_csv(report, path):
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("labeling,metric,raw,rescaled\n")
-        for labeling, metric, raw, rescaled in report.rows():
-            fh.write(f"{labeling},{metric},{_FMT % raw},{_FMT % rescaled}\n")
+    _write_table(
+        path,
+        ["labeling", "metric", "raw", "rescaled"],
+        ([labeling, metric, _FMT % raw, _FMT % rescaled]
+         for labeling, metric, raw, rescaled in report.rows()),
+    )
 
 
 def write_loss_trace(trace, path):
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,kl_loss,orthogonality_maxabs\n")
-        for rec in trace:
-            fh.write(
-                f"{rec.iteration},{_FMT % rec.kl_loss},"
-                f"{_FMT % rec.orthogonality_maxabs}\n"
-            )
+    _write_table(
+        path,
+        ["iteration", "kl_loss", "orthogonality_maxabs"],
+        ([rec.iteration, _FMT % rec.kl_loss, _FMT % rec.orthogonality_maxabs]
+         for rec in trace),
+    )

@@ -7,6 +7,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import warnings
+from html import escape
 
 import numpy as np
 
@@ -95,7 +96,7 @@ def render_scatter(Y, color_labels=None, shape_labels=None, title=None):
     if title:
         parts.append(
             f'<text x="{_PLOT_W // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>'
         )
     for i in range(n):
         color = color_of[color_labels[i]] if color_labels is not None else PALETTE[0]
@@ -108,7 +109,7 @@ def render_scatter(Y, color_labels=None, shape_labels=None, title=None):
         parts.append(_marker("circle", lx + 6, ly - 4, color_of[lev]))
         parts.append(
             f'<text x="{lx + 18}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{lev}</text>'
+            f'font-size="12">{escape(str(lev), quote=False)}</text>'
         )
         ly += 20
     ly += 10
@@ -116,7 +117,7 @@ def render_scatter(Y, color_labels=None, shape_labels=None, title=None):
         parts.append(_marker(shape_of[lev], lx + 6, ly - 4, "#333333"))
         parts.append(
             f'<text x="{lx + 18}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{lev}</text>'
+            f'font-size="12">{escape(str(lev), quote=False)}</text>'
         )
         ly += 20
     parts.append("</svg>")

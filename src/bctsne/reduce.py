@@ -22,27 +22,19 @@ class ReducedData:
     explained_variance: np.ndarray  # k fractions of total (centered) variance
 
 
-def _prepare(X, center, scale):
+def _prepare(X):
     X = ensure_matrix(X, "X")
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 rows")
-    out = X
-    if center:
-        out = out - out.mean(axis=0)
-    if scale:
-        sd = out.std(axis=0, ddof=1)
-        if np.any(sd == 0):
-            bad = int(np.flatnonzero(sd == 0)[0])
-            raise ValidationError(f"cannot scale constant column {bad}")
-        out = out / sd
+    out = X - X.mean(axis=0)
     if not np.any(out):
         raise ValidationError("matrix is constant: no variance left after centering")
     return out
 
 
-def pca_reduce(X, k, center=True, scale=False, seed=0):
-    """Truncated PCA scores of X (optionally centered/scaled columns)."""
-    Xp = _prepare(X, center, scale)
+def pca_reduce(X, k, seed=0):
+    """Truncated PCA scores of the column-centered X."""
+    Xp = _prepare(X)
     if not 1 <= k <= min(Xp.shape):
         raise DomainError(f"k={k} outside valid range [1, {min(Xp.shape)}]")
     total = float(np.sum(Xp * Xp))
@@ -51,7 +43,7 @@ def pca_reduce(X, k, center=True, scale=False, seed=0):
     return ReducedData(scores=scores, k=k, explained_variance=res.S**2 / total)
 
 
-def residualized_reduce(X, Z, k, center=True, scale=False, seed=0):
+def residualized_reduce(X, Z, k, seed=0):
     """PCA scores of X with linear association to the design Z projected out.
 
     Z is the batch design (BatchDesign or raw n x b array).  The PCA scores
@@ -68,7 +60,7 @@ def residualized_reduce(X, Z, k, center=True, scale=False, seed=0):
         raise ValidationError(
             f"row mismatch: X has {X.shape[0]} rows, Z has {Zarr.shape[0]}"
         )
-    reduced = pca_reduce(X, k, center=center, scale=scale, seed=seed)
+    reduced = pca_reduce(X, k, seed=seed)
     if not getattr(Z, "has_intercept", False):
         Zarr = np.column_stack([np.ones(Zarr.shape[0]), Zarr])
     return replace(reduced, scores=Projector(Zarr).project(reduced.scores))

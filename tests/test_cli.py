@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,11 +136,33 @@ class TestPipelineConfig:
 
     def test_defaults_and_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("# comment\ncells=50\nseed=9\n")
+        cfg.write_text("# comment\ncells=50\nseed=9\nbatch_effect_sd=0.5\n")
         parsed = read_config(cfg)
-        assert parsed["cells"] == "50"
-        assert parsed["seed"] == "9"
-        assert parsed["perplexity"] == "30"
+        assert parsed.n_cells == 50
+        assert parsed.seed == 9
+        assert parsed.batch_effect_sd == 0.5
+        assert parsed.perplexity == 30.0
+
+    @pytest.mark.parametrize("line", ["cells=abc", "dims=4", "bogus=1", "cell=100"])
+    def test_bad_line_fails_before_any_output(self, tmp_path, capsys, line):
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"outdir={outdir}\n{line}\n")
+        assert main(["pipeline", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(cfg) in err and line.split("=")[0] in err
+        assert not outdir.exists()
+
+    def test_readme_defaults_match(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Recognized keys and defaults:", 1)[1].split("```")[1]
+        documented, empty = tmp_path / "readme.cfg", tmp_path / "empty.cfg"
+        documented.write_text("\n".join(block.split()) + "\n")
+        empty.write_text("")
+        defaults = read_config(empty)
+        assert len(block.split()) == len(vars(defaults))
+        assert read_config(documented) == defaults
 
 
 class TestPipelineMatchesSubcommands:

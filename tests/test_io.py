@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bctsne import SimSpec, ValidationError, simulate
 from bctsne.matrixio import (
@@ -51,6 +53,12 @@ class TestMatrixCsv:
         p = tmp_path / "empty.csv"
         p.write_text("")
         with pytest.raises(ValidationError, match="empty"):
+            read_matrix_csv(p)
+
+    def test_malformed_csv_named(self, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("id,g1\nc1,1\n" + "c2," + "1" * 200_000 + "\n")
+        with pytest.raises(ValidationError, match="line 3: field larger"):
             read_matrix_csv(p)
 
     def test_tab_delimiter_autodetected(self, tmp_path):
@@ -119,3 +127,59 @@ class TestEmbeddingAndTrace:
         lines = p.read_text().splitlines()
         assert lines[0] == "iteration,kl_loss,orthogonality_maxabs"
         assert len(lines) == 3
+
+
+# Text that CSV must quote or keep as is: delimiters, quotes, line breaks,
+# spaces and non-ASCII.  Surrogates cannot be encoded as UTF-8, and NUL is
+# left out because csv.reader rejects it before Python 3.11.
+_HOSTILE = st.text(
+    alphabet=st.one_of(
+        st.sampled_from([",", '"', "\t", "\r", "\n", " ", "é", "雪", "🙂"]),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    ),
+    max_size=8,
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _hostile_matrix(draw):
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(1, 4))
+    ids = draw(st.lists(_HOSTILE, min_size=n, max_size=n, unique=True))
+    names = draw(st.lists(_HOSTILE, min_size=p, max_size=p, unique=True))
+    return draw(hnp.arrays(np.float64, (n, p), elements=_FINITE)), ids, names
+
+
+class TestHostileRoundTrip:
+    """Every writer's output reads back exactly, whatever the ids and names."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_hostile_matrix())
+    def test_matrix(self, tmp_path_factory, case):
+        M, ids, names = case
+        p = tmp_path_factory.mktemp("hostile") / "m.csv"
+        write_matrix_csv(M, ids, names, p)
+        M2, ids2, names2 = read_matrix_csv(p)
+        assert (ids2, names2) == (ids, names)
+        assert M2.tobytes() == M.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_hostile_matrix(), st.data())
+    def test_labels(self, tmp_path_factory, case, data):
+        _, ids, names = case
+        table = {name: data.draw(st.lists(_HOSTILE, min_size=len(ids), max_size=len(ids)))
+                 for name in names}
+        p = tmp_path_factory.mktemp("hostile") / "l.csv"
+        write_labels_csv(ids, table, p)
+        assert read_labels_csv(p) == (ids, table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_hostile_matrix())
+    def test_embedding(self, tmp_path_factory, case):
+        Y, ids, _ = case
+        p = tmp_path_factory.mktemp("hostile") / "e.csv"
+        write_embedding_csv(Y, ids, p)
+        Y2, ids2 = read_embedding_csv(p)
+        assert ids2 == ids
+        assert Y2.tobytes() == Y.tobytes()

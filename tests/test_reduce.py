@@ -91,7 +91,7 @@ class TestResidualizedReduce:
         # so the adjusted scores span E's 3 leading score directions.
         # oracle: residualize X columns directly, then PCA.
         Xr = X - Z1 @ np.linalg.lstsq(Z1, X, rcond=None)[0]
-        oracle = pca_reduce(Xr, 3, center=False)
+        oracle = pca_reduce(Xr, 3)
         live = red.scores[:, norms > 1e-8 * norms.max()]
         assert live.shape[1] == 3
         angles = principal_angles(live, oracle.scores)

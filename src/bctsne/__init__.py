@@ -33,7 +33,6 @@ from .tsne import (
     kl_gradient,
     kl_loss,
     run_tsne,
-    step,
 )
 
 __version__ = "0.1.0"

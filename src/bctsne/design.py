@@ -24,12 +24,17 @@ class BatchDesign:
     has_intercept: bool
 
 
+def level_order(values):
+    """Distinct values of a categorical column, in the package's one order."""
+    return sorted(set(np.asarray(values).tolist()), key=str)
+
+
 def _encode_columns(labels):
     """One-hot columns per variable, dropping each variable's first level."""
     columns, names, encoding = [], [], []
     for var, values in labels.items():
         values = np.asarray(values)
-        levels = sorted(set(values.tolist()), key=str)
+        levels = level_order(values)
         encoding.append((var, tuple(levels), levels[0]))
         for level in levels[1:]:
             columns.append((values == level).astype(np.float64))

@@ -8,6 +8,7 @@ names and labels may hold commas, quotes, tabs and line breaks.
 from __future__ import annotations
 
 import csv
+import itertools
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -55,11 +56,14 @@ def _write_table(path, header, rows):
     # csv.writer quotes a field holding a bare CR only when CR is part of the
     # line terminator, so it writes CRLF, one whole record per call, and each
     # record reaches the file with LF
+    limit = csv.field_size_limit()
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         lf = SimpleNamespace(write=lambda record: fh.write(record[:-2] + "\n"))
         writer = csv.writer(lf, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in itertools.chain([header], rows):
+            # the reader refuses a longer field; a record within the limit has none
+            if writer.writerow(row) > limit and max(len(str(f)) for f in row) > limit:
+                raise ValidationError(f"{path}: field longer than the csv limit ({limit})")
 
 
 def read_matrix_csv(path):

@@ -7,12 +7,12 @@ separated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .design import Projector
+from .design import Projector, level_order
 from .errors import ValidationError
 from .linalg import ensure_matrix, pairwise_sqdist
 from .tsne import calibrate_bandwidths, conditional_rows
@@ -23,10 +23,9 @@ _KBET_BLOCK_ROWS = 128
 
 
 def _levels(labels):
-    labels = np.asarray(labels)
-    levels = sorted(set(labels.tolist()), key=str)
+    levels = level_order(labels)
     lookup = {lev: i for i, lev in enumerate(levels)}
-    codes = np.array([lookup[x] for x in labels.tolist()])
+    codes = np.array([lookup[x] for x in np.asarray(labels).tolist()])
     return levels, codes
 
 

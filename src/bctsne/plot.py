@@ -11,6 +11,7 @@ from html import escape
 
 import numpy as np
 
+from .design import level_order
 from .errors import ValidationError
 
 CANVAS_W = 800
@@ -58,7 +59,7 @@ def _marker(shape, x, y, color):
 
 
 def _level_map(labels, options, kind):
-    levels = sorted(set(np.asarray(labels).tolist()), key=str)
+    levels = level_order(labels)
     if len(levels) > len(options):
         warnings.warn(
             f"{len(levels)} levels exceed the {len(options)} available "

@@ -3,7 +3,7 @@ group effects, enough to manufacture batch-confounded cluster structure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

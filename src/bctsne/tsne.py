@@ -18,6 +18,10 @@ PROB_FLOOR = 1e-12
 # the bandwidth search works through 128 rows at a time, so its scratch
 # memory does not grow with the number of rows
 _SEARCH_BLOCK_ROWS = 128
+_EARLY_ITERS = 250
+_MOMENTUM_EARLY = 0.5
+_MOMENTUM_LATE = 0.8
+_MIN_GAIN = 0.01
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
 
@@ -32,16 +36,15 @@ class AffinityTable:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings of `run_tsne`.  Its schedule is fixed, as in van der Maaten &
+    Hinton (2008, JMLR 9): exaggeration_factor and momentum 0.5 for the first
+    250 iterations (_EARLY_ITERS), momentum 0.8 after, and adaptive gains
+    (+0.2 or x0.8 per coordinate) floored at 0.01."""
+
     n_iter: int = 1000
     perplexity: float = 30.0
     eta: float = 200.0
-    momentum_initial: float = 0.5
-    momentum_final: float = 0.8
-    momentum_switch_iter: int = 250
     exaggeration_factor: float = 12.0
-    exaggeration_iters: int = 250
-    adaptive_gains: bool = True
-    min_gain: float = 0.01
     dims: int = 2
     seed: int = 0
 
@@ -54,13 +57,10 @@ class OptimizerConfig:
             )
         if self.eta <= 0:
             raise DomainError("eta must be positive")
+        if not self.exaggeration_factor > 0:
+            raise DomainError("exaggeration_factor must be positive")
         if self.dims not in (2, 3):
             raise DomainError("dims must be 2 or 3")
-
-    def momentum_at(self, t):
-        if t < self.momentum_switch_iter:
-            return self.momentum_initial
-        return self.momentum_final
 
 
 @dataclass
@@ -225,11 +225,14 @@ def embedding_affinities(Y):
 
 
 def kl_loss(P, Q):
-    """KL divergence sum_{i != j} p log(p/q), with 0 log 0 := 0."""
+    """KL divergence sum_{i != j} p log(p/q), with 0 log 0 := 0, summed over
+    per-entry log ratios held in two n x n temporaries."""
     P = np.asarray(getattr(P, "P", P), dtype=np.float64)
-    logratio = np.log(np.maximum(P, PROB_FLOOR)) - np.log(np.maximum(Q, PROB_FLOOR))
-    mask = P > 0
-    return max(float(np.sum(P[mask] * logratio[mask])), 0.0)
+    logratio = np.maximum(P, PROB_FLOOR)
+    np.log(logratio, out=logratio)
+    logq = np.maximum(Q, PROB_FLOOR)
+    logratio -= np.log(logq, out=logq)
+    return max(float(np.vdot(P, logratio)), 0.0)
 
 
 def kl_gradient(P, Y, buffers=None):
@@ -259,29 +262,13 @@ def kl_gradient(P, Y, buffers=None):
     return 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
 
 
-def step(state, grad, cfg):
-    """One momentum gradient-descent update with optional adaptive gains."""
-    if not np.isfinite(grad).all():
-        raise OptimizerError("non-finite gradient", iteration=state.iter)
-    velocity = state.Y - state.Y_prev
-    gains = state.gains
-    if cfg.adaptive_gains:
-        agree = np.sign(grad) == np.sign(velocity)
-        gains = np.where(agree, gains * 0.8, gains + 0.2)
-        gains = np.maximum(gains, cfg.min_gain)
-    alpha = cfg.momentum_at(state.iter)
-    Y_new = state.Y - cfg.eta * gains * grad + alpha * velocity
-    return EmbeddingState(Y=Y_new, Y_prev=state.Y, gains=gains, iter=state.iter + 1)
-
-
 def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
     """Full optimization loop over the configured number of iterations.
 
-    The embedding is initialized as Normal(0, 1e-4) with cfg.seed, early
-    exaggeration multiplies the input affinities for the configured duration,
-    and a projector (when given) re-imposes the linear constraint after every
-    step.  Trace records are emitted through on_trace every trace_every
-    iterations and at the final iteration.
+    The embedding starts as Normal(0, 1e-4) with cfg.seed and follows the
+    schedule that OptimizerConfig describes; a projector (when given)
+    re-imposes the linear constraint after every step.  Trace records are
+    emitted through on_trace every trace_every iterations and at the last.
     """
     X = ensure_matrix(X, "X")
     n = X.shape[0]
@@ -291,31 +278,35 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
             f"design of rank {projector.rank} leaves {n - projector.rank} of {n} "
             f"dimensions free; a {cfg.dims}-D embedding needs {cfg.dims + 1}"
         )
-    table = input_affinities(X, cfg.perplexity)
-    P = table.P
+    P = input_affinities(X, cfg.perplexity).P
 
     rng = np.random.default_rng(cfg.seed)
     Y = 1e-4 * rng.standard_normal((n, cfg.dims))
     if projector is not None:
         Y = projector.project(Y)
-    state = EmbeddingState(Y=Y, Y_prev=Y.copy(), gains=np.ones_like(Y), iter=0)
+    Y_prev, gains = Y.copy(), np.ones_like(Y)
 
-    exaggerate = cfg.exaggeration_iters > 0 and cfg.exaggeration_factor != 1.0
-    P_early = P * cfg.exaggeration_factor if exaggerate else P
-    buffers = (np.empty((n, n)), np.empty((n, n)))  # kernel scratch for every step
+    P_early = P * cfg.exaggeration_factor
+    W, G = buffers = (np.empty((n, n)), np.empty((n, n)))  # kernel scratch
     for t in range(cfg.n_iter):
-        Pt = P_early if t < cfg.exaggeration_iters else P
-        grad = kl_gradient(Pt, state.Y, buffers)
-        state = step(state, grad, cfg)
+        early = t < _EARLY_ITERS
+        grad = kl_gradient(P_early if early else P, Y, buffers)
+        if not np.isfinite(grad).all():
+            raise OptimizerError("non-finite gradient", iteration=t)
+        velocity = Y - Y_prev
+        gains = np.where(np.sign(grad) == np.sign(velocity), gains * 0.8, gains + 0.2)
+        gains = np.maximum(gains, _MIN_GAIN)
+        alpha = _MOMENTUM_EARLY if early else _MOMENTUM_LATE
+        Y, Y_prev = Y - cfg.eta * gains * grad + alpha * velocity, Y
         # no explicit re-centering: the gradient rows sum to zero, so the
         # embedding mean stays at its initial value (and an identity
         # projector run matches an unprojected run exactly)
         if projector is not None:
-            state.Y = projector.project(state.Y)
+            Y = projector.project(Y)
         if on_trace is not None and (t % trace_every == 0 or t == cfg.n_iter - 1):
-            Q, _ = embedding_affinities(state.Y)
-            orth = (
-                projector.orthogonality(state.Y) if projector is not None else np.nan
-            )
-            on_trace(TraceRecord(t, kl_loss(P, Q), orth))
-    return state
+            # the new iterate's Q, computed in the kernel's own buffers
+            _student_t(Y, W, G)
+            W /= W.sum()
+            orth = projector.orthogonality(Y) if projector is not None else np.nan
+            on_trace(TraceRecord(t, kl_loss(P, W), orth))
+    return EmbeddingState(Y=Y, Y_prev=Y_prev, gains=gains, iter=cfg.n_iter)

@@ -7,6 +7,8 @@ reproduce bit for bit.
 import numpy as np
 from scipy import stats
 
+from bctsne import embedding_affinities, input_affinities, kl_gradient
+
 
 def literal_input_affinities(X, sigma2):
     """Direct transcription of the conditional-probability formula."""
@@ -147,3 +149,62 @@ def kbet_loop(Y, batch, knn, n_test, alpha=0.05, seed=0):
         if stats.chi2.sf(stat, len(levels) - 1) >= alpha:
             accepted += 1
     return accepted / len(test_idx)
+
+
+def reference_kl_loss(P, Q):
+    """KL as the package summed it before: masked products through np.sum."""
+    logratio = np.log(np.maximum(P, 1e-12)) - np.log(np.maximum(Q, 1e-12))
+    mask = P > 0
+    return max(float(np.sum(P[mask] * logratio[mask])), 0.0)
+
+
+
+# the optimizer settings the package had before its schedule was fixed, at
+# their defaults
+MOMENTUM_INITIAL, MOMENTUM_FINAL, MOMENTUM_SWITCH_ITER = 0.5, 0.8, 250
+EXAGGERATION_ITERS, ADAPTIVE_GAINS, MIN_GAIN = 250, True, 0.01
+
+
+def reference_momentum_at(t):
+    if t < MOMENTUM_SWITCH_ITER:
+        return MOMENTUM_INITIAL
+    return MOMENTUM_FINAL
+
+
+def reference_step(Y, Y_prev, gains, grad, t, eta):
+    """One momentum update as the package's separate `step` made it; returns
+    (new Y, Y, gains)."""
+    velocity = Y - Y_prev
+    if ADAPTIVE_GAINS:
+        agree = np.sign(grad) == np.sign(velocity)
+        gains = np.where(agree, gains * 0.8, gains + 0.2)
+        gains = np.maximum(gains, MIN_GAIN)
+    alpha = reference_momentum_at(t)
+    return Y - eta * gains * grad + alpha * velocity, Y, gains
+
+
+def reference_run_tsne(X, cfg, projector=None, trace_every=50):
+    """The package's optimizer loop before `step` was folded into it, with
+    each trace step's KL from freshly allocated affinities.  Returns
+    (Y, gains, [(iteration, kl, orthogonality)])."""
+    n = X.shape[0]
+    P = input_affinities(X, cfg.perplexity).P
+    rng = np.random.default_rng(cfg.seed)
+    Y = 1e-4 * rng.standard_normal((n, cfg.dims))
+    if projector is not None:
+        Y = projector.project(Y)
+    Y_prev, gains = Y.copy(), np.ones_like(Y)
+    exaggerate = EXAGGERATION_ITERS > 0 and cfg.exaggeration_factor != 1.0
+    P_early = P * cfg.exaggeration_factor if exaggerate else P
+    trace = []
+    for t in range(cfg.n_iter):
+        Pt = P_early if t < EXAGGERATION_ITERS else P
+        grad = kl_gradient(Pt, Y)
+        Y, Y_prev, gains = reference_step(Y, Y_prev, gains, grad, t, cfg.eta)
+        if projector is not None:
+            Y = projector.project(Y)
+        if t % trace_every == 0 or t == cfg.n_iter - 1:
+            Q, _ = embedding_affinities(Y)
+            orth = projector.orthogonality(Y) if projector is not None else np.nan
+            trace.append((t, reference_kl_loss(P, Q), orth))
+    return Y, gains, trace

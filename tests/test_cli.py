@@ -79,6 +79,19 @@ class TestEmbed:
         assert rc == 1
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_exaggeration_rejected(self, dataset, tmp_path, capsys, value):
+        counts, labels = dataset
+        out = tmp_path / "x.csv"
+        rc = main(["embed", str(counts), str(labels), "--batch-vars", "batch",
+                   "--k", "10", "--iters", "5", "--perplexity", "15",
+                   f"--exaggeration={value}", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "exaggeration" in err
+        assert not out.exists()
+
     def test_three_dims(self, dataset, tmp_path):
         counts, labels = dataset
         out = tmp_path / "d3.csv"

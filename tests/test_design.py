@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,16 +8,12 @@ from hypothesis.extra import numpy as hnp
 from bctsne import (
     CollinearityError,
     DomainError,
-    EmbeddingState,
     OptimizerConfig,
     Projector,
     ValidationError,
     build_design,
-    input_affinities,
-    kl_gradient,
     run_tsne,
     silhouette,
-    step,
 )
 
 
@@ -58,6 +56,67 @@ class TestBuildDesign:
         d = build_design({"b": rng.integers(0, 3, 30).tolist()})
         dummies = d.Z[:, 1:]
         assert set(np.unique(dummies)) <= {0.0, 1.0}
+
+
+@st.composite
+def label_columns(draw):
+    """1-3 categorical columns over the same rows: each drawn afresh (crossed
+    with the others), nested in an earlier one, or an earlier one with its
+    levels renamed (so its reference level may change)."""
+    n = draw(st.integers(4, 30))
+    labels = {}
+    for v in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["crossed", "nested", "duplicated"])) if labels else "crossed"
+        fresh = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if kind == "crossed":
+            values = [f"l{x}" for x in fresh]
+        else:
+            base = labels[draw(st.sampled_from(sorted(labels)))]
+            if kind == "nested":
+                values = [f"{b}.{x % 2}" for b, x in zip(base, fresh)]
+            else:
+                levels = sorted(set(base))
+                order = draw(st.permutations(range(len(levels))))
+                rename = {lev: f"d{k}" for lev, k in zip(levels, order)}
+                values = [rename[b] for b in base]
+        labels[f"v{v}"] = values
+    return labels
+
+
+class TestBuildDesignProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(label_columns(), st.integers(0, 2**32 - 1))
+    def test_prune_and_raise_agree_on_dropped_columns(self, labels, seed):
+        n = len(labels["v0"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pruned = build_design(labels, on_collinear="prune")
+        # the kept columns have full rank and the span of the full encoding
+        assert np.linalg.matrix_rank(pruned.Z) == pruned.Z.shape[1]
+        one_hot = [(np.array(values) == lev).astype(float)
+                   for values in labels.values() for lev in sorted(set(values))]
+        Y = np.random.default_rng(seed).standard_normal((n, 2))
+        full = Projector(np.column_stack([np.ones(n), *one_hot])).project(Y)
+        assert np.abs(Projector(pruned).project(Y) - full).max() <= 1e-10 * (1 + np.abs(Y).max())
+        # the warning names exactly the columns left out
+        names = ["intercept"] + [f"{var}[{lev}]" for var, values in labels.items()
+                                 for lev in sorted(set(values))[1:]]
+        dropped = [c for c in names if c not in pruned.column_names]
+        messages = [str(w.message) for w in caught]
+        if dropped:
+            assert len(messages) == 1
+            assert messages[0].rsplit(": ", 1)[1].split(", ") == dropped
+        else:
+            assert messages == []
+        try:
+            design = build_design(labels)
+        except CollinearityError as exc:
+            assert exc.columns == dropped
+            assert exc.pruned.column_names == pruned.column_names
+            assert np.array_equal(exc.pruned.Z, pruned.Z)
+        else:
+            assert not dropped
+            assert design.column_names == pruned.column_names
 
 
 class TestProjector:
@@ -162,16 +221,6 @@ class TestProjectorProperties:
 
 
 class TestProjectedStep:
-    def test_fixed_point_in_constraint_set(self):
-        rng = np.random.default_rng(5)
-        Z = np.column_stack([np.ones(12), rng.integers(0, 2, 12).astype(float)])
-        P = Projector(Z)
-        Y = P.project(rng.standard_normal((12, 2)))
-        state = EmbeddingState(Y=Y, Y_prev=Y.copy(), gains=np.ones_like(Y), iter=0)
-        cfg = OptimizerConfig(momentum_initial=0.0, adaptive_gains=False)
-        new = step(state, np.zeros_like(Y), cfg)
-        assert np.abs(P.project(new.Y) - Y).max() < 1e-12
-
     def test_design_spanning_all_rows_rejected(self):
         # every cell its own batch: the complement of span(Z) is {0}, and an
         # embedding confined to it would be identically zero

@@ -1,3 +1,4 @@
+import csv
 import time
 
 import numpy as np
@@ -60,6 +61,21 @@ class TestMatrixCsv:
         p.write_text("id,g1\nc1,1\n" + "c2," + "1" * 200_000 + "\n")
         with pytest.raises(ValidationError, match="line 3: field larger"):
             read_matrix_csv(p)
+
+    def test_field_at_csv_limit_round_trips(self, tmp_path):
+        label = "x" * csv.field_size_limit()
+        p = tmp_path / "labels.csv"
+        write_labels_csv(["c1", "c2"], {"b": [label, "y"]}, p)
+        assert read_labels_csv(p) == (["c1", "c2"], {"b": [label, "y"]})
+
+    def test_field_over_csv_limit_refused_at_write(self, tmp_path):
+        limit = csv.field_size_limit()
+        p = tmp_path / "labels.csv"
+        with pytest.raises(ValidationError, match="labels.csv: field longer"):
+            write_labels_csv(["c1", "c2"], {"b": ["y", "x" * (limit + 1)]}, p)
+        with pytest.raises(ValidationError, match="ids.csv: field longer"):
+            write_matrix_csv(np.ones((1, 1)), ["c" * (limit + 1)], ["g1"], tmp_path / "ids.csv")
+        assert csv.field_size_limit() == limit
 
     def test_tab_delimiter_autodetected(self, tmp_path):
         p = tmp_path / "m.tsv"

@@ -1,5 +1,6 @@
 import linecache
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from bctsne import (
     CalibrationWarning,
     DomainError,
-    EmbeddingState,
     OptimizerConfig,
+    Projector,
     OptimizerError,
     ValidationError,
+    build_design,
     calibrate_bandwidths,
     embedding_affinities,
     input_affinities,
@@ -20,7 +22,6 @@ from bctsne import (
     pairwise_sqdist,
     run_tsne,
     silhouette,
-    step,
 )
 
 
@@ -30,6 +31,8 @@ from oracles import (
     literal_input_affinities,
     reference_embedding_affinities,
     reference_kl_gradient,
+    reference_kl_loss,
+    reference_run_tsne,
     row_perplexities,
 )
 
@@ -259,6 +262,35 @@ class TestKlLoss:
             Q, _ = embedding_affinities(rng.standard_normal((12, 2)))
             assert kl_loss(t, Q) >= 0
 
+    def test_matches_masked_sum(self):
+        # one vdot over every entry against the masked np.sum it replaced;
+        # P has exact zeros off the diagonal too
+        rng = np.random.default_rng(24)
+        for n in (5, 50, 300):
+            P = input_affinities(rng.standard_normal((n, 4)), 2.0).P
+            P[P < np.quantile(P, 0.3)] = 0.0
+            Q, _ = embedding_affinities(rng.standard_normal((n, 2)))
+            ref = reference_kl_loss(P, Q)
+            assert abs(kl_loss(P, Q) - ref) <= 1e-13 * ref
+
+    def test_near_equal_tables_keep_relative_precision(self):
+        # KL of nearly equal tables is a small difference of large sums:
+        # summing p * (log p - log q) per entry keeps ~1e-13 of it, while
+        # sum p log p - sum p log q keeps only ~1e-10 (reference in long double)
+        rng = np.random.default_rng(28)
+        for n in (100, 300):
+            P = rng.random((n, n))
+            P += P.T
+            np.fill_diagonal(P, 0.0)
+            P /= P.sum()
+            Q = P * np.exp(1e-2 * rng.standard_normal((n, n)))
+            Q += Q.T
+            Q /= Q.sum()
+            off = ~np.eye(n, dtype=bool)
+            Pl, Ql = P[off].astype(np.longdouble), Q[off].astype(np.longdouble)
+            exact = float(np.sum(Pl * (np.log(Pl) - np.log(Ql))))
+            assert abs(kl_loss(P, Q) - exact) <= 1e-12 * exact
+
     def test_descent_over_first_iterations(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((100, 5))
@@ -346,47 +378,6 @@ class TestKlGradient:
                 kl_gradient(P, Y, buffers)
 
 
-class TestStep:
-    def _state(self, Y):
-        return EmbeddingState(Y=Y, Y_prev=Y.copy(), gains=np.ones_like(Y), iter=0)
-
-    def test_zero_gradient_fixed_point(self):
-        Y = np.random.default_rng(10).standard_normal((6, 2))
-        cfg = OptimizerConfig(momentum_initial=0.0, adaptive_gains=False)
-        new = step(self._state(Y), np.zeros_like(Y), cfg)
-        assert np.array_equal(new.Y, Y)
-        assert new.iter == 1
-
-    def test_plain_gradient_descent_degenerate(self):
-        Y = np.array([[1.0, 2.0], [3.0, 4.0]])
-        grad = np.array([[0.5, -0.5], [1.0, 0.0]])
-        cfg = OptimizerConfig(
-            eta=0.1, momentum_initial=0.0, momentum_final=0.0, adaptive_gains=False
-        )
-        new = step(self._state(Y), grad, cfg)
-        assert np.allclose(new.Y, Y - 0.1 * grad)
-
-    def test_quadratic_surrogate_converges(self):
-        rng = np.random.default_rng(11)
-        target = rng.standard_normal((8, 2))
-        Y = rng.standard_normal((8, 2))
-        state = self._state(Y)
-        cfg = OptimizerConfig(eta=0.1, adaptive_gains=False)
-        for _ in range(200):
-            state = step(state, state.Y - target, cfg)
-        assert np.abs(state.Y - target).max() < 1e-6
-
-    def test_non_finite_gradient_raises_with_iteration(self):
-        Y = np.zeros((3, 2))
-        state = self._state(Y)
-        state.iter = 42
-        grad = np.zeros_like(Y)
-        grad[1, 0] = np.nan
-        with pytest.raises(OptimizerError) as exc:
-            step(state, grad, OptimizerConfig())
-        assert exc.value.iteration == 42
-
-
 class TestRunTsne:
     def test_separated_blobs_high_silhouette(self):
         rng = np.random.default_rng(12)
@@ -423,3 +414,74 @@ class TestRunTsne:
         state = run_tsne(X, OptimizerConfig(n_iter=60, perplexity=8, seed=0))
         Q, _ = embedding_affinities(state.Y)
         assert abs(Q.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("n, n_iter, factor, projected, dims", [
+        (60, 120, 12.0, False, 2),
+        (60, 260, 1.0, True, 3),
+        (80, 300, 12.0, True, 2),
+        (70, 251, 4.0, False, 3),
+    ])
+    def test_matches_earlier_loop_bitwise(self, n, n_iter, factor, projected, dims):
+        # the loop with the update and schedule inlined must reproduce the
+        # separate `step` with its momentum schedule bit for bit, on both
+        # sides of the switch at iteration 250
+        rng = np.random.default_rng(n + n_iter)
+        X = rng.standard_normal((n, 5))
+        X[: n // 2] += 4.0
+        projector = None
+        if projected:
+            projector = Projector(build_design({"b": (np.arange(n) % 3).tolist()}))
+            X = projector.project(X)
+        cfg = OptimizerConfig(n_iter=n_iter, perplexity=10, exaggeration_factor=factor,
+                              dims=dims, seed=n)
+        trace = []
+        state = run_tsne(X, cfg, projector=projector, on_trace=trace.append,
+                         trace_every=10)
+        Y, gains, ref_trace = reference_run_tsne(X, cfg, projector, trace_every=10)
+        assert np.array_equal(state.Y, Y)
+        assert np.array_equal(state.gains, gains)
+        assert state.iter == n_iter
+        assert [r.iteration for r in trace] == [t for t, _, _ in ref_trace]
+        for rec, (_, kl, orth) in zip(trace, ref_trace):
+            assert abs(rec.kl_loss - kl) <= 1e-13 * kl
+            assert np.array_equal(rec.orthogonality_maxabs, orth, equal_nan=True)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan])
+    def test_non_positive_exaggeration_rejected(self, factor):
+        X = np.random.default_rng(27).standard_normal((20, 3))
+        with pytest.raises(DomainError, match="exaggeration"):
+            run_tsne(X, OptimizerConfig(n_iter=5, perplexity=5, exaggeration_factor=factor))
+
+    @pytest.mark.parametrize("k", [0, 3, 251])
+    def test_non_finite_gradient_raises_with_iteration(self, monkeypatch, k):
+        calls = []
+
+        def gradient(P, Y, buffers=None):
+            calls.append(1)
+            grad = kl_gradient(P, Y, buffers)
+            if len(calls) == k + 1:
+                grad[1, 0] = np.nan
+            return grad
+
+        monkeypatch.setattr("bctsne.tsne.kl_gradient", gradient)
+        X = np.random.default_rng(25).standard_normal((20, 3))
+        with pytest.raises(OptimizerError) as exc:
+            run_tsne(X, OptimizerConfig(n_iter=300, perplexity=5))
+        assert exc.value.iteration == k
+        assert len(calls) == k + 1
+
+    def test_trace_step_adds_at_most_two_kernel_arrays(self):
+        # a trace step computes its affinities in the loop's own two n x n
+        # buffers, and kl_loss adds at most two n x n temporaries
+        n = 300
+        X = np.random.default_rng(26).standard_normal((n, 5))
+        cfg = OptimizerConfig(n_iter=3, perplexity=20)
+        peaks = []
+        for on_trace in (None, lambda rec: None):
+            tracemalloc.start()
+            try:
+                run_tsne(X, cfg, on_trace=on_trace, trace_every=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2 * n * n * 8 + 256 * 1024, peaks

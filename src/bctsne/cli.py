@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import matrixio, plot
 from .design import Projector, build_design
-from .errors import BctsneError
+from .errors import BctsneError, DomainError, ValidationError
 from .metrics import MetricsConfig, evaluate
 from .reduce import pca_reduce
 from .simulate import SimSpec, normalize_log1p_cpm, simulate
@@ -147,7 +147,7 @@ def cmd_embed(args):
             raise BctsneError("a labels file is required for batch correction")
         labels = _read_labels(args.labels, ids, args.batch_vars)
         projector = Projector(build_design(labels))
-    _embed(pca_reduce(X, args.k, seed=args.seed).scores, ids, projector, args, args.out)
+    _embed(pca_reduce(X, args.k).scores, ids, projector, args, args.out)
     return 0
 
 
@@ -244,7 +244,17 @@ def read_config(path):
                 raise BctsneError(f"{path}: line {lineno}: expected key=value")
             key, value = line.split("=", 1)
             argv.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
-    return _ConfigParser(path).parse_args(argv)
+    parser = _ConfigParser(path)
+    cfg = parser.parse_args(argv)
+    try:  # settings that clash fail here, before the pipeline writes anything
+        _config(SimSpec, cfg).validate()
+        _config(OptimizerConfig, cfg).validate(cfg.n_cells)
+        rank = min(cfg.n_cells, cfg.n_genes)
+        if not 1 <= cfg.k <= rank:
+            raise DomainError(f"k={cfg.k} outside [1, min(cells, genes)] = [1, {rank}]")
+    except (DomainError, ValidationError) as exc:
+        parser.error(str(exc))
+    return cfg
 
 
 def cmd_pipeline(args):
@@ -253,7 +263,7 @@ def cmd_pipeline(args):
     outdir.mkdir(parents=True, exist_ok=True)
     counts_path, labels_path = outdir / "counts.csv", outdir / "labels.csv"
     counts, ids, labels = _write_dataset(_config(SimSpec, cfg), counts_path, labels_path)
-    scores = pca_reduce(normalize_log1p_cpm(counts), cfg.k, seed=cfg.seed).scores
+    scores = pca_reduce(normalize_log1p_cpm(counts), cfg.k).scores
     projector = Projector(build_design({"batch": labels["batch"]}))
 
     artifacts = [counts_path, labels_path]
@@ -270,7 +280,7 @@ def cmd_pipeline(args):
         artifacts += [emb, _trace_path(emb), report, svg]
 
     manifest = outdir / "manifest.txt"
-    with manifest.open("w", encoding="utf-8", newline="\n") as fh:
+    with matrixio.replacing(manifest) as fh:
         for artifact in artifacts:
             digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
             fh.write(f"{digest}  {artifact.name}\n")

@@ -1,7 +1,7 @@
 """Dense linear-algebra kernel: truncated SVD and pairwise distances.
 
 All routines operate on dense float64 arrays and are pure functions of their
-inputs; determinism for the randomized SVD path is tied to the seed argument.
+inputs.
 """
 from __future__ import annotations
 
@@ -10,11 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-
-# below this min-dimension a full Golub-Kahan SVD is cheap and exact
-DENSE_SVD_CEILING = 512
-_OVERSAMPLE = 10
-_POWER_ITERATIONS = 2
 
 
 def ensure_matrix(A, name="matrix"):
@@ -35,41 +30,23 @@ class SvdResult:
     S: np.ndarray  # k, nonincreasing, >= 0
     V: np.ndarray  # p x k
 
-    def reconstruct(self):
-        return (self.U * self.S) @ self.V.T
-
 
 def _fix_signs(U, V):
     # resolve the sign ambiguity: largest-|entry| coordinate of each left
-    # singular vector is made positive, keeping output stable across backends
+    # singular vector is made positive, keeping output stable across backends;
+    # the vectors have unit norm, so that coordinate is never 0
     idx = np.argmax(np.abs(U), axis=0)
     signs = np.sign(U[idx, np.arange(U.shape[1])])
-    signs[signs == 0] = 1.0
     return U * signs, V * signs
 
 
-def truncated_svd(A, k, seed=0):
-    """Best rank-k factorization of A.
-
-    Exact (LAPACK full SVD, truncated) when min(n, p) <= DENSE_SVD_CEILING,
-    otherwise a seeded randomized range finder with power iterations.
-    """
+def truncated_svd(A, k):
+    """Best rank-k factorization of A: LAPACK's thin SVD, truncated to k."""
     A = ensure_matrix(A, "A")
     n, p = A.shape
     if not 1 <= k <= min(n, p):
         raise DomainError(f"k={k} outside valid range [1, {min(n, p)}]")
-
-    if min(n, p) <= DENSE_SVD_CEILING:
-        U, S, Vt = np.linalg.svd(A, full_matrices=False)
-    else:
-        rng = np.random.default_rng(seed)
-        width = min(k + _OVERSAMPLE, min(n, p))
-        Q, _ = np.linalg.qr(A @ rng.standard_normal((p, width)))
-        for _ in range(_POWER_ITERATIONS):
-            Q, _ = np.linalg.qr(A.T @ Q)
-            Q, _ = np.linalg.qr(A @ Q)
-        Ub, S, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
-        U = Q @ Ub
+    U, S, Vt = np.linalg.svd(A, full_matrices=False)
     U, V = _fix_signs(U[:, :k], Vt[:k].T)
     return SvdResult(U=U, S=S[:k].copy(), V=V)
 
@@ -77,9 +54,12 @@ def truncated_svd(A, k, seed=0):
 def pairwise_sqdist(A):
     """Symmetric matrix of squared Euclidean distances between rows of A."""
     A = ensure_matrix(A, "A")
+    # numpy hands A @ A.T to BLAS syrk, whose result is exactly symmetric,
+    # only when A has a unit stride; D then needs no symmetrisation
+    if A.itemsize not in A.strides:
+        A = A.copy()
     sq = np.einsum("ij,ij->i", A, A)
     D = sq[:, None] + sq[None, :] - 2.0 * (A @ A.T)
     np.maximum(D, 0.0, out=D)  # clamp negatives from cancellation
-    D = 0.5 * (D + D.T)
     np.fill_diagonal(D, 0.0)
     return D

@@ -7,8 +7,10 @@ names and labels may hold commas, quotes, tabs and line breaks.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
+import os
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -52,12 +54,25 @@ def _read_table(path):
     return header, body
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """A UTF-8 text handle on a temporary file that replaces path when the
+    block completes; if the block raises, path keeps its old bytes."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_table(path, header, rows):
     # csv.writer quotes a field holding a bare CR only when CR is part of the
     # line terminator, so it writes CRLF, one whole record per call, and each
     # record reaches the file with LF
     limit = csv.field_size_limit()
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
         lf = SimpleNamespace(write=lambda record: fh.write(record[:-2] + "\n"))
         writer = csv.writer(lf, lineterminator="\r\n")
         for row in itertools.chain([header], rows):

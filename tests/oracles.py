@@ -28,6 +28,17 @@ def literal_input_affinities(X, sigma2):
     return (cond + cond.T) / (2.0 * n)
 
 
+def reference_pairwise_sqdist(A):
+    """The package's earlier pairwise_sqdist, which symmetrised D explicitly."""
+    A = np.asarray(A, dtype=np.float64)
+    sq = np.einsum("ij,ij->i", A, A)
+    D = sq[:, None] + sq[None, :] - 2.0 * (A @ A.T)
+    np.maximum(D, 0.0, out=D)
+    D = 0.5 * (D + D.T)
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
 def literal_embedding_affinities(Y):
     n = Y.shape[0]
     W = np.zeros((n, n))

@@ -56,7 +56,7 @@ def simulation_runs():
 
         trace_u = []
         state_u = run_tsne(
-            pca_reduce(X, 30, seed=seed).scores,
+            pca_reduce(X, 30).scores,
             cfg,
             on_trace=trace_u.append,
             trace_every=10,
@@ -64,7 +64,7 @@ def simulation_runs():
 
         design = build_design({"batch": out.batch_labels.tolist()})
         projector = Projector(design)
-        scores_c = residualized_reduce(X, design, 30, seed=seed).scores
+        scores_c = residualized_reduce(X, design, 30).scores
         trace_c = []
         state_c = run_tsne(
             scores_c, cfg, projector=projector,

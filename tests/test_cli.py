@@ -156,7 +156,9 @@ class TestPipelineConfig:
         assert parsed.batch_effect_sd == 0.5
         assert parsed.perplexity == 30.0
 
-    @pytest.mark.parametrize("line", ["cells=abc", "dims=4", "bogus=1", "cell=100"])
+    @pytest.mark.parametrize("line", ["cells=abc", "dims=4", "bogus=1", "cell=100",
+                                      "k=900", "exaggeration=0", "perplexity=800",
+                                      "de_prob=1.5"])
     def test_bad_line_fails_before_any_output(self, tmp_path, capsys, line):
         outdir = tmp_path / "out"
         cfg = tmp_path / "cfg.txt"

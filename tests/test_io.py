@@ -73,8 +73,14 @@ class TestMatrixCsv:
         p = tmp_path / "labels.csv"
         with pytest.raises(ValidationError, match="labels.csv: field longer"):
             write_labels_csv(["c1", "c2"], {"b": ["y", "x" * (limit + 1)]}, p)
+        assert not p.exists()
+        ids = tmp_path / "ids.csv"
+        write_matrix_csv(np.ones((1, 1)), ["c1"], ["g1"], ids)
+        before = ids.read_bytes()
         with pytest.raises(ValidationError, match="ids.csv: field longer"):
-            write_matrix_csv(np.ones((1, 1)), ["c" * (limit + 1)], ["g1"], tmp_path / "ids.csv")
+            write_matrix_csv(np.ones((1, 1)), ["c" * (limit + 1)], ["g1"], ids)
+        assert ids.read_bytes() == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["ids.csv"]
         assert csv.field_size_limit() == limit
 
     def test_tab_delimiter_autodetected(self, tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import reference_pairwise_sqdist
+
 from bctsne import DomainError, ValidationError, pairwise_sqdist, truncated_svd
 
 
@@ -54,7 +56,7 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(7)
         A = rng.standard_normal((50, 20))
         res = truncated_svd(A, 20)
-        assert np.linalg.norm(A - res.reconstruct()) < 1e-8
+        assert np.linalg.norm(A - (res.U * res.S) @ res.V.T) < 1e-8
         _, S_oracle, _ = jacobi_svd(A)
         assert np.allclose(res.S, S_oracle, atol=1e-9)
 
@@ -65,22 +67,6 @@ class TestTruncatedSvd:
         assert np.allclose(res.V.T @ res.V, np.eye(5), atol=1e-8)
         assert np.all(np.diff(res.S) <= 1e-12)
         assert np.all(res.S >= 0)
-
-    def test_randomized_path_deterministic_and_near_optimal(self):
-        rng = np.random.default_rng(11)
-        # geometric spectrum, min dim above the dense ceiling
-        n = 600
-        Qa, _ = np.linalg.qr(rng.standard_normal((n, 30)))
-        Qb, _ = np.linalg.qr(rng.standard_normal((n, 30)))
-        s = 2.0 ** -np.arange(30)
-        A = (Qa * s) @ Qb.T
-        r1 = truncated_svd(A, 10, seed=5)
-        r2 = truncated_svd(A, 10, seed=5)
-        assert np.array_equal(r1.U, r2.U)
-        assert np.array_equal(r1.S, r2.S)
-        err = np.linalg.norm(A - r1.reconstruct())
-        optimal = np.linalg.norm(s[10:])  # best possible rank-10 error
-        assert err < optimal * (1 + 1e-6) + 1e-12
 
     def test_k_out_of_range(self):
         with pytest.raises(DomainError):
@@ -127,3 +113,18 @@ class TestPairwiseSqdist:
             for j in range(12):
                 for k in range(12):
                     assert E[i, j] <= E[i, k] + E[k, j] + 1e-10
+
+    @pytest.mark.parametrize("layout", ["C", "F", "row-strided"])
+    def test_matches_symmetrised_reference_bitwise(self, layout):
+        rng = np.random.default_rng(8)
+        for n, p in ((7, 3), (200, 30), (800, 30), (1000, 3), (300, 700)):
+            A = rng.standard_normal((n, p)) * rng.uniform(0.1, 100)
+            A[n // 2 : n // 2 + 5] = A[0]  # duplicate rows
+            A = {"C": A, "F": np.asfortranarray(A), "row-strided": A[::2]}[layout]
+            assert np.array_equal(pairwise_sqdist(A), reference_pairwise_sqdist(A))
+
+    def test_exactly_symmetric_without_unit_stride(self):
+        A = np.random.default_rng(9).standard_normal((513, 60))[:, ::2]
+        D = pairwise_sqdist(A)
+        assert np.array_equal(D, D.T)
+        assert np.allclose(D, reference_pairwise_sqdist(A), rtol=1e-12, atol=1e-12)

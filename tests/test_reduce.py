@@ -17,6 +17,14 @@ def principal_angles(A, B):
     return np.arccos(np.clip(s, -1, 1))
 
 
+def geometric_spectrum(n=600, rank=30):
+    """n x n input of the given rank with singular values 2^0 .. 2^-(rank-1)."""
+    rng = np.random.default_rng(11)
+    Qa, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+    Qb, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+    return (Qa * 2.0 ** -np.arange(rank)) @ Qb.T
+
+
 class TestPcaReduce:
     def test_collinear_data_one_direction(self):
         t = np.linspace(-1, 1, 20)
@@ -41,6 +49,25 @@ class TestPcaReduce:
             assert np.allclose(red.scores[:, j], oracle[:, j], atol=1e-9) or np.allclose(
                 red.scores[:, j], -oracle[:, j], atol=1e-9
             )
+
+    @pytest.mark.parametrize("make, k", [
+        pytest.param(lambda: np.random.default_rng(5).standard_normal((600, 700)), 30,
+                     id="gaussian-600x700"),
+        pytest.param(lambda: np.random.default_rng(6).standard_normal((700, 550)), 30,
+                     id="gaussian-700x550"),
+        pytest.param(geometric_spectrum, 10, id="geometric-600x600"),
+    ])
+    def test_exact_at_any_size(self, make, k):
+        # both dimensions above 512, and a Gaussian spectrum is flat, where an
+        # approximate solver misses by far more than the tolerance
+        X = make()
+        Xc = X - X.mean(axis=0)
+        U, S, _ = np.linalg.svd(Xc, full_matrices=False)
+        red = pca_reduce(X, k)
+        ev = S[:k] ** 2 / np.sum(Xc * Xc)
+        assert np.max(np.abs(red.explained_variance - ev) / ev) < 1e-10
+        oracle = np.abs(U[:, :k] * S[:k])
+        assert np.max(np.abs(np.abs(red.scores) - oracle)) < 1e-10 * oracle.max()
 
     def test_constant_matrix_rejected(self):
         with pytest.raises(ValidationError):

@@ -44,7 +44,7 @@ class TestSimulate:
         )
         out = simulate(spec)
         X = normalize_log1p_cpm(out.counts)
-        scores = pca_reduce(X, 10, seed=1).scores
+        scores = pca_reduce(X, 10).scores
         acc = kbet_acceptance(scores, out.batch_labels.tolist(), knn=20, seed=1)
         assert acc >= 0.8  # near the null acceptance level
 
@@ -59,7 +59,7 @@ class TestSimulate:
         )
         out = simulate(spec)
         X = normalize_log1p_cpm(out.counts)
-        scores = pca_reduce(X, 10, seed=2).scores
+        scores = pca_reduce(X, 10).scores
         state = run_tsne(scores, OptimizerConfig(n_iter=400, seed=2))
         batch_lisi, _ = lisi(state.Y, out.batch_labels.tolist())
         assert batch_lisi > 0.9 * spec.n_batches
@@ -72,7 +72,7 @@ class TestSimulate:
                 group_effect_sd=0.0, seed=3,
             )
             out = simulate(spec)
-            scores = pca_reduce(normalize_log1p_cpm(out.counts), 10, seed=3).scores
+            scores = pca_reduce(normalize_log1p_cpm(out.counts), 10).scores
             r2.append(pc_regression(scores, out.batch_labels.tolist()))
         assert r2[0] <= r2[1] + 1e-9
         assert r2[1] <= r2[2] + 1e-9

@@ -136,8 +136,8 @@ def _embed(scores, ids, projector, opts, out):
 
 
 def cmd_embed(args):
-    if not args.no_correction and args.batch_vars is None:
-        raise UsageError("--batch-vars is required unless --no-correction is given")
+    if args.no_correction == (args.batch_vars is not None):
+        raise UsageError("give exactly one of --batch-vars and --no-correction")
     X, ids, _ = matrixio.read_matrix_csv(args.matrix)
     if args.normalize:
         X = normalize_log1p_cpm(X)

@@ -3,7 +3,6 @@ projection used both to residualize PCA scores and inside the optimizer loop.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,17 +10,13 @@ import numpy as np
 from .errors import CollinearityError, ValidationError
 from .linalg import ensure_matrix
 
-_RANK_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class BatchDesign:
-    """Dummy-coded design matrix built from categorical batch variables."""
+    """Intercept plus dummy-coded columns of categorical batch variables."""
 
     Z: np.ndarray  # n x b, each column in {0, 1}
     column_names: tuple
-    encoding: tuple  # (variable, levels, reference) per input variable
-    has_intercept: bool
 
 
 def level_order(values):
@@ -29,26 +24,14 @@ def level_order(values):
     return sorted(set(np.asarray(values).tolist()), key=str)
 
 
-def _encode_columns(labels):
-    """One-hot columns per variable, dropping each variable's first level."""
-    columns, names, encoding = [], [], []
-    for var, values in labels.items():
-        values = np.asarray(values)
-        levels = level_order(values)
-        encoding.append((var, tuple(levels), levels[0]))
-        for level in levels[1:]:
-            columns.append((values == level).astype(np.float64))
-            names.append(f"{var}[{level}]")
-    return columns, names, encoding
-
-
-def build_design(labels, intercept=True, on_collinear="raise"):
-    """Build a full-rank dummy-coded design from categorical label columns.
+def build_design(labels):
+    """Intercept plus one dummy column per level of each categorical label
+    column, its first level left out as the reference.
 
     labels maps variable name to a length-n sequence of categorical values.
-    Rank-deficient encodings (confounded variables) either raise a
-    CollinearityError naming the dependent columns or, with
-    on_collinear="prune", drop them with a warning.
+    A column that leaves the Projector's rank of the columns before it
+    unchanged is absorbed by them (confounded variables); any absorbed
+    column raises a CollinearityError naming every one.
     """
     if not labels:
         raise ValidationError("need at least one categorical column")
@@ -59,53 +42,22 @@ def build_design(labels, intercept=True, on_collinear="raise"):
     if n < 2:
         raise ValidationError("need at least 2 rows")
 
-    columns, names, encoding = _encode_columns(labels)
-    if not columns and not intercept:
-        raise ValidationError(
-            "every variable has a single level and no intercept was requested"
+    columns, names = [np.ones(n)], ["intercept"]
+    for var, values in labels.items():
+        values = np.asarray(values)
+        for level in level_order(values)[1:]:
+            columns.append((values == level).astype(np.float64))
+            names.append(f"{var}[{level}]")
+    Z = np.column_stack(columns)
+
+    ranks = [Projector(Z[:, :j]).rank for j in range(Z.shape[1] + 1)]
+    absorbed = [names[j] for j in range(Z.shape[1]) if ranks[j + 1] == ranks[j]]
+    if absorbed:
+        raise CollinearityError(
+            "collinear design: columns absorbed by earlier ones: " + ", ".join(absorbed),
+            columns=absorbed,
         )
-    if intercept:
-        columns.insert(0, np.ones(n))
-        names.insert(0, "intercept")
-
-    Z = np.column_stack(columns) if columns else np.empty((n, 0))
-
-    # greedy rank filter: keep each column only if it enlarges the span
-    kept, dropped = [], []
-    basis = np.empty((n, 0))
-    for j in range(Z.shape[1]):
-        col = Z[:, j]
-        resid = col - basis @ (basis.T @ col)
-        norm = np.linalg.norm(resid)
-        if norm > _RANK_TOL * max(1.0, np.linalg.norm(col)):
-            kept.append(j)
-            basis = np.column_stack([basis, resid / norm])
-        else:
-            dropped.append(j)
-
-    if dropped:
-        dropped_names = [names[j] for j in dropped]
-        pruned = BatchDesign(
-            Z=Z[:, kept],
-            column_names=tuple(names[j] for j in kept),
-            encoding=tuple(encoding),
-            has_intercept=intercept,
-        )
-        message = (
-            "collinear design: columns absorbed by earlier ones: "
-            + ", ".join(dropped_names)
-        )
-        if on_collinear == "prune":
-            warnings.warn(message)
-            return pruned
-        raise CollinearityError(message, columns=dropped_names, pruned=pruned)
-
-    return BatchDesign(
-        Z=Z,
-        column_names=tuple(names),
-        encoding=tuple(encoding),
-        has_intercept=intercept,
-    )
+    return BatchDesign(Z=Z, column_names=tuple(names))
 
 
 class Projector:

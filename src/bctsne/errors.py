@@ -20,15 +20,11 @@ class CollinearityError(ValidationError):
     ----------
     columns : list of str
         Names of the dependent (absorbed) design columns.
-    pruned : BatchDesign or None
-        Full-rank design obtained by dropping the dependent columns;
-        callers may retain it explicitly.
     """
 
-    def __init__(self, message, columns, pruned=None):
+    def __init__(self, message, columns):
         super().__init__(message)
         self.columns = list(columns)
-        self.pruned = pruned
 
 
 class OptimizerError(BctsneError):

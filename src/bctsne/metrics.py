@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats
 
 from .design import Projector, level_order
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .linalg import ensure_matrix, pairwise_sqdist
 from .tsne import calibrate_bandwidths, conditional_rows
 
@@ -88,6 +88,10 @@ def kbet_acceptance(
         n_test = min(500, n)
     if knn >= n:
         raise ValidationError(f"knn={knn} must be smaller than n={n}")
+    if n_test < 1:
+        raise ValidationError(f"n_test={n_test} must be >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha={alpha} must lie in (0, 1)")
     props = np.bincount(codes, minlength=len(levels)) / n
     expected = props * knn
     if np.all(expected < 1):
@@ -188,7 +192,6 @@ class LabelingScores:
 @dataclass(frozen=True)
 class MetricsReport:
     scores: tuple  # LabelingScores per labeling
-    config: MetricsConfig
 
     def rows(self):
         """CSV rows: labeling, metric, raw, rescaled."""
@@ -244,4 +247,4 @@ def evaluate(Y, labelings, cfg=MetricsConfig()):
                 pcreg_r2=pcr,
             )
         )
-    return MetricsReport(scores=tuple(scores), config=cfg)
+    return MetricsReport(scores=tuple(scores))

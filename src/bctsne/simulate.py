@@ -9,6 +9,12 @@ import numpy as np
 
 from .errors import ValidationError
 
+_LIB_SIZE_LOCATION = np.log(20000.0)  # log-normal library size per cell
+_LIB_SIZE_SCALE = 0.2
+_BASE_MEAN_SHAPE = 0.6  # gamma per-gene base mean
+_BASE_MEAN_SCALE = 2.0
+_CPM_SCALE = 1e4  # normalized counts are per 10,000
+
 
 @dataclass(frozen=True)
 class SimSpec:
@@ -19,10 +25,6 @@ class SimSpec:
     batch_effect_sd: float = 1.0  # log-scale SD of per-(gene, batch) factors
     group_effect_sd: float = 0.35  # log-scale SD of DE factors
     de_prob: float = 0.1  # fraction of genes differentially expressed per group
-    lib_size_location: float = np.log(20000.0)
-    lib_size_scale: float = 0.2
-    base_mean_shape: float = 0.6
-    base_mean_scale: float = 2.0
     seed: int = 0
 
     def validate(self):
@@ -32,8 +34,8 @@ class SimSpec:
         if not 0.0 <= self.de_prob <= 1.0:
             raise ValidationError("de_prob must lie in [0, 1]")
         for name in ("batch_effect_sd", "group_effect_sd"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,6 @@ class SimOutput:
     counts: np.ndarray  # n_cells x n_genes, nonnegative integers
     batch_labels: np.ndarray  # strings b1..bB
     group_labels: np.ndarray  # strings g1..gG
-    batch_factors: np.ndarray  # n_batches x n_genes ground-truth multipliers
-    group_factors: np.ndarray  # n_groups x n_genes ground-truth multipliers
 
 
 def simulate(spec):
@@ -57,7 +57,7 @@ def simulate(spec):
     rng = np.random.default_rng(spec.seed)
     n, p = spec.n_cells, spec.n_genes
 
-    base = rng.gamma(spec.base_mean_shape, spec.base_mean_scale, size=p)
+    base = rng.gamma(_BASE_MEAN_SHAPE, _BASE_MEAN_SCALE, size=p)
     batch_factors = np.exp(
         rng.normal(0.0, spec.batch_effect_sd, size=(spec.n_batches, p))
     )
@@ -65,7 +65,7 @@ def simulate(spec):
     group_factors = np.where(
         de_mask, np.exp(rng.normal(0.0, spec.group_effect_sd, size=(spec.n_groups, p))), 1.0
     )
-    lib = rng.lognormal(spec.lib_size_location, spec.lib_size_scale, size=n)
+    lib = rng.lognormal(_LIB_SIZE_LOCATION, _LIB_SIZE_SCALE, size=n)
 
     # balanced crossed assignment: exact marginals for both labelings
     batch_idx = np.arange(n) % spec.n_batches
@@ -79,13 +79,11 @@ def simulate(spec):
         counts=counts,
         batch_labels=np.array([f"b{i + 1}" for i in batch_idx]),
         group_labels=np.array([f"g{i + 1}" for i in group_idx]),
-        batch_factors=batch_factors,
-        group_factors=group_factors,
     )
 
 
-def normalize_log1p_cpm(counts, scale=1e4):
-    """Counts-per-`scale` per cell followed by log(1 + x)."""
+def normalize_log1p_cpm(counts):
+    """Counts per 10,000 per cell followed by log(1 + x)."""
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 2:
         raise ValidationError("counts must be 2-dimensional")
@@ -93,4 +91,4 @@ def normalize_log1p_cpm(counts, scale=1e4):
         raise ValidationError("counts must be nonnegative")
     totals = counts.sum(axis=1, keepdims=True)
     safe = np.where(totals == 0, 1.0, totals)
-    return np.log1p(counts / safe * scale)
+    return np.log1p(counts / safe * _CPM_SCALE)

@@ -31,7 +31,6 @@ class AffinityTable:
 
     P: np.ndarray  # n x n symmetric, zero diagonal, sums to 1
     sigma2: np.ndarray  # n per-point Gaussian bandwidths
-    perplexity: float
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,9 @@ class OptimizerConfig:
             raise DomainError(
                 f"perplexity must lie in [2, n - 1]; got {self.perplexity} with n={n}"
             )
-        if self.eta <= 0:
-            raise DomainError("eta must be positive")
-        if not self.exaggeration_factor > 0:
-            raise DomainError("exaggeration_factor must be positive")
+        for name in ("eta", "exaggeration_factor"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be positive and finite")
         if self.dims not in (2, 3):
             raise DomainError("dims must be 2 or 3")
 
@@ -66,9 +64,7 @@ class OptimizerConfig:
 @dataclass
 class EmbeddingState:
     Y: np.ndarray  # n x q
-    Y_prev: np.ndarray
     gains: np.ndarray
-    iter: int = 0
 
 
 @dataclass(frozen=True)
@@ -195,7 +191,7 @@ def input_affinities(X, perplexity, tol=1e-5, max_iter=200):
     cond = conditional_rows(D, sigma2)
     P = (cond + cond.T) / (2.0 * n)
     np.fill_diagonal(P, 0.0)
-    return AffinityTable(P=P, sigma2=sigma2, perplexity=float(perplexity))
+    return AffinityTable(P=P, sigma2=sigma2)
 
 
 def _student_t(Y, W, G):
@@ -227,7 +223,7 @@ def embedding_affinities(Y):
 def kl_loss(P, Q):
     """KL divergence sum_{i != j} p log(p/q), with 0 log 0 := 0, summed over
     per-entry log ratios held in two n x n temporaries."""
-    P = np.asarray(getattr(P, "P", P), dtype=np.float64)
+    P = np.asarray(P, dtype=np.float64)
     logratio = np.maximum(P, PROB_FLOOR)
     np.log(logratio, out=logratio)
     logq = np.maximum(Q, PROB_FLOOR)
@@ -242,7 +238,7 @@ def kl_gradient(P, Y, buffers=None):
     arrays that the pass uses as scratch and overwrites completely, so one
     pair can serve every iteration of a run.
     """
-    P = np.asarray(getattr(P, "P", P), dtype=np.float64)
+    P = np.asarray(P, dtype=np.float64)
     Y = ensure_matrix(Y, "Y")
     n = Y.shape[0]
     if buffers is None:
@@ -309,4 +305,4 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
             W /= W.sum()
             orth = projector.orthogonality(Y) if projector is not None else np.nan
             on_trace(TraceRecord(t, kl_loss(P, W), orth))
-    return EmbeddingState(Y=Y, Y_prev=Y_prev, gains=gains, iter=cfg.n_iter)
+    return EmbeddingState(Y=Y, gains=gains)

@@ -91,7 +91,7 @@ def test_criterion_1_gradient_vs_finite_differences():
         X = rng.standard_normal((n, 4))
         table = input_affinities(X, min(5.0, n - 2))
         Y = rng.standard_normal((n, 2))
-        grad = kl_gradient(table, Y)
+        grad = kl_gradient(table.P, Y)
         h = 1e-5
         for i in range(n):
             for j in range(2):
@@ -99,8 +99,8 @@ def test_criterion_1_gradient_vs_finite_differences():
                 Yp[i, j] += h
                 Ym[i, j] -= h
                 fd = (
-                    kl_loss(table, embedding_affinities(Yp)[0])
-                    - kl_loss(table, embedding_affinities(Ym)[0])
+                    kl_loss(table.P, embedding_affinities(Yp)[0])
+                    - kl_loss(table.P, embedding_affinities(Ym)[0])
                 ) / (2 * h)
                 worst = max(worst, abs(grad[i, j] - fd) / max(abs(fd), 1e-8))
     elapsed = time.time() - t0

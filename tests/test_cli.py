@@ -72,6 +72,17 @@ class TestEmbed:
         assert rc == 2
         assert "batch-vars" in capsys.readouterr().err
 
+    def test_batch_vars_with_no_correction_usage_error(self, dataset, tmp_path, capsys):
+        counts, labels = dataset
+        out = tmp_path / "x.csv"
+        rc = main(["embed", str(counts), str(labels), "--no-correction",
+                   "--batch-vars", "batch", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "batch-vars" in err and "no-correction" in err
+        assert not out.exists()
+
     def test_unknown_batch_variable(self, dataset, tmp_path, capsys):
         counts, labels = dataset
         rc = main(["embed", str(counts), str(labels), "--batch-vars", "nope",
@@ -79,7 +90,7 @@ class TestEmbed:
         assert rc == 1
         assert "nope" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", ["0", "-1", "inf"])
     def test_non_positive_exaggeration_rejected(self, dataset, tmp_path, capsys, value):
         counts, labels = dataset
         out = tmp_path / "x.csv"
@@ -124,6 +135,20 @@ class TestEvaluateAndPlot:
         assert lines[0] == "labeling,metric,raw,rescaled"
         assert len(lines) == 1 + 2 * 4  # two labelings x four metrics
 
+    @pytest.mark.parametrize("flag, name", [("--n-test=0", "n_test"),
+                                            ("--n-test=-3", "n_test"),
+                                            ("--alpha=5", "alpha")])
+    def test_bad_kbet_setting_fails_cleanly(self, dataset, embedding, tmp_path, capsys,
+                                            flag, name):
+        _, labels = dataset
+        report = tmp_path / "report.csv"
+        rc = main(["evaluate", str(embedding), str(labels), flag, "--out", str(report)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert name in err
+        assert not report.exists()
+
     def test_plot_legend_and_determinism(self, dataset, embedding, tmp_path):
         _, labels = dataset
         svgs = []
@@ -158,7 +183,7 @@ class TestPipelineConfig:
 
     @pytest.mark.parametrize("line", ["cells=abc", "dims=4", "bogus=1", "cell=100",
                                       "k=900", "exaggeration=0", "perplexity=800",
-                                      "de_prob=1.5"])
+                                      "de_prob=1.5", "batch_effect_sd=nan", "eta=inf"])
     def test_bad_line_fails_before_any_output(self, tmp_path, capsys, line):
         outdir = tmp_path / "out"
         cfg = tmp_path / "cfg.txt"

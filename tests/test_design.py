@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +20,6 @@ class TestBuildDesign:
         d = build_design({"batch": ["A", "A", "B", "B"]})
         assert d.column_names == ("intercept", "batch[B]")
         assert np.array_equal(d.Z, np.array([[1, 0], [1, 0], [1, 1], [1, 1]], float))
-        assert d.encoding == (("batch", ("A", "B"), "A"),)
 
     def test_duplicated_factor_collinear(self):
         labels = {"v1": ["A", "A", "B", "B"], "v2": ["x", "x", "y", "y"]}
@@ -30,22 +27,16 @@ class TestBuildDesign:
             build_design(labels)
         assert "v2[y]" in exc.value.columns
 
-    def test_confounded_design_pruned_with_warning(self):
+    def test_confounded_design_names_absorbed_columns(self):
         # mouse determines sex and date exactly
         mouse = ["m1", "m1", "m2", "m2", "m3", "m3", "m4", "m4", "m5", "m5"]
         sex = ["F", "F", "F", "F", "M", "M", "M", "M", "M", "M"]
         date = ["jul02", "jul02", "jul02", "jul02", "jul25", "jul25",
                 "aug18", "aug18", "aug18", "aug18"]
         labels = {"mouse": mouse, "sex": sex, "date": date}
-        with pytest.warns(UserWarning, match="sex"):
-            d = build_design(labels, on_collinear="prune")
-        kept = [c for c in d.column_names if c != "intercept"]
-        assert all(c.startswith("mouse[") for c in kept)
-        assert np.linalg.matrix_rank(d.Z) == d.Z.shape[1]
-
-    def test_single_level_without_intercept_rejected(self):
-        with pytest.raises(ValidationError):
-            build_design({"b": ["A", "A", "A"]}, intercept=False)
+        with pytest.raises(CollinearityError, match="sex") as exc:
+            build_design(labels)
+        assert exc.value.columns == ["sex[M]", "date[jul02]", "date[jul25]"]
 
     def test_single_level_with_intercept_degenerate_ok(self):
         d = build_design({"b": ["A", "A", "A"]})
@@ -86,37 +77,31 @@ def label_columns(draw):
 class TestBuildDesignProperties:
     @settings(max_examples=80, deadline=None)
     @given(label_columns(), st.integers(0, 2**32 - 1))
-    def test_prune_and_raise_agree_on_dropped_columns(self, labels, seed):
+    def test_raises_exactly_on_prefix_rank_drops(self, labels, seed):
+        # oracle: a column of [1 | dummies] is absorbed when matrix_rank of
+        # the columns up to it equals that of the columns before it
         n = len(labels["v0"])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pruned = build_design(labels, on_collinear="prune")
-        # the kept columns have full rank and the span of the full encoding
-        assert np.linalg.matrix_rank(pruned.Z) == pruned.Z.shape[1]
-        one_hot = [(np.array(values) == lev).astype(float)
-                   for values in labels.values() for lev in sorted(set(values))]
-        Y = np.random.default_rng(seed).standard_normal((n, 2))
-        full = Projector(np.column_stack([np.ones(n), *one_hot])).project(Y)
-        assert np.abs(Projector(pruned).project(Y) - full).max() <= 1e-10 * (1 + np.abs(Y).max())
-        # the warning names exactly the columns left out
-        names = ["intercept"] + [f"{var}[{lev}]" for var, values in labels.items()
-                                 for lev in sorted(set(values))[1:]]
-        dropped = [c for c in names if c not in pruned.column_names]
-        messages = [str(w.message) for w in caught]
-        if dropped:
-            assert len(messages) == 1
-            assert messages[0].rsplit(": ", 1)[1].split(", ") == dropped
-        else:
-            assert messages == []
+        names, columns = ["intercept"], [np.ones(n)]
+        for var, values in labels.items():
+            for lev in sorted(set(values))[1:]:
+                names.append(f"{var}[{lev}]")
+                columns.append((np.array(values) == lev).astype(float))
+        Z = np.column_stack(columns)
+        ranks = [np.linalg.matrix_rank(Z[:, :j]) if j else 0 for j in range(len(names) + 1)]
+        absorbed = [name for j, name in enumerate(names) if ranks[j + 1] == ranks[j]]
         try:
             design = build_design(labels)
         except CollinearityError as exc:
-            assert exc.columns == dropped
-            assert exc.pruned.column_names == pruned.column_names
-            assert np.array_equal(exc.pruned.Z, pruned.Z)
+            assert exc.columns == absorbed != []
+            assert str(exc).rsplit(": ", 1)[1].split(", ") == absorbed
         else:
-            assert not dropped
-            assert design.column_names == pruned.column_names
+            assert absorbed == []
+            assert design.column_names == tuple(names)
+            one_hot = [(np.array(values) == lev).astype(float)
+                       for values in labels.values() for lev in sorted(set(values))]
+            Y = np.random.default_rng(seed).standard_normal((n, 2))
+            full = Projector(np.column_stack([np.ones(n), *one_hot])).project(Y)
+            assert np.abs(Projector(design).project(Y) - full).max() <= 1e-10 * (1 + np.abs(Y).max())
 
 
 class TestProjector:

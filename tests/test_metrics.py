@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bctsne import (
+    DomainError,
     MetricsConfig,
     Projector,
     ValidationError,
@@ -106,6 +107,17 @@ class TestKbet:
         a2 = kbet_acceptance(Y, batch, knn=15, n_test=60, seed=9)
         assert a1 == a2
 
+    @pytest.mark.parametrize("n_test", [0, -3])
+    def test_n_test_below_one_rejected(self, n_test):
+        layouts, batch = kbet_layouts()
+        with pytest.raises(ValidationError, match="n_test"):
+            kbet_acceptance(layouts["tie_free"], batch, n_test=n_test)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.1, np.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        layouts, batch = kbet_layouts()
+        with pytest.raises(DomainError, match="alpha"):
+            kbet_acceptance(layouts["tie_free"], batch, alpha=alpha)
 
     @pytest.mark.parametrize("layout", ["tie_free", "tied"])
     def test_matches_row_loop_oracle(self, layout):

@@ -82,6 +82,11 @@ class TestSimulate:
             simulate(SimSpec(n_cells=0))
         with pytest.raises(ValidationError):
             simulate(SimSpec(de_prob=1.5))
+        for sd in (np.nan, np.inf, -0.1):
+            with pytest.raises(ValidationError, match="batch_effect_sd"):
+                simulate(SimSpec(batch_effect_sd=sd))
+            with pytest.raises(ValidationError, match="group_effect_sd"):
+                simulate(SimSpec(group_effect_sd=sd))
 
 
 class TestNormalize:
@@ -91,14 +96,14 @@ class TestNormalize:
         assert np.all(X[:, 0] == 0)
 
     def test_single_cell_arithmetic(self):
-        X = normalize_log1p_cpm(np.array([[1.0, 1.0]]), scale=1e4)
+        X = normalize_log1p_cpm(np.array([[1.0, 1.0]]))
         assert np.allclose(X, np.log1p(5000.0))
 
     def test_row_sum_identity(self):
         rng = np.random.default_rng(4)
         counts = rng.poisson(5.0, size=(20, 50)).astype(float)
         counts[:, 0] += 1  # no empty cells
-        X = normalize_log1p_cpm(counts, scale=1e4)
+        X = normalize_log1p_cpm(counts)
         assert np.allclose(np.expm1(X).sum(axis=1), 1e4)
 
     def test_negative_counts_rejected(self):

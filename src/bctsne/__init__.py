@@ -28,7 +28,6 @@ from .tsne import (
     OptimizerConfig,
     TraceRecord,
     calibrate_bandwidths,
-    embedding_affinities,
     input_affinities,
     kl_gradient,
     kl_loss,

@@ -92,6 +92,8 @@ def kbet_acceptance(
         raise ValidationError(f"n_test={n_test} must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} must lie in (0, 1)")
+    if seed < 0:
+        raise ValidationError(f"seed={seed} must be >= 0")
     props = np.bincount(codes, minlength=len(levels)) / n
     expected = props * knn
     if np.all(expected < 1):

@@ -36,6 +36,8 @@ class SimSpec:
         for name in ("batch_effect_sd", "group_effect_sd"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValidationError(f"{name} must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0; got {self.seed}")
 
 
 @dataclass(frozen=True)

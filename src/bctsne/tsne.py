@@ -18,6 +18,13 @@ PROB_FLOOR = 1e-12
 # the bandwidth search works through 128 rows at a time, so its scratch
 # memory does not grow with the number of rows
 _SEARCH_BLOCK_ROWS = 128
+# the exact kernel works through tiles of at most 64 rows x 512 columns, so
+# its scratch memory does not grow with the number of rows; each BLAS product
+# in a tile is then at most 64 x 512 x 4 multiply-adds, below the size at
+# which OpenBLAS splits a product across threads, and the kernel's result
+# does not depend on the BLAS thread count
+_TILE_ROWS = 64
+_TILE_COLS = 512
 _EARLY_ITERS = 250
 _MOMENTUM_EARLY = 0.5
 _MOMENTUM_LATE = 0.8
@@ -59,6 +66,8 @@ class OptimizerConfig:
                 raise DomainError(f"{name} must be positive and finite")
         if self.dims not in (2, 3):
             raise DomainError("dims must be 2 or 3")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0; got {self.seed}")
 
 
 @dataclass
@@ -181,7 +190,12 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
 
 
 def input_affinities(X, perplexity, tol=1e-5, max_iter=200):
-    """Symmetrized input probabilities p_ij = (p_i|j + p_j|i) / 2n."""
+    """Symmetrized input probabilities p_ij = (p_i|j + p_j|i) / 2n.
+
+    Entries below the smallest normal float64 are set to 0: they carry less
+    than full precision, and every product with one is many times slower,
+    which would slow the kernel's P o w wherever distant points underflow.
+    """
     X = ensure_matrix(X, "X")
     n = X.shape[0]
     if n < 4:
@@ -189,35 +203,61 @@ def input_affinities(X, perplexity, tol=1e-5, max_iter=200):
     D = pairwise_sqdist(X)
     sigma2 = calibrate_bandwidths(D, perplexity, tol=tol, max_iter=max_iter)
     cond = conditional_rows(D, sigma2)
+    del D  # so that the mask below does not raise the peak memory
     P = (cond + cond.T) / (2.0 * n)
+    P[P < np.finfo(np.float64).tiny] = 0.0
     np.fill_diagonal(P, 0.0)
     return AffinityTable(P=P, sigma2=sigma2)
 
 
-def _student_t(Y, W, G):
-    """Student-t kernel weights 1 / (1 + |y_i - y_j|^2), zero diagonal, written
-    into the n x n array W; G is n x n scratch.  Returns W."""
+def _tiles(Y):
+    """Student-t weights w_ij = 1 / (1 + |y_i - y_j|^2), tile by tile.
+
+    Yields (I, J, k, tile) for every row tile I and every panel J of the
+    columns from I's first row on, so each pair i != j is seen once or, inside
+    the tile's own rows, twice.  tile is 3 x len(I) x len(J): tile[2] holds w,
+    zero where i == j, and tile[0] and tile[1] are scratch.  The first k
+    columns are I's own rows (k = 0 when J starts past I), so the pairs in
+    [:, :k] appear in both orders and those in [:, k:] once.  Every tile is a
+    view of one array, so the caller may overwrite it but not keep it.
+    """
+    n = Y.shape[0]
     sq = np.einsum("ij,ij->i", Y, Y)
-    np.matmul(Y, Y.T, out=G)
-    G *= 2.0
-    np.add.outer(sq, sq, out=W)
-    W -= G
-    np.maximum(W, 0.0, out=W)  # clamp negatives from cancellation
-    # Y @ Y.T is exactly symmetric (BLAS syrk fills one triangle and mirrors
-    # it), so W needs no symmetrisation
-    W += 1.0
-    np.divide(1.0, W, out=W)
-    np.fill_diagonal(W, 0.0)
-    return W
+    # BLAS forms 1 + |y_i|^2 + |y_j|^2 exactly as the sum (1 + |y_i|^2) + |y_j|^2
+    # from the two-column factors [1 + |y_i|^2, 1] and [1, |y_j|^2], faster
+    # than a broadcast sum
+    left, right = np.ones((2, n, 2))
+    left[:, 0] = sq + 1.0
+    right[:, 1] = sq
+    Y2 = 2.0 * Y
+    buf = np.empty(3 * min(n, _TILE_ROWS) * min(n, _TILE_COLS))
+    for i0 in range(0, n, _TILE_ROWS):
+        I = slice(i0, min(i0 + _TILE_ROWS, n))
+        for j0 in range(i0, n, _TILE_COLS):
+            J = slice(j0, min(j0 + _TILE_COLS, n))
+            # contiguous, so that numpy's loops need no buffers of their own
+            shape = (3, I.stop - i0, J.stop - j0)
+            tile = buf[: shape[0] * shape[1] * shape[2]].reshape(shape)
+            w = tile[2]
+            np.matmul(left[I], right[J].T, out=w)
+            w -= np.matmul(Y2[I], Y[J].T, out=tile[0])
+            np.maximum(w, 1.0, out=w)  # clamp distances below 0 from cancellation
+            np.divide(1.0, w, out=w)
+            k = 0
+            if j0 == i0:
+                k = I.stop - i0
+                w.flat[:: w.shape[1] + 1] = 0.0  # w[i, i]; len(I) <= len(J)
+            yield I, J, k, tile
 
 
-def embedding_affinities(Y):
-    """Student-t kernel weights W and globally normalized affinities Q."""
+def _as_pair(P, Y):
+    """P and Y as float64 arrays, with P n x n for the n rows of Y."""
+    P = np.asarray(P, dtype=np.float64)
     Y = ensure_matrix(Y, "Y")
     n = Y.shape[0]
-    W = _student_t(Y, np.empty((n, n)), np.empty((n, n)))
-    Q = W / W.sum()
-    return Q, W
+    if P.shape != (n, n):
+        raise ValidationError(f"P must be {n} x {n} to match Y; got {P.shape}")
+    return P, Y
 
 
 def kl_loss(P, Q):
@@ -231,31 +271,53 @@ def kl_loss(P, Q):
     return max(float(np.vdot(P, logratio)), 0.0)
 
 
-def kl_gradient(P, Y, buffers=None):
-    """Analytic gradient 4 sum_j (p_ij - q_ij) w_ij (y_i - y_j).
+def _embedding_kl(P, Y):
+    """KL(P || Q) for the Student-t affinities Q of the embedding Y, summed
+    tile by tile as sum p (log p - log w) + log Z sum p, so no n x n array is
+    built.  p is floored at PROB_FLOOR inside the log, as in kl_loss; q is
+    not, since w > 0 for every finite Y.  P must be symmetric."""
+    P, Y = _as_pair(P, Y)
+    Z = plogpw = 0.0
+    for I, J, k, (term, _, w) in _tiles(Y):
+        p = P[I, J]
+        Z += w.sum() + w[:, k:].sum()
+        if k:
+            np.fill_diagonal(w, 1.0)  # log 1 = 0 where p_ii = 0
+        np.maximum(p, PROB_FLOOR, out=term)
+        np.log(term, out=term)
+        term -= np.log(w, out=w)
+        term *= p
+        plogpw += term.sum() + term[:, k:].sum()
+    return max(float(plogpw + P.sum() * np.log(Z)), 0.0)
 
-    buffers, when given, is a pair of distinct C-contiguous n x n float64
-    arrays that the pass uses as scratch and overwrites completely, so one
-    pair can serve every iteration of a run.
+
+def kl_gradient(P, Y, exaggeration=1.0):
+    """t-SNE gradient 4 sum_j (exaggeration * p_ij - q_ij) w_ij (y_i - y_j),
+    which at exaggeration 1 is the gradient of KL(P || Q) in Y.
+
+    One pass over the tiles of `_tiles` sums it as 4 (exaggeration A - R / Z),
+    with A_i = sum_j p_ij w_ij (y_i - y_j), R_i = sum_j w_ij^2 (y_i - y_j) and
+    Z = sum_{i != j} w_ij (van der Maaten 2014, JMLR 15), so no n x n array is
+    built.  P must be symmetric: the pass reads it only in the tiles at and
+    above the diagonal, and uses each p_ij for both row i and row j.
     """
-    P = np.asarray(P, dtype=np.float64)
-    Y = ensure_matrix(Y, "Y")
-    n = Y.shape[0]
-    if buffers is None:
-        buffers = (np.empty((n, n)), np.empty((n, n)))
-    W, M = buffers
-    if np.shares_memory(W, M) or any(
-        b.shape != (n, n) or b.dtype != np.float64 or not b.flags.c_contiguous
-        for b in buffers
-    ):
-        raise ValidationError(
-            f"buffers must be two separate C-contiguous {n} x {n} float64 arrays"
-        )
-    _student_t(Y, W, M)
-    np.divide(W, W.sum(), out=M)  # Q
-    np.subtract(P, M, out=M)
-    M *= W
-    return 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
+    P, Y = _as_pair(P, Y)
+    n, dims = Y.shape
+    Y1 = np.ones((n, dims + 1))
+    Y1[:, :dims] = Y
+    # [P o w], [w o w] and w times [Y | 1], row by row: the last column holds
+    # the row sums, and the w rows' last column sums to Z
+    acc = np.zeros((3, n, dims + 1))
+    for I, J, k, tile in _tiles(Y):
+        np.multiply(P[I, J], tile[2], out=tile[0])
+        np.multiply(tile[2], tile[2], out=tile[1])
+        acc[:, I] += tile @ Y1[J]
+        # the pairs seen once also count for their column's row
+        if J.start + k < J.stop:
+            acc[:, J.start + k : J.stop] += tile[:, :, k:].transpose(0, 2, 1) @ Y1[I]
+    attract, repulse, weights = acc
+    coef = (4.0 * exaggeration) * attract - repulse / (weights[:, -1].sum() / 4.0)
+    return coef[:, -1:] * Y - coef[:, :-1]
 
 
 def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
@@ -282,11 +344,9 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
         Y = projector.project(Y)
     Y_prev, gains = Y.copy(), np.ones_like(Y)
 
-    P_early = P * cfg.exaggeration_factor
-    W, G = buffers = (np.empty((n, n)), np.empty((n, n)))  # kernel scratch
     for t in range(cfg.n_iter):
         early = t < _EARLY_ITERS
-        grad = kl_gradient(P_early if early else P, Y, buffers)
+        grad = kl_gradient(P, Y, cfg.exaggeration_factor if early else 1.0)
         if not np.isfinite(grad).all():
             raise OptimizerError("non-finite gradient", iteration=t)
         velocity = Y - Y_prev
@@ -300,9 +360,6 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
         if projector is not None:
             Y = projector.project(Y)
         if on_trace is not None and (t % trace_every == 0 or t == cfg.n_iter - 1):
-            # the new iterate's Q, computed in the kernel's own buffers
-            _student_t(Y, W, G)
-            W /= W.sum()
             orth = projector.orthogonality(Y) if projector is not None else np.nan
-            on_trace(TraceRecord(t, kl_loss(P, W), orth))
+            on_trace(TraceRecord(t, _embedding_kl(P, Y), orth))
     return EmbeddingState(Y=Y, gains=gains)

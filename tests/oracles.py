@@ -1,13 +1,14 @@
 """Brute-force reference implementations shared by the unit and acceptance
 tests.  Each is a literal transcription of the defining formula, kept free of
 the vectorized shortcuts used by the package itself, or a copy of the
-package's earlier row-by-row or unbuffered code, which the faster code must
-reproduce bit for bit.
+package's earlier row-by-row or n x n code, which the faster code must
+reproduce bit for bit or, where it sums in another order, within a tolerance
+that the test states.
 """
 import numpy as np
 from scipy import stats
 
-from bctsne import embedding_affinities, input_affinities, kl_gradient
+from bctsne import input_affinities, kl_gradient
 
 
 def literal_input_affinities(X, sigma2):
@@ -128,10 +129,24 @@ def reference_embedding_affinities(Y):
     return W / W.sum(), W
 
 
-def reference_kl_gradient(P, Y):
-    """The gradient expression the buffered kernel must reproduce bit for bit."""
+def embedding_affinities(Y):
+    """Student-t kernel weights W and globally normalized affinities Q, as
+    the package computed them in n x n arrays before its kernel was tiled."""
+    sq = np.einsum("ij,ij->i", Y, Y)
+    W = np.add.outer(sq, sq)
+    W -= 2.0 * (Y @ Y.T)
+    np.maximum(W, 0.0, out=W)
+    W += 1.0
+    np.divide(1.0, W, out=W)
+    np.fill_diagonal(W, 0.0)
+    return W / W.sum(), W
+
+
+def reference_kl_gradient(P, Y, exaggeration=1.0):
+    """The gradient as the package computed it before its kernel was tiled:
+    per-entry (exaggeration * p - q) * w over n x n arrays."""
     Q, W = reference_embedding_affinities(Y)
-    M = (P - Q) * W
+    M = (P * exaggeration - Q) * W
     return 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
 
 
@@ -205,12 +220,10 @@ def reference_run_tsne(X, cfg, projector=None, trace_every=50):
     if projector is not None:
         Y = projector.project(Y)
     Y_prev, gains = Y.copy(), np.ones_like(Y)
-    exaggerate = EXAGGERATION_ITERS > 0 and cfg.exaggeration_factor != 1.0
-    P_early = P * cfg.exaggeration_factor if exaggerate else P
     trace = []
     for t in range(cfg.n_iter):
-        Pt = P_early if t < EXAGGERATION_ITERS else P
-        grad = kl_gradient(Pt, Y)
+        factor = cfg.exaggeration_factor if t < EXAGGERATION_ITERS else 1.0
+        grad = kl_gradient(P, Y, factor)
         Y, Y_prev, gains = reference_step(Y, Y_prev, gains, grad, t, cfg.eta)
         if projector is not None:
             Y = projector.project(Y)

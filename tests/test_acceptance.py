@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
-single PASS/FAIL line.  Criteria 2, 4, 5 and 6 share the three-seed
-desk-scale simulation runs built once per session.
+single PASS/FAIL line, plus unit tests of criterion 5's rule on synthetic
+traces.  Criteria 2, 4, 5 and 6 share the three-seed desk-scale simulation
+runs built once per session.
 """
 import sys
 import time
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    embedding_affinities,
     hat_matrix_projection,
     literal_embedding_affinities,
     literal_input_affinities,
@@ -21,7 +23,6 @@ from bctsne import (
     Projector,
     SimSpec,
     build_design,
-    embedding_affinities,
     input_affinities,
     kbet_acceptance,
     kl_gradient,
@@ -36,6 +37,35 @@ from bctsne import (
     simulate,
 )
 from bctsne.cli import main
+
+
+# Criterion 5: once early exaggeration ends at iteration 250, KL settles.
+# Counting every rise above 1e-12 relative (the earlier rule: at most 3 of
+# the 75 trace steps) flipped on last-bit changes of the PCA scores, since
+# late oscillations of about 1e-4 are common at eta = 200.  The thresholds
+# come from the traces (every 10 iterations) of this fixture's runs at 800
+# cells, seeds 1-10, corrected and uncorrected, with the n x n kernel and the
+# tiled kernel at 1 and 2 BLAS threads, 80 runs: no step from iteration 250
+# on raised KL by more than 10.3%, and KL(999) / KL(500) lay in
+# [0.929, 0.982].  Faults injected into seed 1 (uncorrected, both kernels at
+# 1 and 2 threads): eta = 3000 leaves KL unsettled, with ratios of
+# 0.44-0.57; a late momentum of 0.98 raises KL by 42-51% in one step;
+# eta = 1000 and a minimum gain of 5 raise it by 11-20% once, at iteration
+# 260, and then settle like an unfaulted run (ratios 0.96-0.99), so they
+# pass.
+KL_MAX_RISE = 0.25
+KL_LATE_RATIO = (0.75, 1.0)
+
+
+def kl_settles(trace):
+    """Criterion 5's rule for a trace of (iteration, kl) pairs that records
+    iteration 500: (ok, largest relative rise between consecutive records
+    from iteration 250 on, KL at the last record / KL at iteration 500)."""
+    post = [kl for t, kl in trace if t >= 250]
+    rise = max(b / a - 1.0 for a, b in zip(post, post[1:]))
+    ratio = post[-1] / dict(trace)[500]
+    ok = rise <= KL_MAX_RISE and KL_LATE_RATIO[0] <= ratio <= KL_LATE_RATIO[1]
+    return ok, rise, ratio
 
 
 def report(criterion, ok, detail):
@@ -188,15 +218,16 @@ def test_criterion_4_simulation_study(simulation_runs):
 
 
 def test_criterion_5_kl_monotonicity(simulation_runs):
-    worst_frac = 0.0
+    worst_rise, ratios, ok = -np.inf, [], True
     for run in simulation_runs.values():
         for key in ("trace_corrected", "trace_uncorrected"):
-            post = [r.kl_loss for r in run[key] if r.iteration >= 250]
-            increases = sum(
-                b > a * (1 + 1e-12) for a, b in zip(post, post[1:])
-            )
-            worst_frac = max(worst_frac, increases / max(len(post) - 1, 1))
-    report(5, worst_frac <= 0.05, f"worst violation fraction {worst_frac:.3f}")
+            trace = [(r.iteration, r.kl_loss) for r in run[key]]
+            run_ok, rise, ratio = kl_settles(trace)
+            ok &= run_ok
+            worst_rise = max(worst_rise, rise)
+            ratios.append(ratio)
+    report(5, ok, f"largest KL rise after iteration 250 {worst_rise:.2e}, "
+                  f"KL(999)/KL(500) in [{min(ratios):.3f}, {max(ratios):.3f}]")
 
 
 def test_criterion_6_affinity_normalization(simulation_runs):
@@ -309,3 +340,25 @@ def test_criterion_9_metric_limit_behavior():
         f"confounded kBET {kbet_conf:.3f} LISI {lisi_conf:.3f}; "
         f"iid kBET {kbet_iid:.3f} LISI {lisi_iid:.3f}",
     )
+
+
+# synthetic KL traces, recorded every 10 iterations and at 999, and whether
+# criterion 5's rule passes them
+SYNTHETIC_TRACES = {
+    "smooth descent": (lambda t: 1.0 + 50.0 / (t + 1), True),
+    # the 1e-4 oscillations the earlier counting rule failed on
+    "tiny oscillations": (
+        lambda t: (1.0 + 50.0 / (t + 1)) * (1.0 + 1e-4 * (t // 10 % 2)), True),
+    "small spike": (lambda t: 1.2 if t == 260 else 1.0 + 0.01 * (1000 - t) / 1000, True),
+    "large spike": (lambda t: 1.3 if t == 260 else 1.0, False),
+    "late spike": (lambda t: 1.3 if t == 900 else 1.0, False),
+    "unsettled": (lambda t: 2.0 - t / 1000, False),
+    "net rise": (lambda t: 1.0 + t / 10000, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_TRACES))
+def test_criterion_5_rule_on_synthetic_traces(name):
+    kl_at, ok = SYNTHETIC_TRACES[name]
+    trace = [(t, kl_at(t)) for t in [*range(0, 1000, 10), 999]]
+    assert kl_settles(trace)[0] is ok

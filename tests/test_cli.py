@@ -45,6 +45,15 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        counts, labels = tmp_path / "c.csv", tmp_path / "l.csv"
+        rc = main(["generate", "--seed", "-1",
+                   "--counts-out", str(counts), "--labels-out", str(labels)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
+        assert not counts.exists() and not labels.exists()
+
 
 class TestEmbed:
     def test_corrected_and_uncorrected(self, dataset, tmp_path):
@@ -103,6 +112,17 @@ class TestEmbed:
         assert "exaggeration" in err
         assert not out.exists()
 
+    def test_negative_seed_rejected(self, dataset, tmp_path, capsys):
+        counts, labels = dataset
+        out = tmp_path / "x.csv"
+        rc = main(["embed", str(counts), str(labels), "--batch-vars", "batch",
+                   "--k", "10", "--iters", "5", "--perplexity", "15",
+                   "--seed", "-2", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
+        assert not out.exists()
+
     def test_three_dims(self, dataset, tmp_path):
         counts, labels = dataset
         out = tmp_path / "d3.csv"
@@ -137,7 +157,8 @@ class TestEvaluateAndPlot:
 
     @pytest.mark.parametrize("flag, name", [("--n-test=0", "n_test"),
                                             ("--n-test=-3", "n_test"),
-                                            ("--alpha=5", "alpha")])
+                                            ("--alpha=5", "alpha"),
+                                            ("--seed=-1", "seed")])
     def test_bad_kbet_setting_fails_cleanly(self, dataset, embedding, tmp_path, capsys,
                                             flag, name):
         _, labels = dataset
@@ -183,7 +204,8 @@ class TestPipelineConfig:
 
     @pytest.mark.parametrize("line", ["cells=abc", "dims=4", "bogus=1", "cell=100",
                                       "k=900", "exaggeration=0", "perplexity=800",
-                                      "de_prob=1.5", "batch_effect_sd=nan", "eta=inf"])
+                                      "de_prob=1.5", "batch_effect_sd=nan", "eta=inf",
+                                      "seed=-1"])
     def test_bad_line_fails_before_any_output(self, tmp_path, capsys, line):
         outdir = tmp_path / "out"
         cfg = tmp_path / "cfg.txt"

@@ -113,6 +113,11 @@ class TestKbet:
         with pytest.raises(ValidationError, match="n_test"):
             kbet_acceptance(layouts["tie_free"], batch, n_test=n_test)
 
+    def test_negative_seed_rejected(self):
+        layouts, batch = kbet_layouts()
+        with pytest.raises(ValidationError, match="seed"):
+            kbet_acceptance(layouts["tie_free"], batch, seed=-1)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.1, np.nan])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         layouts, batch = kbet_layouts()

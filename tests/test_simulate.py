@@ -87,6 +87,8 @@ class TestSimulate:
                 simulate(SimSpec(batch_effect_sd=sd))
             with pytest.raises(ValidationError, match="group_effect_sd"):
                 simulate(SimSpec(group_effect_sd=sd))
+        with pytest.raises(ValidationError, match="seed"):
+            simulate(SimSpec(seed=-1))
 
 
 class TestNormalize:

@@ -1,11 +1,15 @@
 import linecache
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import bctsne
 from bctsne import (
     CalibrationWarning,
     DomainError,
@@ -15,7 +19,6 @@ from bctsne import (
     ValidationError,
     build_design,
     calibrate_bandwidths,
-    embedding_affinities,
     input_affinities,
     kl_gradient,
     kl_loss,
@@ -27,6 +30,7 @@ from bctsne import (
 
 from oracles import (
     calibrate_bandwidths_loop,
+    embedding_affinities,
     literal_embedding_affinities,
     literal_input_affinities,
     reference_embedding_affinities,
@@ -214,6 +218,17 @@ class TestInputAffinities:
         with pytest.raises(ValidationError):
             input_affinities(np.eye(3), 2.0)
 
+    def test_no_subnormal_entries(self):
+        # two blobs far enough apart that exp underflows into subnormals for
+        # some cross-blob conditional probabilities (122 of them before)
+        rng = np.random.default_rng(20)
+        X = np.vstack(
+            [rng.standard_normal((40, 5)), rng.standard_normal((40, 5)) + 10]
+        )
+        P = input_affinities(X, 5.0).P
+        assert not np.any((P > 0) & (P < np.finfo(np.float64).tiny))
+        assert np.array_equal(P, P.T) and abs(P.sum() - 1.0) < 1e-12
+
 
 class TestEmbeddingAffinities:
     def test_two_points(self):
@@ -340,20 +355,44 @@ class TestKlGradient:
         l2 = kl_loss(t.P, embedding_affinities(shifted)[0])
         assert abs(l1 - l2) < 1e-10
 
-    def test_buffered_kernel_matches_reference_bitwise(self):
-        # 20 consecutive calls share one pair of buffers, which start out as
-        # NaN; every result must equal the unbuffered expression exactly, so
-        # anything a call leaves behind in a buffer fails the test
+    def test_tiled_kernel_matches_reference(self):
+        # the tiled pass sums the gradient in another order and in the split
+        # form exaggeration * A - R / Z, so it matches the per-entry n x n
+        # expression to rounding only: observed up to 6.3e-14 of max|grad|,
+        # at Y scales near 1e2, where both lose digits to the cancellation in
+        # |y_i|^2 + |y_j|^2 - 2 y_i . y_j
         rng = np.random.default_rng(21)
-        n = 60
-        P = input_affinities(rng.standard_normal((n, 5)), 10.0).P
-        buffers = (np.full((n, n), np.nan), np.full((n, n), np.nan))
-        for factor in (1.0, 12.0):
-            for k in range(20):
-                Y = rng.standard_normal((n, 2 + k % 2)) * 10.0 ** rng.uniform(-4, 2)
-                grad = kl_gradient(P * factor, Y, buffers)
-                assert np.array_equal(grad, reference_kl_gradient(P * factor, Y)), k
-        assert np.array_equal(kl_gradient(P, Y), reference_kl_gradient(P, Y))
+        for n in (3, 60, 257, 800):
+            P = rng.random((n, n))
+            P += P.T
+            np.fill_diagonal(P, 0.0)
+            P /= P.sum()
+            for dims in (2, 3):
+                Y = rng.standard_normal((n, dims)) * 10.0 ** rng.uniform(-4, 2)
+                for factor in (1.0, 12.0):
+                    ref = reference_kl_gradient(P, Y, factor)
+                    err = np.abs(kl_gradient(P, Y, factor) - ref).max()
+                    assert err <= 1e-13 * np.abs(ref).max(), (n, dims, factor)
+
+    def test_p_of_another_size_rejected(self):
+        Y = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(ValidationError, match="5 x 5"):
+            kl_gradient(np.full((4, 4), 1 / 12), Y)
+
+    def test_trace_kl_matches_reference(self):
+        # a trace step sums KL over the kernel's tiles as
+        # sum p (log p - log w) + log Z sum p; the reference sums per-entry
+        # log ratios over n x n arrays
+        rng = np.random.default_rng(30)
+        for n in (257, 800):
+            X = rng.standard_normal((n, 5))
+            cfg = OptimizerConfig(n_iter=260, perplexity=20)
+            trace = []
+            state = run_tsne(X, cfg, on_trace=trace.append, trace_every=100)
+            P = input_affinities(X, 20.0).P
+            ref = reference_kl_loss(P, embedding_affinities(state.Y)[0])
+            assert trace[-1].iteration == 259, n
+            assert abs(trace[-1].kl_loss - ref) <= 1e-13 * ref, n
 
     def test_embedding_affinities_match_reference_bitwise(self):
         rng = np.random.default_rng(22)
@@ -362,20 +401,6 @@ class TestKlGradient:
             Q, W = embedding_affinities(Y)
             Qr, Wr = reference_embedding_affinities(Y)
             assert np.array_equal(Q, Qr) and np.array_equal(W, Wr)
-
-    def test_bad_buffers_rejected(self):
-        P = np.full((5, 5), 0.05)
-        np.fill_diagonal(P, 0.0)
-        Y = np.arange(10.0).reshape(5, 2)
-        shared = np.empty((5, 5))
-        for buffers in (
-            (shared, shared),
-            (np.empty((5, 5)), np.empty((4, 4))),
-            (np.empty((5, 5)), np.empty((5, 5), dtype=np.float32)),
-            (np.empty((5, 5)), np.empty((5, 5), order="F")),
-        ):
-            with pytest.raises(ValidationError):
-                kl_gradient(P, Y, buffers)
 
 
 class TestRunTsne:
@@ -451,13 +476,18 @@ class TestRunTsne:
         with pytest.raises(DomainError, match="exaggeration"):
             run_tsne(X, OptimizerConfig(n_iter=5, perplexity=5, exaggeration_factor=factor))
 
+    def test_negative_seed_rejected(self):
+        X = np.random.default_rng(27).standard_normal((20, 3))
+        with pytest.raises(DomainError, match="seed"):
+            run_tsne(X, OptimizerConfig(n_iter=5, perplexity=5, seed=-1))
+
     @pytest.mark.parametrize("k", [0, 3, 251])
     def test_non_finite_gradient_raises_with_iteration(self, monkeypatch, k):
         calls = []
 
-        def gradient(P, Y, buffers=None):
+        def gradient(P, Y, exaggeration=1.0):
             calls.append(1)
-            grad = kl_gradient(P, Y, buffers)
+            grad = kl_gradient(P, Y, exaggeration)
             if len(calls) == k + 1:
                 grad[1, 0] = np.nan
             return grad
@@ -469,18 +499,64 @@ class TestRunTsne:
         assert exc.value.iteration == k
         assert len(calls) == k + 1
 
-    def test_trace_step_adds_at_most_two_kernel_arrays(self):
-        # a trace step computes its affinities in the loop's own two n x n
-        # buffers, and kl_loss adds at most two n x n temporaries
-        n = 300
-        X = np.random.default_rng(26).standard_normal((n, 5))
+    @staticmethod
+    def _loop_peak(monkeypatch, X, cfg, on_trace):
+        """Peak bytes traced while run_tsne runs, above what it holds once
+        input_affinities has returned."""
+        base = []
+
+        def affinities(*args, **kwargs):
+            table = input_affinities(*args, **kwargs)
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+            return table
+
+        monkeypatch.setattr("bctsne.tsne.input_affinities", affinities)
+        tracemalloc.start()
+        try:
+            run_tsne(X, cfg, on_trace=on_trace, trace_every=1)
+            return tracemalloc.get_traced_memory()[1] - base[0]
+        finally:
+            tracemalloc.stop()
+
+    # a pass over the kernel's tiles keeps three arrays of at most 64 x 512
+    # float64s; an n x n array at n = 1000 is 8 MB
+    N_MEMORY = 1000
+    TILE_SCRATCH = 3 * 64 * 512 * 8
+
+    def test_trace_step_adds_no_square_array(self, monkeypatch):
+        X = np.random.default_rng(26).standard_normal((self.N_MEMORY, 5))
         cfg = OptimizerConfig(n_iter=3, perplexity=20)
-        peaks = []
-        for on_trace in (None, lambda rec: None):
-            tracemalloc.start()
-            try:
-                run_tsne(X, cfg, on_trace=on_trace, trace_every=1)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 2 * n * n * 8 + 256 * 1024, peaks
+        peaks = [self._loop_peak(monkeypatch, X, cfg, on_trace)
+                 for on_trace in (None, lambda rec: None)]
+        assert peaks[1] - peaks[0] <= self.TILE_SCRATCH + 256 * 1024, peaks
+
+    def test_loop_holds_no_square_array_besides_p(self, monkeypatch):
+        # besides the tiles, the loop and the kernel hold arrays of a few
+        # dozen float64s per point (iterates, gains, gradient, accumulators)
+        X = np.random.default_rng(29).standard_normal((self.N_MEMORY, 5))
+        cfg = OptimizerConfig(n_iter=3, perplexity=20)
+        peak = self._loop_peak(monkeypatch, X, cfg, lambda rec: None)
+        per_point = 64 * 8 * self.N_MEMORY
+        assert peak <= self.TILE_SCRATCH + 256 * 1024 + per_point, peak
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        # the kernel keeps every BLAS product below OpenBLAS's threading
+        # cutoff, so the embedding cannot depend on the thread count
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from bctsne import OptimizerConfig, run_tsne\n"
+            "for n in (1000, 2000):\n"
+            "    X = np.random.default_rng(n).standard_normal((n, 10))\n"
+            "    Y = run_tsne(X, OptimizerConfig(n_iter=50, seed=0)).Y\n"
+            "    print(n, hashlib.sha256(Y.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(bctsne.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True, timeout=600).stdout
+            digests.append(out.split())
+        assert len(digests[0]) == 4 and digests[0] == digests[1], digests

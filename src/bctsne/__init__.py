@@ -30,7 +30,6 @@ from .tsne import (
     calibrate_bandwidths,
     input_affinities,
     kl_gradient,
-    kl_loss,
     run_tsne,
 )
 

@@ -148,7 +148,13 @@ def lisi(Y, labels, perplexity=30.0, *, weights=None):
 
 def pc_regression(M, labels):
     """Variance-weighted R^2 of the principal components of M regressed on
-    the label dummies."""
+    the label dummies.
+
+    Weighted by the variances S_k^2, the components' fitted sums of squares
+    add up to that of the centered M itself, since the components are M's
+    centered columns rotated by an orthogonal V.  So the R^2 is
+    |fitted(M_c)|^2 / |M_c|^2, and no SVD is needed.
+    """
     M = ensure_matrix(M, "M")
     levels, codes = _levels(labels)
     if len(codes) != M.shape[0]:
@@ -156,19 +162,12 @@ def pc_regression(M, labels):
     if len(levels) < 2:
         raise ValidationError("pc_regression needs at least 2 label levels")
     Mc = M - M.mean(axis=0)
-    U, S, _ = np.linalg.svd(Mc, full_matrices=False)
-    keep = S > max(S[0], 1.0) * 1e-12 if S.size else S.astype(bool)
-    U, S = U[:, keep], S[keep]
-    if S.size == 0:
+    ss_tot = np.vdot(Mc, Mc)
+    if not ss_tot > 1e-24:  # |M_c| <= 1e-12
         raise ValidationError("matrix has no variance")
-    pcs = U * S  # columns are centered
     # the one-hot columns span the same space as [1 | dummies]
-    fitted = pcs - Projector(np.eye(len(levels))[codes]).project(pcs)
-    ss_fit = np.sum(fitted**2, axis=0)
-    ss_tot = np.sum(pcs**2, axis=0)
-    r2 = ss_fit / ss_tot
-    weights = S**2
-    return float(np.sum(weights * r2) / np.sum(weights))
+    fitted = Mc - Projector(np.eye(len(levels))[codes]).project(Mc)
+    return float(np.vdot(fitted, fitted) / ss_tot)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""t-SNE core: perplexity-calibrated input affinities, Student-t embedding
-affinities, KL loss and its analytic gradient, and the momentum optimizer
-with optional per-iteration projection onto a linear constraint set.
+"""t-SNE core: perplexity-calibrated input affinities, the tiled Student-t
+kernel that sums the KL gradient (and the trace's KL) without an n x n
+array, and the momentum optimizer with optional per-iteration projection
+onto a linear constraint set.
 """
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ from .errors import CalibrationWarning, DomainError, OptimizerError, ValidationE
 from .linalg import ensure_matrix, pairwise_sqdist
 
 PROB_FLOOR = 1e-12
-# the bandwidth search works through 128 rows at a time, so its scratch
-# memory does not grow with the number of rows
-_SEARCH_BLOCK_ROWS = 128
+# the Gaussian rows (bandwidth search, input affinities, LISI weights) are
+# formed 128 at a time, so their scratch memory does not grow with the
+# number of rows
+_BLOCK_ROWS = 128
 # the exact kernel works through tiles of at most 64 rows x 512 columns, so
 # its scratch memory does not grow with the number of rows; each BLAS product
 # in a tile is then at most 64 x 512 x 4 multiply-adds, below the size at
@@ -83,16 +85,6 @@ class TraceRecord:
     orthogonality_maxabs: float  # nan for unconstrained runs
 
 
-def conditional_rows(D, sigma2):
-    """Row-stochastic conditional neighbor probabilities for given bandwidths."""
-    logits = -0.5 * D / sigma2[:, None]
-    np.fill_diagonal(logits, -np.inf)
-    logits -= logits.max(axis=1, keepdims=True)
-    P = np.exp(logits, out=logits)
-    P /= P.sum(axis=1, keepdims=True)
-    return P
-
-
 def _warn_caller(message, category):
     """warnings.warn attributed to the first caller outside this package, so
     filters keyed on the caller's module match whichever bctsne function it
@@ -104,22 +96,48 @@ def _warn_caller(message, category):
 
 
 def _offdiag(D, rows):
-    """D[rows] without each row's own entry: a new len(rows) x (n - 1) array."""
+    """D[rows] without each row's own entry: a new len(rows) x (n - 1) array,
+    from which the bandwidth search takes its start values."""
     return D[rows][np.arange(len(D)) != rows[:, None]].reshape(len(rows), -1)
+
+
+def _gaussian_rows(D, rows, sigma2, out=None):
+    """Rows `rows` of D (a slice or index array) as Gaussian conditional
+    probabilities p_j|i = exp(-d_ij / 2 sigma2_i) / sum_{k != i} exp(-d_ik /
+    2 sigma2_i), with p_i|i = 0 and sigma2 one per row; written into out, a
+    len(sigma2) x n array, when given.
+
+    The package's one Gaussian softmax: the bandwidth search, the input
+    affinities and LISI's weights all take their rows from it.  Each row keeps
+    all n entries, its own logit set to -inf, so no row is copied to drop it.
+    """
+    own = np.arange(D.shape[1])[rows]
+    logits = np.multiply(D[rows], -0.5, out=out)
+    logits /= sigma2[:, None]
+    logits[np.arange(len(own)), own] = -np.inf
+    logits -= logits.max(axis=1, keepdims=True)
+    p = np.exp(logits, out=logits)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def conditional_rows(D, sigma2):
+    """Row-stochastic conditional neighbor probabilities for given bandwidths,
+    formed block by block in the one n x n array returned."""
+    P = np.empty(D.shape)
+    for i in range(0, D.shape[0], _BLOCK_ROWS):
+        block = slice(i, i + _BLOCK_ROWS)
+        _gaussian_rows(D, block, sigma2[block], out=P[block])
+    return P
 
 
 def _row_perplexities(D, rows, sigma2):
     """Perplexity of the given rows of D (self excluded) under Gaussian
     bandwidths sigma2, one per row."""
     perp = np.empty(len(rows))
-    for i in range(0, len(rows), _SEARCH_BLOCK_ROWS):
-        block = slice(i, i + _SEARCH_BLOCK_ROWS)
-        logits = _offdiag(D, rows[block])
-        logits *= -0.5
-        logits /= sigma2[block, None]
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits, out=logits)
-        p /= p.sum(axis=1, keepdims=True)
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        block = slice(i, i + _BLOCK_ROWS)
+        p = _gaussian_rows(D, rows[block], sigma2[block])
         logp = np.maximum(p, PROB_FLOOR)
         np.log(logp, out=logp)
         logp *= p
@@ -143,8 +161,8 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
     if not 2.0 <= perplexity <= n - 1:
         raise DomainError(f"perplexity must lie in [2, n - 1]; got {perplexity}")
     start = np.empty(n)
-    for i in range(0, n, _SEARCH_BLOCK_ROWS):
-        block = np.arange(i, min(i + _SEARCH_BLOCK_ROWS, n))
+    for i in range(0, n, _BLOCK_ROWS):
+        block = np.arange(i, min(i + _BLOCK_ROWS, n))
         d = _offdiag(D, block)
         duplicates = block[np.all(d == 0, axis=1)]
         if duplicates.size:
@@ -203,10 +221,11 @@ def input_affinities(X, perplexity, tol=1e-5, max_iter=200):
     D = pairwise_sqdist(X)
     sigma2 = calibrate_bandwidths(D, perplexity, tol=tol, max_iter=max_iter)
     cond = conditional_rows(D, sigma2)
-    del D  # so that the mask below does not raise the peak memory
-    P = (cond + cond.T) / (2.0 * n)
+    del D  # at most two n x n arrays are alive at any time
+    P = cond + cond.T
+    del cond
+    P /= 2.0 * n
     P[P < np.finfo(np.float64).tiny] = 0.0
-    np.fill_diagonal(P, 0.0)
     return AffinityTable(P=P, sigma2=sigma2)
 
 
@@ -260,22 +279,11 @@ def _as_pair(P, Y):
     return P, Y
 
 
-def kl_loss(P, Q):
-    """KL divergence sum_{i != j} p log(p/q), with 0 log 0 := 0, summed over
-    per-entry log ratios held in two n x n temporaries."""
-    P = np.asarray(P, dtype=np.float64)
-    logratio = np.maximum(P, PROB_FLOOR)
-    np.log(logratio, out=logratio)
-    logq = np.maximum(Q, PROB_FLOOR)
-    logratio -= np.log(logq, out=logq)
-    return max(float(np.vdot(P, logratio)), 0.0)
-
-
 def _embedding_kl(P, Y):
     """KL(P || Q) for the Student-t affinities Q of the embedding Y, summed
     tile by tile as sum p (log p - log w) + log Z sum p, so no n x n array is
-    built.  p is floored at PROB_FLOOR inside the log, as in kl_loss; q is
-    not, since w > 0 for every finite Y.  P must be symmetric."""
+    built.  p is floored at PROB_FLOOR inside the log; q is not, since w > 0
+    for every finite Y.  P must be symmetric."""
     P, Y = _as_pair(P, Y)
     Z = plogpw = 0.0
     for I, J, k, (term, _, w) in _tiles(Y):

@@ -5,10 +5,13 @@ package's earlier row-by-row or n x n code, which the faster code must
 reproduce bit for bit or, where it sums in another order, within a tolerance
 that the test states.
 """
+from fractions import Fraction
+
 import numpy as np
 from scipy import stats
 
 from bctsne import input_affinities, kl_gradient
+from bctsne.tsne import PROB_FLOOR
 
 
 def literal_input_affinities(X, sigma2):
@@ -69,6 +72,36 @@ def silhouette_oracle(Y, codes):
     return s.mean()
 
 
+def svd_pc_regression(M, codes):
+    """Variance-weighted R^2 of M's principal components regressed on the
+    label codes, one SVD component at a time: the package's earlier form."""
+    Mc = M - M.mean(axis=0)
+    U, S, _ = np.linalg.svd(Mc, full_matrices=False)
+    keep = S > max(S[0], 1.0) * 1e-12 if S.size else S.astype(bool)
+    U, S = U[:, keep], S[keep]
+    pcs = U * S
+    onehot = np.eye(codes.max() + 1)[codes]
+    fitted = onehot @ np.linalg.lstsq(onehot, pcs, rcond=None)[0]
+    r2 = np.sum(fitted**2, axis=0) / np.sum(pcs**2, axis=0)
+    return float(np.sum(S**2 * r2) / np.sum(S**2))
+
+
+def exact_pc_regression(M, labels):
+    """The same R^2 in exact rational arithmetic: the between-level sum of
+    squares over the total, sum_l n_l |mean_l - mean|^2 / sum_i |m_i - mean|^2,
+    which is what regressing every centered column on the dummies fits."""
+    n, d = M.shape
+    F = [[Fraction(float(v)) for v in row] for row in M]
+    mean = [sum(r[j] for r in F) / n for j in range(d)]
+    total = sum((r[j] - mean[j]) ** 2 for r in F for j in range(d))
+    fitted = Fraction(0)
+    for level in set(labels):
+        rows = [F[i] for i in range(n) if labels[i] == level]
+        m = [sum(r[j] for r in rows) / len(rows) for j in range(d)]
+        fitted += len(rows) * sum((m[j] - mean[j]) ** 2 for j in range(d))
+    return fitted / total
+
+
 def hat_matrix_projection(Z, Y):
     """(I - Z (Z^T Z)^{-1} Z^T) Y for full-column-rank Z."""
     n = Z.shape[0]
@@ -83,6 +116,17 @@ def _row_perplexity(d, sigma2):
     p /= p.sum()
     h = -np.sum(p * np.log(np.maximum(p, 1e-12)))
     return np.exp(h)
+
+
+def reference_conditional_rows(D, sigma2):
+    """Conditional neighbour probabilities as the package formed them over
+    whole n x n temporaries, before its rows came from one block routine."""
+    logits = -0.5 * D / sigma2[:, None]
+    np.fill_diagonal(logits, -np.inf)
+    logits -= logits.max(axis=1, keepdims=True)
+    P = np.exp(logits, out=logits)
+    P /= P.sum(axis=1, keepdims=True)
+    return P
 
 
 def calibrate_bandwidths_loop(D, perplexity, tol=1e-5, max_iter=200):
@@ -175,6 +219,19 @@ def kbet_loop(Y, batch, knn, n_test, alpha=0.05, seed=0):
         if stats.chi2.sf(stat, len(levels) - 1) >= alpha:
             accepted += 1
     return accepted / len(test_idx)
+
+
+def kl_loss(P, Q):
+    """KL divergence sum_{i != j} p log(p/q), with 0 log 0 := 0, summed over
+    per-entry log ratios held in two n x n temporaries.  The package's n x n
+    KL before its trace step summed KL through the kernel's tiles; the
+    finite-difference checks of the gradient differentiate it."""
+    P = np.asarray(P, dtype=np.float64)
+    logratio = np.maximum(P, PROB_FLOOR)
+    np.log(logratio, out=logratio)
+    logq = np.maximum(Q, PROB_FLOOR)
+    logratio -= np.log(logq, out=logq)
+    return max(float(np.vdot(P, logratio)), 0.0)
 
 
 def reference_kl_loss(P, Q):

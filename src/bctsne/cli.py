@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import matrixio, plot
-from .design import Projector, build_design
+from .design import build_design
 from .errors import BctsneError, DomainError, ValidationError
 from .metrics import MetricsConfig, evaluate
 from .reduce import pca_reduce
@@ -120,13 +120,10 @@ def _add_embed(sub):
 
 
 def _embed(scores, ids, projector, opts, out):
-    """t-SNE of the PCA scores with the embed options and seed in opts; with a
-    projector, the scores and every iterate are projected off its design.
-    Writes the embedding CSV and its trace next to it and returns the
-    embedding."""
+    """t-SNE of the PCA scores with the embed options and seed in opts,
+    corrected for the projector's design when one is given.  Writes the
+    embedding CSV and its trace next to it and returns the embedding."""
     cfg = _config(OptimizerConfig, opts)
-    if projector is not None:
-        scores = projector.project(scores)
     trace = []
     state = run_tsne(scores, cfg, projector=projector, on_trace=trace.append)
     matrixio.write_embedding_csv(state.Y, ids, out)
@@ -146,7 +143,7 @@ def cmd_embed(args):
         if args.labels is None:
             raise BctsneError("a labels file is required for batch correction")
         labels = _read_labels(args.labels, ids, args.batch_vars)
-        projector = Projector(build_design(labels))
+        projector = build_design(labels)
     _embed(pca_reduce(X, args.k).scores, ids, projector, args, args.out)
     return 0
 
@@ -264,7 +261,7 @@ def cmd_pipeline(args):
     counts_path, labels_path = outdir / "counts.csv", outdir / "labels.csv"
     counts, ids, labels = _write_dataset(_config(SimSpec, cfg), counts_path, labels_path)
     scores = pca_reduce(normalize_log1p_cpm(counts), cfg.k).scores
-    projector = Projector(build_design({"batch": labels["batch"]}))
+    projector = build_design({"batch": labels["batch"]})
 
     artifacts = [counts_path, labels_path]
     for tag, tag_projector in (("corrected", projector), ("uncorrected", None)):

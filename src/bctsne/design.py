@@ -3,20 +3,10 @@ projection used both to residualize PCA scores and inside the optimizer loop.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CollinearityError, ValidationError
 from .linalg import ensure_matrix
-
-
-@dataclass(frozen=True)
-class BatchDesign:
-    """Intercept plus dummy-coded columns of categorical batch variables."""
-
-    Z: np.ndarray  # n x b, each column in {0, 1}
-    column_names: tuple
 
 
 def level_order(values):
@@ -25,8 +15,9 @@ def level_order(values):
 
 
 def build_design(labels):
-    """Intercept plus one dummy column per level of each categorical label
-    column, its first level left out as the reference.
+    """The Projector of the design: an intercept plus one dummy column per
+    level of each categorical label column, its first level left out as the
+    reference.
 
     labels maps variable name to a length-n sequence of categorical values.
     A column that leaves the Projector's rank of the columns before it
@@ -50,14 +41,15 @@ def build_design(labels):
             names.append(f"{var}[{level}]")
     Z = np.column_stack(columns)
 
-    ranks = [Projector(Z[:, :j]).rank for j in range(Z.shape[1] + 1)]
+    projector = Projector(Z)
+    ranks = [Projector(Z[:, :j]).rank for j in range(Z.shape[1])] + [projector.rank]
     absorbed = [names[j] for j in range(Z.shape[1]) if ranks[j + 1] == ranks[j]]
     if absorbed:
         raise CollinearityError(
             "collinear design: columns absorbed by earlier ones: " + ", ".join(absorbed),
             columns=absorbed,
         )
-    return BatchDesign(Z=Z, column_names=tuple(names))
+    return projector
 
 
 class Projector:

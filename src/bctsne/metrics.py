@@ -17,12 +17,16 @@ from .errors import DomainError, ValidationError
 from .linalg import ensure_matrix, pairwise_sqdist
 from .tsne import calibrate_bandwidths, conditional_rows
 
-# kBET searches the neighbours of 128 test points at a time, so its scratch
-# memory stays small next to the n x n distances
-_KBET_BLOCK_ROWS = 128
+# silhouette and kBET work through 128 rows of the distances at a time, so
+# their scratch memory stays small next to the n x n distances
+_BLOCK_ROWS = 128
 
 
-def _levels(labels):
+def _levels(labels, n):
+    if len(labels) != n:
+        raise ValidationError(
+            f"labels length {len(labels)} does not match matrix rows {n}"
+        )
     levels = level_order(labels)
     lookup = {lev: i for i, lev in enumerate(levels)}
     codes = np.array([lookup[x] for x in np.asarray(labels).tolist()])
@@ -50,19 +54,22 @@ def silhouette(Y, labels, *, sqdist=None):
     sqdist, when given, is pairwise_sqdist(Y).
     """
     Y = ensure_matrix(Y, "Y")
-    levels, codes = _levels(labels)
+    n = len(Y)
+    levels, codes = _levels(labels, n)
     if len(levels) < 2:
         raise ValidationError("silhouette needs at least 2 label levels")
     counts = np.bincount(codes, minlength=len(levels))
     if np.any(counts < 2):
         bad = levels[int(np.argmin(counts))]
         raise ValidationError(f"label level {bad!r} has fewer than 2 members")
-    D = np.sqrt(_precomputed(sqdist, len(Y), lambda: pairwise_sqdist(Y)))
+    sqdist = _precomputed(sqdist, n, lambda: pairwise_sqdist(Y))
     onehot = np.eye(len(levels))[codes]
-    sums = D @ onehot  # n x L total distance to each level
-    a = sums[np.arange(len(codes)), codes] / (counts[codes] - 1)
+    sums = np.empty((n, len(levels)))  # total distance to each level
+    for i in range(0, n, _BLOCK_ROWS):
+        sums[i : i + _BLOCK_ROWS] = np.sqrt(sqdist[i : i + _BLOCK_ROWS]) @ onehot
+    a = sums[np.arange(n), codes] / (counts[codes] - 1)
     means = sums / counts[None, :]
-    means[np.arange(len(codes)), codes] = np.inf
+    means[np.arange(n), codes] = np.inf
     b = means.min(axis=1)
     s = (b - a) / np.maximum(a, b)
     raw = float(s.mean())
@@ -79,7 +86,7 @@ def kbet_acceptance(
     """
     Y = ensure_matrix(Y, "Y")
     n = Y.shape[0]
-    levels, codes = _levels(batch)
+    levels, codes = _levels(batch, n)
     if len(levels) < 2:
         raise ValidationError("kBET needs at least 2 batch levels")
     if knn is None:
@@ -106,8 +113,8 @@ def kbet_acceptance(
     )
     D = _precomputed(sqdist, n, lambda: pairwise_sqdist(Y))
     observed = np.empty((len(test_idx), len(levels)), dtype=np.int64)
-    for i in range(0, len(test_idx), _KBET_BLOCK_ROWS):
-        block = test_idx[i : i + _KBET_BLOCK_ROWS]
+    for i in range(0, len(test_idx), _BLOCK_ROWS):
+        block = test_idx[i : i + _BLOCK_ROWS]
         rows = D[block]
         rows[np.arange(len(block)), block] = np.inf
         neigh = np.argpartition(rows, knn, axis=1)[:, :knn]
@@ -133,7 +140,7 @@ def lisi(Y, labels, perplexity=30.0, *, weights=None):
     perplexity is then ignored, since the weights already fix it.
     """
     Y = ensure_matrix(Y, "Y")
-    levels, codes = _levels(labels)
+    levels, codes = _levels(labels, len(Y))
     W = _precomputed(
         weights, len(Y), lambda: lisi_weights(pairwise_sqdist(Y), perplexity)
     )
@@ -156,9 +163,7 @@ def pc_regression(M, labels):
     |fitted(M_c)|^2 / |M_c|^2, and no SVD is needed.
     """
     M = ensure_matrix(M, "M")
-    levels, codes = _levels(labels)
-    if len(codes) != M.shape[0]:
-        raise ValidationError("labels length does not match matrix rows")
+    levels, codes = _levels(labels, M.shape[0])
     if len(levels) < 2:
         raise ValidationError("pc_regression needs at least 2 label levels")
     Mc = M - M.mean(axis=0)

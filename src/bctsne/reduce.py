@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .design import BatchDesign, Projector
+from .design import Projector
 from .errors import ValidationError
 from .linalg import ensure_matrix, truncated_svd
 
@@ -37,23 +37,23 @@ def pca_reduce(X, k):
 def residualized_reduce(X, Z, k, *, seed=None):
     """PCA scores of X with linear association to the design Z projected out.
 
-    Z is the batch design (BatchDesign or raw n x b array).  The PCA scores
-    are projected onto the orthogonal complement of span([1 | Z]) with the
-    Projector the optimizer applies, so group mean differences are removed
-    rather than forcing the scores through the origin.  A BatchDesign has
-    its intercept already; an intercept column in a raw Z is absorbed by the
-    Projector's rank-revealing SVD.
+    Z is the batch design: build_design's Projector, used as is, or a raw
+    n x b array, projected off span([1 | Z]) so that group mean differences
+    are removed rather than forcing the scores through the origin.  An
+    intercept column in a raw Z is absorbed by the Projector's rank-revealing
+    SVD.  run_tsne applies the same projection to its input when it is given
+    the Projector; this function gives the corrected scores for other uses.
     explained_variance is that of the PCA directions before the projection.
     seed is ignored: PCA takes none.  It is accepted only because the
     benchmark's workloads still pass one, and goes when they stop.
     """
     X = ensure_matrix(X, "X")
-    Zarr = ensure_matrix(getattr(Z, "Z", Z), "Z")
-    if Zarr.shape[0] != X.shape[0]:
+    if not isinstance(Z, Projector):
+        Z = ensure_matrix(Z, "Z")
+        Z = Projector(np.column_stack([np.ones(Z.shape[0]), Z]))
+    if Z.Z.shape[0] != X.shape[0]:
         raise ValidationError(
-            f"row mismatch: X has {X.shape[0]} rows, Z has {Zarr.shape[0]}"
+            f"row mismatch: X has {X.shape[0]} rows, Z has {Z.Z.shape[0]}"
         )
     reduced = pca_reduce(X, k)
-    if not isinstance(Z, BatchDesign):
-        Zarr = np.column_stack([np.ones(Zarr.shape[0]), Zarr])
-    return replace(reduced, scores=Projector(Zarr).project(reduced.scores))
+    return replace(reduced, scores=Z.project(reduced.scores))

@@ -332,18 +332,23 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
     """Full optimization loop over the configured number of iterations.
 
     The embedding starts as Normal(0, 1e-4) with cfg.seed and follows the
-    schedule that OptimizerConfig describes; a projector (when given)
-    re-imposes the linear constraint after every step.  Trace records are
-    emitted through on_trace every trace_every iterations and at the last.
+    schedule that OptimizerConfig describes.  A projector (when given)
+    projects X off its design before the affinities are calibrated, and
+    every iterate after its step.  Trace records are emitted through
+    on_trace every trace_every iterations and at the last.
     """
     X = ensure_matrix(X, "X")
     n = X.shape[0]
     cfg.validate(n)
-    if projector is not None and n - projector.rank < cfg.dims + 1:
-        raise DomainError(
-            f"design of rank {projector.rank} leaves {n - projector.rank} of {n} "
-            f"dimensions free; a {cfg.dims}-D embedding needs {cfg.dims + 1}"
-        )
+    if trace_every < 1:
+        raise DomainError(f"trace_every must be >= 1; got {trace_every}")
+    if projector is not None:
+        if n - projector.rank < cfg.dims + 1:
+            raise DomainError(
+                f"design of rank {projector.rank} leaves {n - projector.rank} of {n} "
+                f"dimensions free; a {cfg.dims}-D embedding needs {cfg.dims + 1}"
+            )
+        X = projector.project(X)
     P = input_affinities(X, cfg.perplexity).P
 
     rng = np.random.default_rng(cfg.seed)

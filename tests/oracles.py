@@ -268,9 +268,12 @@ def reference_step(Y, Y_prev, gains, grad, t, eta):
 
 def reference_run_tsne(X, cfg, projector=None, trace_every=50):
     """The package's optimizer loop before `step` was folded into it, with
-    each trace step's KL from freshly allocated affinities.  Returns
+    each trace step's KL from freshly allocated affinities.  A projector
+    projects X before the affinities and every iterate.  Returns
     (Y, gains, [(iteration, kl, orthogonality)])."""
     n = X.shape[0]
+    if projector is not None:
+        X = projector.project(X)
     P = input_affinities(X, cfg.perplexity).P
     rng = np.random.default_rng(cfg.seed)
     Y = 1e-4 * rng.standard_normal((n, cfg.dims))

@@ -10,6 +10,7 @@ from bctsne import (
     Projector,
     ValidationError,
     build_design,
+    input_affinities,
     run_tsne,
     silhouette,
 )
@@ -18,7 +19,7 @@ from bctsne import (
 class TestBuildDesign:
     def test_dummy_coding_with_intercept(self):
         d = build_design({"batch": ["A", "A", "B", "B"]})
-        assert d.column_names == ("intercept", "batch[B]")
+        assert isinstance(d, Projector) and d.rank == 2
         assert np.array_equal(d.Z, np.array([[1, 0], [1, 0], [1, 1], [1, 1]], float))
 
     def test_duplicated_factor_collinear(self):
@@ -40,7 +41,7 @@ class TestBuildDesign:
 
     def test_single_level_with_intercept_degenerate_ok(self):
         d = build_design({"b": ["A", "A", "A"]})
-        assert d.column_names == ("intercept",)
+        assert np.array_equal(d.Z, np.ones((3, 1))) and d.rank == 1
 
     def test_binary_dummy_columns(self):
         rng = np.random.default_rng(0)
@@ -96,7 +97,7 @@ class TestBuildDesignProperties:
             assert str(exc).rsplit(": ", 1)[1].split(", ") == absorbed
         else:
             assert absorbed == []
-            assert design.column_names == tuple(names)
+            assert np.array_equal(design.Z, Z) and design.rank == len(names)
             one_hot = [(np.array(values) == lev).astype(float)
                        for values in labels.values() for lev in sorted(set(values))]
             Y = np.random.default_rng(seed).standard_normal((n, 2))
@@ -234,12 +235,24 @@ class TestProjectedStep:
         assert len(trace) == 120
         assert all(r.orthogonality_maxabs < 1e-8 for r in trace)
 
+    def test_input_projected_before_affinities(self, monkeypatch):
+        seen = []
+
+        def affinities(X, *args, **kwargs):
+            seen.append(X)
+            return input_affinities(X, *args, **kwargs)
+
+        monkeypatch.setattr("bctsne.tsne.input_affinities", affinities)
+        rng = np.random.default_rng(10)
+        batch = (np.arange(40) % 3).tolist()
+        X = rng.standard_normal((40, 6)) + 5.0 * np.array(batch)[:, None]
+        projector = build_design({"b": batch})
+        run_tsne(X, OptimizerConfig(n_iter=5, perplexity=10), projector=projector)
+        assert np.abs(projector.Z.T @ seen[0]).max() <= 1e-10 * np.abs(X).max()
+
     def test_confounded_blobs_batch_removed(self):
         # blob label coincides with batch label: projection must destroy the
-        # batch separation an unprojected run shows.  The input is projected
-        # as well as every iterate, as `bctsne embed` does: projecting only
-        # the iterates leaves each blob's own neighbourhoods in P, and its
-        # batch silhouette then reads 0.05-0.16 over run seeds 0-9
+        # batch separation an unprojected run shows
         rng = np.random.default_rng(7)
         X = np.vstack(
             [rng.standard_normal((40, 5)), rng.standard_normal((40, 5)) + 8]
@@ -248,8 +261,7 @@ class TestProjectedStep:
         cfg = OptimizerConfig(n_iter=600, perplexity=20, seed=2)
         plain = run_tsne(X, cfg)
         raw_plain, _ = silhouette(plain.Y, batch)
-        projector = Projector(build_design({"batch": batch}))
-        corrected = run_tsne(projector.project(X), cfg, projector=projector)
+        corrected = run_tsne(X, cfg, projector=build_design({"batch": batch}))
         raw_corr, _ = silhouette(corrected.Y, batch)
         assert raw_plain > 0.5
         assert raw_corr < 0.1

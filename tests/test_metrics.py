@@ -1,4 +1,5 @@
 from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,32 @@ class TestEvaluate:
             expected += [(name, "silhouette", raw, resc), (name, "kbet", kbet, kbet),
                          (name, "lisi", lisi_mean, lisi_resc), (name, "pcreg", pcr, pcr)]
         assert evaluate(Y, {"batch": batch, "group": group}, cfg).rows() == expected
+
+    @pytest.mark.parametrize("metric", [silhouette, kbet_acceptance, lisi, pc_regression])
+    @pytest.mark.parametrize("length", [39, 41, 80])
+    def test_labels_length_checked(self, metric, length):
+        Y = np.random.default_rng(14).standard_normal((40, 2))
+        with pytest.raises(ValidationError, match="labels length"):
+            metric(Y, (["a", "b"] * length)[:length])
+
+    def test_peak_two_square_arrays(self):
+        # the shared distances and LISI's weights are the only n x n float64
+        # arrays; silhouette takes its square roots 128 rows at a time, and
+        # kBET's neighbour search holds three blocks of 128 rows
+        n = 1000
+        rng = np.random.default_rng(15)
+        Y = rng.standard_normal((n, 2))
+        labelings = {"batch": (np.arange(n) % 4).tolist(),
+                     "group": rng.integers(0, 3, n).tolist()}
+        tracemalloc.start()
+        try:
+            evaluate(Y, labelings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        square = n * n * 8
+        block_scratch = 3 * 128 * n * 8
+        assert peak <= 2 * square + block_scratch + 256 * 1024, peak
 
     def test_orientation_limits(self):
         rng = np.random.default_rng(13)

@@ -14,7 +14,6 @@ from bctsne import (
     CalibrationWarning,
     DomainError,
     OptimizerConfig,
-    Projector,
     OptimizerError,
     ValidationError,
     build_design,
@@ -513,8 +512,7 @@ class TestRunTsne:
         X[: n // 2] += 4.0
         projector = None
         if projected:
-            projector = Projector(build_design({"b": (np.arange(n) % 3).tolist()}))
-            X = projector.project(X)
+            projector = build_design({"b": (np.arange(n) % 3).tolist()})
         cfg = OptimizerConfig(n_iter=n_iter, perplexity=10, exaggeration_factor=factor,
                               dims=dims, seed=n)
         trace = []
@@ -538,6 +536,17 @@ class TestRunTsne:
         X = np.random.default_rng(27).standard_normal((20, 3))
         with pytest.raises(DomainError, match="seed"):
             run_tsne(X, OptimizerConfig(n_iter=5, perplexity=5, seed=-1))
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_trace_every_below_one_rejected(self, monkeypatch, every):
+        def affinities(*args, **kwargs):
+            raise AssertionError("work started before trace_every was checked")
+
+        monkeypatch.setattr("bctsne.tsne.input_affinities", affinities)
+        X = np.random.default_rng(27).standard_normal((20, 3))
+        with pytest.raises(DomainError, match="trace_every"):
+            run_tsne(X, OptimizerConfig(n_iter=5, perplexity=5),
+                     on_trace=lambda rec: None, trace_every=every)
 
     @pytest.mark.parametrize("k", [0, 3, 251])
     def test_non_finite_gradient_raises_with_iteration(self, monkeypatch, k):

@@ -10,27 +10,9 @@ from .errors import (
     OptimizerError,
     ValidationError,
 )
-from .linalg import SvdResult, pairwise_sqdist, truncated_svd
-from .metrics import (
-    MetricsConfig,
-    MetricsReport,
-    evaluate,
-    kbet_acceptance,
-    lisi,
-    pc_regression,
-    silhouette,
-)
-from .reduce import ReducedData, pca_reduce, residualized_reduce
-from .simulate import SimOutput, SimSpec, normalize_log1p_cpm, simulate
-from .tsne import (
-    AffinityTable,
-    EmbeddingState,
-    OptimizerConfig,
-    TraceRecord,
-    calibrate_bandwidths,
-    input_affinities,
-    kl_gradient,
-    run_tsne,
-)
+from .metrics import MetricsConfig, evaluate
+from .reduce import pca_reduce
+from .simulate import SimSpec, normalize_log1p_cpm, simulate
+from .tsne import OptimizerConfig, run_tsne
 
 __version__ = "0.1.0"

@@ -1,15 +1,15 @@
-"""Dense linear-algebra kernel: truncated SVD and pairwise distances.
+"""Dense linear-algebra kernel: input checks and pairwise distances.
 
 All routines operate on dense float64 arrays and are pure functions of their
 inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 
 def ensure_matrix(A, name="matrix"):
@@ -22,33 +22,12 @@ def ensure_matrix(A, name="matrix"):
     return A
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Rank-k factorization A ~ U @ diag(S) @ V.T with orthonormal U, V."""
-
-    U: np.ndarray  # n x k
-    S: np.ndarray  # k, nonincreasing, >= 0
-    V: np.ndarray  # p x k
-
-
-def _fix_signs(U, V):
-    # resolve the sign ambiguity: largest-|entry| coordinate of each left
-    # singular vector is made positive, keeping output stable across backends;
-    # the vectors have unit norm, so that coordinate is never 0
-    idx = np.argmax(np.abs(U), axis=0)
-    signs = np.sign(U[idx, np.arange(U.shape[1])])
-    return U * signs, V * signs
-
-
-def truncated_svd(A, k):
-    """Best rank-k factorization of A: LAPACK's thin SVD, truncated to k."""
-    A = ensure_matrix(A, "A")
-    n, p = A.shape
-    if not 1 <= k <= min(n, p):
-        raise DomainError(f"k={k} outside valid range [1, {min(n, p)}]")
-    U, S, Vt = np.linalg.svd(A, full_matrices=False)
-    U, V = _fix_signs(U[:, :k], Vt[:k].T)
-    return SvdResult(U=U, S=S[:k].copy(), V=V)
+def ensure_index(value, name, error):
+    """value as an int; a non-integer (even 3.0) raises error naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer; got {value!r}") from None
 
 
 def pairwise_sqdist(A):

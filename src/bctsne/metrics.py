@@ -14,7 +14,7 @@ from scipy import stats
 
 from .design import Projector, level_order
 from .errors import DomainError, ValidationError
-from .linalg import ensure_matrix, pairwise_sqdist
+from .linalg import ensure_index, ensure_matrix, pairwise_sqdist
 from .tsne import calibrate_bandwidths, conditional_rows
 
 # silhouette and kBET work through 128 rows of the distances at a time, so
@@ -93,13 +93,13 @@ def kbet_acceptance(
         knn = max(10, int(0.05 * n))
     if n_test is None:
         n_test = min(500, n)
-    if knn >= n:
+    if ensure_index(knn, "knn", ValidationError) >= n:
         raise ValidationError(f"knn={knn} must be smaller than n={n}")
-    if n_test < 1:
+    if ensure_index(n_test, "n_test", ValidationError) < 1:
         raise ValidationError(f"n_test={n_test} must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} must lie in (0, 1)")
-    if seed < 0:
+    if ensure_index(seed, "seed", ValidationError) < 0:
         raise ValidationError(f"seed={seed} must be >= 0")
     props = np.bincount(codes, minlength=len(levels)) / n
     expected = props * knn
@@ -117,7 +117,8 @@ def kbet_acceptance(
         block = test_idx[i : i + _BLOCK_ROWS]
         rows = D[block]
         rows[np.arange(len(block)), block] = np.inf
-        neigh = np.argpartition(rows, knn, axis=1)[:, :knn]
+        # a copy, so the whole len(block) x n index array is freed here
+        neigh = np.argpartition(rows, knn, axis=1)[:, :knn].copy()
         observed[i : i + len(block)] = np.sum(
             codes[neigh][:, :, None] == np.arange(len(levels)), axis=1
         )

@@ -1,6 +1,5 @@
-"""Dimensionality reduction front end: plain PCA scores and the
-batch-residualized variant that removes linear association with a design
-matrix before any embedding is attempted.
+"""Dimensionality reduction front end: exact PCA scores, and the variant
+with the batch design's Projector applied to them.
 """
 from __future__ import annotations
 
@@ -9,8 +8,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .design import Projector
-from .errors import ValidationError
-from .linalg import ensure_matrix, truncated_svd
+from .errors import DomainError, ValidationError
+from .linalg import ensure_index, ensure_matrix
 
 
 @dataclass(frozen=True)
@@ -22,38 +21,38 @@ class ReducedData:
 
 
 def pca_reduce(X, k):
-    """Exact truncated PCA scores of the column-centered X."""
+    """Exact truncated PCA scores U_k S_k of the column-centered X."""
     X = ensure_matrix(X, "X")
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 rows")
     Xc = X - X.mean(axis=0)
     if not np.any(Xc):
         raise ValidationError("matrix is constant: no variance left after centering")
+    k = ensure_index(k, "k", DomainError)
+    if not 1 <= k <= min(X.shape):
+        raise DomainError(f"k={k} outside valid range [1, {min(X.shape)}]")
     total = float(np.sum(Xc * Xc))
-    res = truncated_svd(Xc, k)
-    return ReducedData(scores=res.U * res.S, explained_variance=res.S**2 / total)
+    U, S, _ = np.linalg.svd(Xc, full_matrices=False)
+    U, S = U[:, :k], S[:k]
+    # each column's largest-|entry| coordinate (never 0 in a unit vector) is
+    # made positive, so the signs are stable across LAPACK backends
+    U = U * np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(k)])
+    return ReducedData(scores=U * S, explained_variance=S**2 / total)
 
 
-def residualized_reduce(X, Z, k, *, seed=None):
-    """PCA scores of X with linear association to the design Z projected out.
+def residualized_reduce(X, projector, k, *, seed=None):
+    """PCA scores of X with the linear association to the batch design
+    projected out by its Projector, as build_design returns it.
 
-    Z is the batch design: build_design's Projector, used as is, or a raw
-    n x b array, projected off span([1 | Z]) so that group mean differences
-    are removed rather than forcing the scores through the origin.  An
-    intercept column in a raw Z is absorbed by the Projector's rank-revealing
-    SVD.  run_tsne applies the same projection to its input when it is given
-    the Projector; this function gives the corrected scores for other uses.
+    run_tsne applies the same projection to its input when it is given the
+    Projector; this function gives the corrected scores for other uses.
     explained_variance is that of the PCA directions before the projection.
     seed is ignored: PCA takes none.  It is accepted only because the
     benchmark's workloads still pass one, and goes when they stop.
     """
-    X = ensure_matrix(X, "X")
-    if not isinstance(Z, Projector):
-        Z = ensure_matrix(Z, "Z")
-        Z = Projector(np.column_stack([np.ones(Z.shape[0]), Z]))
-    if Z.Z.shape[0] != X.shape[0]:
+    if not isinstance(projector, Projector):
         raise ValidationError(
-            f"row mismatch: X has {X.shape[0]} rows, Z has {Z.Z.shape[0]}"
+            f"projector must be build_design's Projector; got {type(projector).__name__}"
         )
     reduced = pca_reduce(X, k)
-    return replace(reduced, scores=Z.project(reduced.scores))
+    return replace(reduced, scores=projector.project(reduced.scores))

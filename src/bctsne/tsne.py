@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationWarning, DomainError, OptimizerError, ValidationError
-from .linalg import ensure_matrix, pairwise_sqdist
+from .linalg import ensure_index, ensure_matrix, pairwise_sqdist
 
 PROB_FLOOR = 1e-12
 # the Gaussian rows (bandwidth search, input affinities, LISI weights) are
@@ -57,7 +57,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def validate(self, n):
-        if self.n_iter < 1:
+        if ensure_index(self.n_iter, "n_iter", DomainError) < 1:
             raise DomainError("n_iter must be >= 1")
         if not 2.0 <= self.perplexity <= n - 1:
             raise DomainError(
@@ -66,9 +66,9 @@ class OptimizerConfig:
         for name in ("eta", "exaggeration_factor"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise DomainError(f"{name} must be positive and finite")
-        if self.dims not in (2, 3):
+        if ensure_index(self.dims, "dims", DomainError) not in (2, 3):
             raise DomainError("dims must be 2 or 3")
-        if self.seed < 0:
+        if ensure_index(self.seed, "seed", DomainError) < 0:
             raise DomainError(f"seed must be >= 0; got {self.seed}")
 
 
@@ -207,7 +207,7 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
     return sigma2
 
 
-def input_affinities(X, perplexity, tol=1e-5, max_iter=200):
+def input_affinities(X, perplexity):
     """Symmetrized input probabilities p_ij = (p_i|j + p_j|i) / 2n.
 
     Entries below the smallest normal float64 are set to 0: they carry less
@@ -219,7 +219,7 @@ def input_affinities(X, perplexity, tol=1e-5, max_iter=200):
     if n < 4:
         raise ValidationError("need at least 4 points")
     D = pairwise_sqdist(X)
-    sigma2 = calibrate_bandwidths(D, perplexity, tol=tol, max_iter=max_iter)
+    sigma2 = calibrate_bandwidths(D, perplexity)
     cond = conditional_rows(D, sigma2)
     del D  # at most two n x n arrays are alive at any time
     P = cond + cond.T

@@ -10,8 +10,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from bctsne import input_affinities, kl_gradient
-from bctsne.tsne import PROB_FLOOR
+from bctsne.tsne import PROB_FLOOR, input_affinities, kl_gradient
 
 
 def literal_input_affinities(X, sigma2):

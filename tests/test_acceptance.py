@@ -24,19 +24,15 @@ from bctsne import (
     Projector,
     SimSpec,
     build_design,
-    input_affinities,
-    kbet_acceptance,
-    kl_gradient,
-    lisi,
     normalize_log1p_cpm,
-    pc_regression,
     pca_reduce,
-    residualized_reduce,
     run_tsne,
-    silhouette,
     simulate,
 )
 from bctsne.cli import main
+from bctsne.metrics import kbet_acceptance, lisi, pc_regression, silhouette
+from bctsne.reduce import residualized_reduce
+from bctsne.tsne import input_affinities, kl_gradient
 
 
 # Criterion 5: once early exaggeration ends at iteration 250, KL settles.
@@ -92,9 +88,8 @@ def simulation_runs():
             trace_every=10,
         )
 
-        design = build_design({"batch": out.batch_labels.tolist()})
-        projector = Projector(design)
-        scores_c = residualized_reduce(X, design, 30).scores
+        projector = build_design({"batch": out.batch_labels.tolist()})
+        scores_c = residualized_reduce(X, projector, 30).scores
         trace_c = []
         state_c = run_tsne(
             scores_c, cfg, projector=projector,
@@ -157,7 +152,7 @@ def test_criterion_2_projection_exactness(simulation_runs):
     run_tsne(
         X,
         OptimizerConfig(n_iter=400, perplexity=20, seed=0),
-        projector=Projector(design),
+        projector=design,
         on_trace=trace.append,
         trace_every=1,
     )

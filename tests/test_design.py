@@ -10,10 +10,10 @@ from bctsne import (
     Projector,
     ValidationError,
     build_design,
-    input_affinities,
     run_tsne,
-    silhouette,
 )
+from bctsne.metrics import silhouette
+from bctsne.tsne import input_affinities
 
 
 class TestBuildDesign:
@@ -102,7 +102,7 @@ class TestBuildDesignProperties:
                        for values in labels.values() for lev in sorted(set(values))]
             Y = np.random.default_rng(seed).standard_normal((n, 2))
             full = Projector(np.column_stack([np.ones(n), *one_hot])).project(Y)
-            assert np.abs(Projector(design).project(Y) - full).max() <= 1e-10 * (1 + np.abs(Y).max())
+            assert np.abs(design.project(Y) - full).max() <= 1e-10 * (1 + np.abs(Y).max())
 
 
 class TestProjector:
@@ -213,17 +213,16 @@ class TestProjectedStep:
         X = np.random.default_rng(9).standard_normal((10, 3))
         design = build_design({"b": [f"c{i}" for i in range(10)]})
         with pytest.raises(DomainError, match="rank 10"):
-            run_tsne(X, OptimizerConfig(n_iter=5, perplexity=3), projector=Projector(design))
+            run_tsne(X, OptimizerConfig(n_iter=5, perplexity=3), projector=design)
         # 8 levels leave 2 free dimensions; a 2-D embedding needs dims + 1 = 3
         design = build_design({"b": [f"c{i // 2}" if i < 4 else f"c{i}" for i in range(10)]})
         with pytest.raises(DomainError):
-            run_tsne(X, OptimizerConfig(n_iter=5, perplexity=3), projector=Projector(design))
+            run_tsne(X, OptimizerConfig(n_iter=5, perplexity=3), projector=design)
 
     def test_orthogonality_every_iteration(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((40, 6))
-        design = build_design({"b": (np.arange(40) % 2).tolist()})
-        P = Projector(design)
+        P = build_design({"b": (np.arange(40) % 2).tolist()})
         trace = []
         run_tsne(
             X,

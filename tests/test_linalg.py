@@ -3,7 +3,19 @@ import pytest
 
 from oracles import reference_pairwise_sqdist
 
-from bctsne import DomainError, ValidationError, pairwise_sqdist, truncated_svd
+from bctsne import (
+    DomainError,
+    MetricsConfig,
+    OptimizerConfig,
+    SimSpec,
+    ValidationError,
+    evaluate,
+    pca_reduce,
+    run_tsne,
+    simulate,
+)
+from bctsne.linalg import pairwise_sqdist
+from bctsne.metrics import kbet_acceptance
 
 
 def jacobi_svd(A, sweeps=60, tol=1e-14):
@@ -39,46 +51,53 @@ def jacobi_svd(A, sweeps=60, tol=1e-14):
 
 
 class TestTruncatedSvd:
+    """The truncated SVD of the centred input inside pca_reduce: its scores
+    are U_k S_k, so their column norms are the singular values S."""
+
     def test_identity(self):
-        res = truncated_svd(np.eye(3), 3)
-        assert np.allclose(res.S, [1, 1, 1])
-        UVt = res.U @ res.V.T
-        assert np.allclose(UVt @ UVt.T, np.eye(3), atol=1e-12)
+        # the centred 3 x 3 identity has singular values 1, 1, 0
+        red = pca_reduce(np.eye(3), 2)
+        assert np.allclose(red.scores.T @ red.scores, np.eye(2), atol=1e-12)
 
     def test_rank_one(self):
         a = np.array([1.0, -2.0, 3.0])
         b = np.array([2.0, 5.0])
-        res = truncated_svd(np.outer(a, b), 1)
-        assert res.S.shape == (1,)
-        assert res.S[0] == pytest.approx(np.linalg.norm(a) * np.linalg.norm(b))
+        red = pca_reduce(np.outer(a, b), 1)
+        assert red.scores.shape == (3, 1)
+        S = np.linalg.norm(red.scores[:, 0])
+        assert S == pytest.approx(np.linalg.norm(a - a.mean()) * np.linalg.norm(b))
 
     def test_full_rank_reconstruction_vs_jacobi_oracle(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((50, 20))
-        res = truncated_svd(A, 20)
-        assert np.linalg.norm(A - (res.U * res.S) @ res.V.T) < 1e-8
-        _, S_oracle, _ = jacobi_svd(A)
-        assert np.allclose(res.S, S_oracle, atol=1e-9)
+        Ac = A - A.mean(axis=0)
+        red = pca_reduce(A, 20)
+        # at full rank the scores span the centred input's column space
+        fit = red.scores @ np.linalg.lstsq(red.scores, Ac, rcond=None)[0]
+        assert np.linalg.norm(Ac - fit) < 1e-8
+        _, S_oracle, _ = jacobi_svd(Ac)
+        assert np.allclose(np.linalg.norm(red.scores, axis=0), S_oracle, atol=1e-9)
 
     def test_orthonormality_and_ordering(self):
         rng = np.random.default_rng(3)
-        res = truncated_svd(rng.standard_normal((30, 12)), 5)
-        assert np.allclose(res.U.T @ res.U, np.eye(5), atol=1e-8)
-        assert np.allclose(res.V.T @ res.V, np.eye(5), atol=1e-8)
-        assert np.all(np.diff(res.S) <= 1e-12)
-        assert np.all(res.S >= 0)
+        red = pca_reduce(rng.standard_normal((30, 12)), 5)
+        S = np.linalg.norm(red.scores, axis=0)
+        U = red.scores / S
+        assert np.allclose(U.T @ U, np.eye(5), atol=1e-8)
+        assert np.all(np.diff(S) <= 1e-12)
+        assert np.all(S >= 0)
 
     def test_k_out_of_range(self):
         with pytest.raises(DomainError):
-            truncated_svd(np.eye(3), 4)
+            pca_reduce(np.eye(3), 4)
         with pytest.raises(DomainError):
-            truncated_svd(np.eye(3), 0)
+            pca_reduce(np.eye(3), 0)
 
     def test_non_finite_rejected(self):
         A = np.eye(3)
         A[1, 1] = np.nan
         with pytest.raises(ValidationError):
-            truncated_svd(A, 2)
+            pca_reduce(A, 2)
 
 
 class TestPairwiseSqdist:
@@ -128,3 +147,38 @@ class TestPairwiseSqdist:
         D = pairwise_sqdist(A)
         assert np.array_equal(D, D.T)
         assert np.allclose(D, reference_pairwise_sqdist(A), rtol=1e-12, atol=1e-12)
+
+
+X = np.random.default_rng(10).standard_normal((30, 4))
+BATCH = (np.arange(30) % 2).tolist()
+
+
+class TestIntegerSettings:
+    """Counts and seeds take integers, numpy's included; any other value, even
+    a whole float, raises the error class of the setting's own range check
+    rather than numpy's TypeError."""
+
+    @pytest.mark.parametrize("error, call", [
+        (DomainError, lambda: pca_reduce(X, 3.0)),
+        (DomainError, lambda: run_tsne(X, OptimizerConfig(n_iter=5.5, perplexity=5))),
+        (DomainError, lambda: run_tsne(X, OptimizerConfig(dims=2.0, perplexity=5))),
+        (DomainError, lambda: run_tsne(X, OptimizerConfig(seed=1.5, perplexity=5))),
+        (ValidationError, lambda: simulate(SimSpec(n_cells=8, n_genes=10.0))),
+        (ValidationError, lambda: simulate(SimSpec(n_cells=8, seed=1.5))),
+        (ValidationError, lambda: kbet_acceptance(X, BATCH, knn=5.5)),
+        (ValidationError, lambda: kbet_acceptance(X, BATCH, n_test=5.5)),
+        (ValidationError, lambda: kbet_acceptance(X, BATCH, seed=1.5)),
+        (ValidationError, lambda: evaluate(X, {"batch": BATCH}, MetricsConfig(knn=5.0))),
+    ], ids=["pca_reduce-k", "n_iter", "dims", "optimizer-seed", "n_genes",
+            "simulate-seed", "knn", "n_test", "kbet-seed", "MetricsConfig-knn"])
+    def test_non_integer_rejected_by_name(self, error, call):
+        with pytest.raises(error, match="must be an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        assert pca_reduce(X, i(3)).scores.shape == (30, 3)
+        cfg = OptimizerConfig(n_iter=i(2), perplexity=5, dims=i(2), seed=i(1))
+        assert run_tsne(X, cfg).Y.shape == (30, 2)
+        assert simulate(SimSpec(n_cells=i(8), n_genes=i(10), seed=i(1))).counts.shape == (8, 10)
+        assert 0 <= kbet_acceptance(X, BATCH, knn=i(5), n_test=i(10), seed=i(1)) <= 1

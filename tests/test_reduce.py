@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from bctsne import (
-    DomainError,
-    ValidationError,
-    build_design,
-    pca_reduce,
-    residualized_reduce,
-)
+from bctsne import DomainError, Projector, ValidationError, build_design, pca_reduce
+from bctsne.reduce import residualized_reduce
 
 
 def principal_angles(A, B):
@@ -82,8 +77,7 @@ class TestResidualizedReduce:
     def test_single_batch_level_equals_pca(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((30, 10))
-        Z = np.zeros((30, 0))  # no batch columns at all
-        adj = residualized_reduce(X, Z, 3)
+        adj = residualized_reduce(X, Projector(np.ones((30, 1))), 3)
         plain = pca_reduce(X, 3)
         # residualizing on the intercept only re-centers already centered scores
         assert np.allclose(adj.scores, plain.scores, atol=1e-10)
@@ -104,7 +98,7 @@ class TestResidualizedReduce:
         B = rng.standard_normal((2, p))
         B -= (B @ Ve) @ Ve.T
         X = 5.0 * (Z @ B) + E
-        red = residualized_reduce(X, Z, 5)
+        red = residualized_reduce(X, Projector(Z1), 5)
         Zc = Z - Z.mean(axis=0)
         norms = np.linalg.norm(red.scores, axis=0)
         for j in range(red.scores.shape[1]):
@@ -128,9 +122,9 @@ class TestResidualizedReduce:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((20, 10))
         Z = (rng.integers(0, 2, 20))[:, None].astype(float)
-        k = 10
-        red = residualized_reduce(X, Z, k)
         Z1 = np.column_stack([np.ones(20), Z])
+        k = 10
+        red = residualized_reduce(X, Projector(Z1), k)
         Xc = X - X.mean(axis=0)
         T = Xc - Z1 @ np.linalg.lstsq(Z1, Xc, rcond=None)[0]
         keep = np.linalg.matrix_rank(T)
@@ -149,10 +143,16 @@ class TestResidualizedReduce:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((30, 12))
         Z = (rng.integers(0, 2, 30))[:, None].astype(float)
-        adj = residualized_reduce(X, Z, 5)
+        adj = residualized_reduce(X, Projector(np.column_stack([np.ones(30), Z])), 5)
         plain = pca_reduce(X, 5)
         assert np.linalg.norm(adj.scores) <= np.linalg.norm(plain.scores) + 1e-12
 
     def test_row_mismatch(self):
         with pytest.raises(ValidationError):
-            residualized_reduce(np.eye(6), np.ones((5, 1)), 2)
+            residualized_reduce(np.eye(6), Projector(np.ones((5, 1))), 2)
+
+    def test_raw_array_rejected(self):
+        X = np.random.default_rng(6).standard_normal((20, 5))
+        Z = (np.arange(20) % 2)[:, None].astype(float)
+        with pytest.raises(ValidationError, match="build_design"):
+            residualized_reduce(X, Z, 3)

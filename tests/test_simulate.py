@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from bctsne import (
+    OptimizerConfig,
     SimSpec,
     ValidationError,
-    kbet_acceptance,
-    lisi,
     normalize_log1p_cpm,
-    pc_regression,
     pca_reduce,
     run_tsne,
     simulate,
-    OptimizerConfig,
 )
+from bctsne.metrics import kbet_acceptance, lisi, pc_regression
 
 
 class TestSimulate:

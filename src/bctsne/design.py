@@ -9,9 +9,18 @@ from .errors import CollinearityError, ValidationError
 from .linalg import ensure_matrix
 
 
-def level_order(values):
-    """Distinct values of a categorical column, in the package's one order."""
-    return sorted(set(np.asarray(values).tolist()), key=str)
+def encode_labels(labels, n):
+    """(levels, codes) of a column of n categorical values: its distinct values
+    sorted by str, the one order that the design, metrics and plot share, and
+    each value's index into them."""
+    if len(labels) != n:
+        raise ValidationError(
+            f"labels length {len(labels)} does not match matrix rows {n}"
+        )
+    values = np.asarray(labels).tolist()
+    levels = sorted(set(values), key=str)
+    lookup = {lev: i for i, lev in enumerate(levels)}
+    return levels, np.array([lookup[x] for x in values], dtype=np.intp)
 
 
 def build_design(labels):
@@ -26,19 +35,16 @@ def build_design(labels):
     """
     if not labels:
         raise ValidationError("need at least one categorical column")
-    lengths = {len(v) for v in labels.values()}
-    if len(lengths) != 1:
-        raise ValidationError("label columns have differing lengths")
-    n = lengths.pop()
+    n = len(next(iter(labels.values())))
     if n < 2:
         raise ValidationError("need at least 2 rows")
 
     columns, names = [np.ones(n)], ["intercept"]
     for var, values in labels.items():
-        values = np.asarray(values)
-        for level in level_order(values)[1:]:
-            columns.append((values == level).astype(np.float64))
-            names.append(f"{var}[{level}]")
+        levels, codes = encode_labels(values, n)
+        for j in range(1, len(levels)):
+            columns.append((codes == j).astype(np.float64))
+            names.append(f"{var}[{levels[j]}]")
     Z = np.column_stack(columns)
 
     projector = Projector(Z)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .design import Projector, level_order
+from .design import Projector, encode_labels
 from .errors import DomainError, ValidationError
 from .linalg import ensure_index, ensure_matrix, pairwise_sqdist
 from .tsne import calibrate_bandwidths, conditional_rows
@@ -20,17 +20,6 @@ from .tsne import calibrate_bandwidths, conditional_rows
 # silhouette and kBET work through 128 rows of the distances at a time, so
 # their scratch memory stays small next to the n x n distances
 _BLOCK_ROWS = 128
-
-
-def _levels(labels, n):
-    if len(labels) != n:
-        raise ValidationError(
-            f"labels length {len(labels)} does not match matrix rows {n}"
-        )
-    levels = level_order(labels)
-    lookup = {lev: i for i, lev in enumerate(levels)}
-    codes = np.array([lookup[x] for x in np.asarray(labels).tolist()])
-    return levels, codes
 
 
 def _precomputed(given, n, compute):
@@ -55,7 +44,7 @@ def silhouette(Y, labels, *, sqdist=None):
     """
     Y = ensure_matrix(Y, "Y")
     n = len(Y)
-    levels, codes = _levels(labels, n)
+    levels, codes = encode_labels(labels, n)
     if len(levels) < 2:
         raise ValidationError("silhouette needs at least 2 label levels")
     counts = np.bincount(codes, minlength=len(levels))
@@ -86,7 +75,7 @@ def kbet_acceptance(
     """
     Y = ensure_matrix(Y, "Y")
     n = Y.shape[0]
-    levels, codes = _levels(batch, n)
+    levels, codes = encode_labels(batch, n)
     if len(levels) < 2:
         raise ValidationError("kBET needs at least 2 batch levels")
     if knn is None:
@@ -141,7 +130,7 @@ def lisi(Y, labels, perplexity=30.0, *, weights=None):
     perplexity is then ignored, since the weights already fix it.
     """
     Y = ensure_matrix(Y, "Y")
-    levels, codes = _levels(labels, len(Y))
+    levels, codes = encode_labels(labels, len(Y))
     W = _precomputed(
         weights, len(Y), lambda: lisi_weights(pairwise_sqdist(Y), perplexity)
     )
@@ -164,7 +153,7 @@ def pc_regression(M, labels):
     |fitted(M_c)|^2 / |M_c|^2, and no SVD is needed.
     """
     M = ensure_matrix(M, "M")
-    levels, codes = _levels(labels, M.shape[0])
+    levels, codes = encode_labels(labels, M.shape[0])
     if len(levels) < 2:
         raise ValidationError("pc_regression needs at least 2 label levels")
     Mc = M - M.mean(axis=0)
@@ -186,39 +175,23 @@ class MetricsConfig:
 
 
 @dataclass(frozen=True)
-class LabelingScores:
-    labeling: str
-    sil_raw: float
-    sil_rescaled: float
-    kbet_acceptance: float
-    lisi_mean: float
-    lisi_rescaled: float
-    pcreg_r2: float
-
-
-@dataclass(frozen=True)
 class MetricsReport:
-    scores: tuple  # LabelingScores per labeling
+    records: tuple  # (labeling, metric, raw, rescaled), four per labeling
 
     def rows(self):
         """CSV rows: labeling, metric, raw, rescaled."""
-        out = []
-        for s in self.scores:
-            out.append((s.labeling, "silhouette", s.sil_raw, s.sil_rescaled))
-            out.append((s.labeling, "kbet", s.kbet_acceptance, s.kbet_acceptance))
-            out.append((s.labeling, "lisi", s.lisi_mean, s.lisi_rescaled))
-            out.append((s.labeling, "pcreg", s.pcreg_r2, s.pcreg_r2))
-        return out
+        return list(self.records)
 
     def format_table(self):
+        """One line per labeling with its four rescaled values."""
+        rescaled = {}
+        for labeling, _metric, _raw, value in self.records:
+            rescaled.setdefault(labeling, []).append(value)
         lines = [
             f"{'labeling':<12} {'SIL':>8} {'kBET':>8} {'LISI':>8} {'PcReg':>8}"
         ]
-        for s in self.scores:
-            lines.append(
-                f"{s.labeling:<12} {s.sil_rescaled:>8.3f} {s.kbet_acceptance:>8.3f} "
-                f"{s.lisi_rescaled:>8.3f} {s.pcreg_r2:>8.3f}"
-            )
+        for labeling, values in rescaled.items():
+            lines.append(f"{labeling:<12} " + " ".join(f"{v:>8.3f}" for v in values))
         return "\n".join(lines)
 
 
@@ -231,7 +204,7 @@ def evaluate(Y, labelings, cfg=MetricsConfig()):
     Y = ensure_matrix(Y, "Y")
     sqdist = pairwise_sqdist(Y)
     weights = None
-    scores = []
+    records = []
     for name, labels in labelings.items():
         sil_raw, sil_resc = silhouette(Y, labels, sqdist=sqdist)
         kbet = kbet_acceptance(
@@ -243,15 +216,10 @@ def evaluate(Y, labelings, cfg=MetricsConfig()):
             weights = lisi_weights(sqdist, cfg.lisi_perplexity)
         lisi_mean, lisi_resc = lisi(Y, labels, cfg.lisi_perplexity, weights=weights)
         pcr = pc_regression(Y, labels)
-        scores.append(
-            LabelingScores(
-                labeling=name,
-                sil_raw=sil_raw,
-                sil_rescaled=sil_resc,
-                kbet_acceptance=kbet,
-                lisi_mean=lisi_mean,
-                lisi_rescaled=lisi_resc,
-                pcreg_r2=pcr,
-            )
-        )
-    return MetricsReport(scores=tuple(scores))
+        records += [
+            (name, "silhouette", sil_raw, sil_resc),
+            (name, "kbet", kbet, kbet),
+            (name, "lisi", lisi_mean, lisi_resc),
+            (name, "pcreg", pcr, pcr),
+        ]
+    return MetricsReport(records=tuple(records))

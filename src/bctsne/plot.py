@@ -11,8 +11,10 @@ from html import escape
 
 import numpy as np
 
-from .design import level_order
+from .design import encode_labels
 from .errors import ValidationError
+from .linalg import ensure_matrix
+from .matrixio import replacing
 
 CANVAS_W = 800
 CANVAS_H = 600
@@ -58,20 +60,24 @@ def _marker(shape, x, y, color):
     raise ValueError(shape)
 
 
-def _level_map(labels, options, kind):
-    levels = level_order(labels)
+def _option_codes(labels, n, options, kind):
+    """Each point's index into options, cycling, and the legend's levels;
+    without labels every point takes the first option and the legend none."""
+    if labels is None:
+        return np.zeros(n, dtype=np.intp), []
+    levels, codes = encode_labels(labels, n)
     if len(levels) > len(options):
         warnings.warn(
             f"{len(levels)} levels exceed the {len(options)} available "
             f"{kind}s; cycling"
         )
-    return levels, {lev: options[i % len(options)] for i, lev in enumerate(levels)}
+    return codes % len(options), levels
 
 
 def render_scatter(Y, color_labels=None, shape_labels=None, title=None):
     """Return the SVG document for a scatter of the first two embedding axes."""
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2 or Y.shape[1] < 2:
+    Y = ensure_matrix(Y, "Y")
+    if Y.shape[1] < 2:
         raise ValidationError("embedding must have at least 2 columns")
     n = Y.shape[0]
     xy = Y[:, :2]
@@ -82,12 +88,8 @@ def render_scatter(Y, color_labels=None, shape_labels=None, title=None):
     px = _MARGIN + scaled[:, 0] * (_PLOT_W - 2 * _MARGIN)
     py = CANVAS_H - _MARGIN - scaled[:, 1] * (CANVAS_H - 2 * _MARGIN)
 
-    color_levels, color_of = ([], {})
-    if color_labels is not None:
-        color_levels, color_of = _level_map(color_labels, PALETTE, "color")
-    shape_levels, shape_of = ([], {})
-    if shape_labels is not None:
-        shape_levels, shape_of = _level_map(shape_labels, SHAPES, "shape")
+    color_codes, color_levels = _option_codes(color_labels, n, PALETTE, "color")
+    shape_codes, shape_levels = _option_codes(shape_labels, n, SHAPES, "shape")
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_W}" '
@@ -99,23 +101,21 @@ def render_scatter(Y, color_labels=None, shape_labels=None, title=None):
             f'<text x="{_PLOT_W // 2}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>'
         )
-    for i in range(n):
-        color = color_of[color_labels[i]] if color_labels is not None else PALETTE[0]
-        shape = shape_of[shape_labels[i]] if shape_labels is not None else SHAPES[0]
-        parts.append(_marker(shape, px[i], py[i], color))
+    for x, y, shape, color in zip(px, py, shape_codes, color_codes):
+        parts.append(_marker(SHAPES[shape], x, y, PALETTE[color]))
 
     ly = 40
     lx = _PLOT_W + 10
-    for lev in color_levels:
-        parts.append(_marker("circle", lx + 6, ly - 4, color_of[lev]))
+    for j, lev in enumerate(color_levels):
+        parts.append(_marker("circle", lx + 6, ly - 4, PALETTE[j % len(PALETTE)]))
         parts.append(
             f'<text x="{lx + 18}" y="{ly}" font-family="sans-serif" '
             f'font-size="12">{escape(str(lev), quote=False)}</text>'
         )
         ly += 20
     ly += 10
-    for lev in shape_levels:
-        parts.append(_marker(shape_of[lev], lx + 6, ly - 4, "#333333"))
+    for j, lev in enumerate(shape_levels):
+        parts.append(_marker(SHAPES[j % len(SHAPES)], lx + 6, ly - 4, "#333333"))
         parts.append(
             f'<text x="{lx + 18}" y="{ly}" font-family="sans-serif" '
             f'font-size="12">{escape(str(lev), quote=False)}</text>'
@@ -127,5 +127,5 @@ def render_scatter(Y, color_labels=None, shape_labels=None, title=None):
 
 def write_scatter_svg(path, Y, color_labels=None, shape_labels=None, title=None):
     svg = render_scatter(Y, color_labels, shape_labels, title)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         fh.write(svg)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import ensure_index
+from .linalg import ensure_index, ensure_matrix
 
 _LIB_SIZE_LOCATION = np.log(20000.0)  # log-normal library size per cell
 _LIB_SIZE_SCALE = 0.2
@@ -87,9 +87,7 @@ def simulate(spec):
 
 def normalize_log1p_cpm(counts):
     """Counts per 10,000 per cell followed by log(1 + x)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim != 2:
-        raise ValidationError("counts must be 2-dimensional")
+    counts = ensure_matrix(counts, "counts")
     if np.any(counts < 0):
         raise ValidationError("counts must be nonnegative")
     totals = counts.sum(axis=1, keepdims=True)

@@ -12,8 +12,25 @@ from bctsne import (
     build_design,
     run_tsne,
 )
+from bctsne.design import encode_labels
 from bctsne.metrics import silhouette
 from bctsne.tsne import input_affinities
+
+
+class TestEncodeLabels:
+    def test_levels_sorted_by_str(self):
+        levels, codes = encode_labels([10, 9, 2, 10], 4)
+        assert levels == [10, 2, 9]
+        assert codes.tolist() == [0, 2, 1, 0]
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_length_mismatch_rejected(self, n):
+        with pytest.raises(ValidationError, match=f"labels length 4 does not match matrix rows {n}"):
+            encode_labels([10, 9, 2, 10], n)
+
+    def test_design_columns_differing_in_length_rejected(self):
+        with pytest.raises(ValidationError, match="labels length 3"):
+            build_design({"a": ["x", "y", "x", "y"], "b": ["u", "v", "u"]})
 
 
 class TestBuildDesign:

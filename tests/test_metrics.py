@@ -247,16 +247,28 @@ class TestEvaluate:
             "group": rng.integers(0, 4, 100).tolist(),
         }
         report = evaluate(Y, labelings, MetricsConfig(knn=12, seed=1))
-        assert [s.labeling for s in report.scores] == ["batch", "group"]
-        for s in report.scores:
-            assert 0.0 <= s.sil_rescaled <= 1.0
-            assert 0.0 <= s.kbet_acceptance <= 1.0
-            assert 0.0 <= s.lisi_rescaled <= 1.0
-            assert 0.0 <= s.pcreg_r2 <= 1.0
-            assert 1.0 <= s.lisi_mean
         rows = report.rows()
+        assert [r[0] for r in rows] == ["batch"] * 4 + ["group"] * 4
+        for labeling, metric, raw, rescaled in rows:
+            # kBET's and PcReg's rescaled values are their raw ones
+            assert 0.0 <= rescaled <= 1.0
+            if metric == "lisi":
+                assert 1.0 <= raw
         assert len(rows) == 8
         assert {r[1] for r in rows} == {"silhouette", "kbet", "lisi", "pcreg"}
+
+    def test_table_lists_each_labelings_rescaled_values(self):
+        rng = np.random.default_rng(12)
+        Y = rng.standard_normal((60, 2))
+        labelings = {"batch": (np.arange(60) % 2).tolist(),
+                     "group": (np.arange(60) % 3).tolist()}
+        report = evaluate(Y, labelings, MetricsConfig(knn=10))
+        lines = report.format_table().split("\n")
+        assert lines[0].split() == ["labeling", "SIL", "kBET", "LISI", "PcReg"]
+        rows = report.rows()
+        for line, start in zip(lines[1:], (0, 4), strict=True):
+            expected = [rows[start][0]] + [f"{r[3]:.3f}" for r in rows[start : start + 4]]
+            assert line.split() == expected
 
     @pytest.mark.parametrize("layout", ["tie_free", "tied"])
     def test_rows_equal_separate_metric_calls(self, layout):
@@ -312,7 +324,7 @@ class TestEvaluate:
         rep = evaluate(
             Y, {"confounded": confounded, "mixed": mixed}, MetricsConfig(knn=10)
         )
-        conf, mix = rep.scores
-        assert conf.sil_rescaled < mix.sil_rescaled
-        assert conf.lisi_rescaled < mix.lisi_rescaled
-        assert conf.kbet_acceptance < mix.kbet_acceptance
+        rescaled = {(name, metric): value for name, metric, _, value in rep.rows()}
+        assert rescaled["confounded", "silhouette"] < rescaled["mixed", "silhouette"]
+        assert rescaled["confounded", "lisi"] < rescaled["mixed", "lisi"]
+        assert rescaled["confounded", "kbet"] < rescaled["mixed", "kbet"]

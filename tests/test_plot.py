@@ -1,8 +1,11 @@
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
-from bctsne.plot import render_scatter
+from bctsne import plot
+from bctsne.errors import ValidationError
+from bctsne.plot import render_scatter, write_scatter_svg
 
 
 def test_hostile_text_gives_well_formed_svg():
@@ -13,3 +16,31 @@ def test_hostile_text_gives_well_formed_svg():
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert texts[0] == "<x> & y"
     assert sorted(texts[1:]) == sorted(set(colors) | set(shapes))
+
+
+def test_non_finite_points_rejected():
+    Y = np.random.default_rng(1).standard_normal((5, 2))
+    Y[2, 1] = np.nan
+    with pytest.raises(ValidationError, match="Y contains non-finite"):
+        render_scatter(Y)
+
+
+@pytest.mark.parametrize("keyword", ["color_labels", "shape_labels"])
+@pytest.mark.parametrize("length", [4, 6])
+def test_labels_length_checked(keyword, length):
+    Y = np.random.default_rng(2).standard_normal((5, 2))
+    labels = ["a", "b", "c", "d", "e", "f"][:length]
+    with pytest.raises(ValidationError, match=f"labels length {length} does not match"):
+        render_scatter(Y, **{keyword: labels})
+
+
+def test_failed_write_keeps_existing_file(tmp_path, monkeypatch):
+    path = tmp_path / "old.svg"
+    write_scatter_svg(path, np.random.default_rng(3).standard_normal((5, 2)))
+    before = path.read_bytes()
+    # a lone surrogate cannot be encoded, so the write fails partway
+    monkeypatch.setattr(plot, "render_scatter", lambda *args: "<svg>\ud800</svg>\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_scatter_svg(path, np.zeros((5, 2)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["old.svg"]

@@ -109,3 +109,9 @@ class TestNormalize:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
             normalize_log1p_cpm(np.array([[-1.0, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        counts = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ValidationError, match="counts contains non-finite"):
+            normalize_log1p_cpm(counts)

@@ -10,6 +10,7 @@ from pathlib import Path
 from . import matrixio, plot
 from .design import build_design
 from .errors import BctsneError, DomainError, ValidationError
+from .linalg import ensure_index
 from .metrics import MetricsConfig, evaluate
 from .reduce import pca_reduce
 from .simulate import SimSpec, normalize_log1p_cpm, simulate
@@ -246,9 +247,10 @@ def read_config(path):
     try:  # settings that clash fail here, before the pipeline writes anything
         _config(SimSpec, cfg).validate()
         _config(OptimizerConfig, cfg).validate(cfg.n_cells)
-        rank = min(cfg.n_cells, cfg.n_genes)
-        if not 1 <= cfg.k <= rank:
-            raise DomainError(f"k={cfg.k} outside [1, min(cells, genes)] = [1, {rank}]")
+        ensure_index(cfg.k, "k", DomainError, 1, min(cfg.n_cells, cfg.n_genes))
+        # evaluate scores both labelings, and silhouette needs two levels
+        ensure_index(cfg.n_batches, "n_batches", ValidationError, 2)
+        ensure_index(cfg.n_groups, "n_groups", ValidationError, 2)
     except (DomainError, ValidationError) as exc:
         parser.error(str(exc))
     return cfg

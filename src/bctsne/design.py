@@ -70,12 +70,10 @@ class Projector:
     def __init__(self, design):
         Z = ensure_matrix(getattr(design, "Z", design), "Z")
         self.Z = Z
-        if Z.shape[1] == 0:
-            self._basis = None
-        else:
-            U, S, _ = np.linalg.svd(Z, full_matrices=False)
-            self._basis = U[:, S > S[0] * 1e-12]
-        self.rank = 0 if self._basis is None else self._basis.shape[1]
+        # with no columns, U is n x 0 and S empty: the projection copies Y
+        U, S, _ = np.linalg.svd(Z, full_matrices=False)
+        self._basis = U[:, S > S.max(initial=0.0) * 1e-12]
+        self.rank = self._basis.shape[1]
 
     def project(self, Y):
         """Return Y minus its component in span(Z)."""
@@ -84,13 +82,11 @@ class Projector:
             raise ValidationError(
                 f"row mismatch: Y has {Y.shape[0]} rows, design has {self.Z.shape[0]}"
             )
-        if self._basis is None:
-            return Y.copy()
         return Y - self._basis @ (self._basis.T @ Y)
 
     def orthogonality(self, Y):
-        """max |Z^T Y|, the residual linear association with the design."""
-        if self._basis is None:
-            return 0.0
-        return float(np.abs(self.Z.T @ Y).max())
+        """max |Z^T Y|, the residual linear association with the design;
+        nan for a design with no columns."""
+        ZtY = np.abs(self.Z.T @ Y)
+        return float(ZtY.max()) if ZtY.size else np.nan
 

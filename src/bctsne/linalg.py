@@ -22,12 +22,17 @@ def ensure_matrix(A, name="matrix"):
     return A
 
 
-def ensure_index(value, name, error):
-    """value as an int; a non-integer (even 3.0) raises error naming it."""
+def ensure_index(value, name, error, low, high=None):
+    """value as an int in [low, high] (high None: no upper end); a non-integer
+    (even 3.0) or a value out of range raises error naming it."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer; got {value!r}") from None
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{name} must be {bounds}; got {value}")
+    return value
 
 
 def pairwise_sqdist(A):

@@ -82,14 +82,11 @@ def kbet_acceptance(
         knn = max(10, int(0.05 * n))
     if n_test is None:
         n_test = min(500, n)
-    if ensure_index(knn, "knn", ValidationError) >= n:
-        raise ValidationError(f"knn={knn} must be smaller than n={n}")
-    if ensure_index(n_test, "n_test", ValidationError) < 1:
-        raise ValidationError(f"n_test={n_test} must be >= 1")
+    ensure_index(knn, "knn", ValidationError, 1, n - 1)
+    ensure_index(n_test, "n_test", ValidationError, 1)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} must lie in (0, 1)")
-    if ensure_index(seed, "seed", ValidationError) < 0:
-        raise ValidationError(f"seed={seed} must be >= 0")
+    ensure_index(seed, "seed", ValidationError, 0)
     props = np.bincount(codes, minlength=len(levels)) / n
     expected = props * knn
     if np.all(expected < 1):

@@ -77,8 +77,8 @@ def _option_codes(labels, n, options, kind):
 def render_scatter(Y, color_labels=None, shape_labels=None, title=None):
     """Return the SVG document for a scatter of the first two embedding axes."""
     Y = ensure_matrix(Y, "Y")
-    if Y.shape[1] < 2:
-        raise ValidationError("embedding must have at least 2 columns")
+    if Y.shape[0] < 1 or Y.shape[1] < 2:
+        raise ValidationError(f"Y needs at least 1 row and 2 columns; got {Y.shape}")
     n = Y.shape[0]
     xy = Y[:, :2]
     lo = xy.min(axis=0)

@@ -28,9 +28,7 @@ def pca_reduce(X, k):
     Xc = X - X.mean(axis=0)
     if not np.any(Xc):
         raise ValidationError("matrix is constant: no variance left after centering")
-    k = ensure_index(k, "k", DomainError)
-    if not 1 <= k <= min(X.shape):
-        raise DomainError(f"k={k} outside valid range [1, {min(X.shape)}]")
+    k = ensure_index(k, "k", DomainError, 1, min(X.shape))
     total = float(np.sum(Xc * Xc))
     U, S, _ = np.linalg.svd(Xc, full_matrices=False)
     U, S = U[:, :k], S[:k]

@@ -30,15 +30,13 @@ class SimSpec:
 
     def validate(self):
         for name in ("n_cells", "n_genes", "n_batches", "n_groups"):
-            if ensure_index(getattr(self, name), name, ValidationError) < 1:
-                raise ValidationError(f"{name} must be >= 1")
+            ensure_index(getattr(self, name), name, ValidationError, 1)
         if not 0.0 <= self.de_prob <= 1.0:
             raise ValidationError("de_prob must lie in [0, 1]")
         for name in ("batch_effect_sd", "group_effect_sd"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValidationError(f"{name} must be finite and nonnegative")
-        if ensure_index(self.seed, "seed", ValidationError) < 0:
-            raise ValidationError(f"seed must be >= 0; got {self.seed}")
+        ensure_index(self.seed, "seed", ValidationError, 0)
 
 
 @dataclass(frozen=True)

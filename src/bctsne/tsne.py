@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import Projector
 from .errors import CalibrationWarning, DomainError, OptimizerError, ValidationError
 from .linalg import ensure_index, ensure_matrix, pairwise_sqdist
 
@@ -57,8 +58,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def validate(self, n):
-        if ensure_index(self.n_iter, "n_iter", DomainError) < 1:
-            raise DomainError("n_iter must be >= 1")
+        ensure_index(self.n_iter, "n_iter", DomainError, 1)
         if not 2.0 <= self.perplexity <= n - 1:
             raise DomainError(
                 f"perplexity must lie in [2, n - 1]; got {self.perplexity} with n={n}"
@@ -66,10 +66,8 @@ class OptimizerConfig:
         for name in ("eta", "exaggeration_factor"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise DomainError(f"{name} must be positive and finite")
-        if ensure_index(self.dims, "dims", DomainError) not in (2, 3):
-            raise DomainError("dims must be 2 or 3")
-        if ensure_index(self.seed, "seed", DomainError) < 0:
-            raise DomainError(f"seed must be >= 0; got {self.seed}")
+        ensure_index(self.dims, "dims", DomainError, 2, 3)
+        ensure_index(self.seed, "seed", DomainError, 0)
 
 
 @dataclass
@@ -332,29 +330,28 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
     """Full optimization loop over the configured number of iterations.
 
     The embedding starts as Normal(0, 1e-4) with cfg.seed and follows the
-    schedule that OptimizerConfig describes.  A projector (when given)
-    projects X off its design before the affinities are calibrated, and
-    every iterate after its step.  Trace records are emitted through
+    schedule that OptimizerConfig describes.  The projector (for plain t-SNE,
+    the empty design's, an exact copy) projects X before the affinities are
+    calibrated, and every iterate.  Trace records are emitted through
     on_trace every trace_every iterations and at the last.
     """
     X = ensure_matrix(X, "X")
     n = X.shape[0]
     cfg.validate(n)
-    if trace_every < 1:
-        raise DomainError(f"trace_every must be >= 1; got {trace_every}")
-    if projector is not None:
-        if n - projector.rank < cfg.dims + 1:
-            raise DomainError(
-                f"design of rank {projector.rank} leaves {n - projector.rank} of {n} "
-                f"dimensions free; a {cfg.dims}-D embedding needs {cfg.dims + 1}"
-            )
-        X = projector.project(X)
+    ensure_index(trace_every, "trace_every", DomainError, 1)
+    if projector is None:
+        projector = Projector(np.empty((n, 0)))
+    # projecting checks the design's row count before its rank is read
+    X = projector.project(X)
+    if n - projector.rank < cfg.dims + 1:
+        raise DomainError(
+            f"design of rank {projector.rank} leaves {n - projector.rank} of {n} "
+            f"dimensions free; a {cfg.dims}-D embedding needs {cfg.dims + 1}"
+        )
     P = input_affinities(X, cfg.perplexity).P
 
     rng = np.random.default_rng(cfg.seed)
-    Y = 1e-4 * rng.standard_normal((n, cfg.dims))
-    if projector is not None:
-        Y = projector.project(Y)
+    Y = projector.project(1e-4 * rng.standard_normal((n, cfg.dims)))
     Y_prev, gains = Y.copy(), np.ones_like(Y)
 
     for t in range(cfg.n_iter):
@@ -368,11 +365,8 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
         alpha = _MOMENTUM_EARLY if early else _MOMENTUM_LATE
         Y, Y_prev = Y - cfg.eta * gains * grad + alpha * velocity, Y
         # no explicit re-centering: the gradient rows sum to zero, so the
-        # embedding mean stays at its initial value (and an identity
-        # projector run matches an unprojected run exactly)
-        if projector is not None:
-            Y = projector.project(Y)
+        # embedding mean stays at its initial value
+        Y = projector.project(Y)
         if on_trace is not None and (t % trace_every == 0 or t == cfg.n_iter - 1):
-            orth = projector.orthogonality(Y) if projector is not None else np.nan
-            on_trace(TraceRecord(t, _embedding_kl(P, Y), orth))
+            on_trace(TraceRecord(t, _embedding_kl(P, Y), projector.orthogonality(Y)))
     return EmbeddingState(Y=Y, gains=gains)

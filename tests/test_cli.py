@@ -205,7 +205,7 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("line", ["cells=abc", "dims=4", "bogus=1", "cell=100",
                                       "k=900", "exaggeration=0", "perplexity=800",
                                       "de_prob=1.5", "batch_effect_sd=nan", "eta=inf",
-                                      "seed=-1"])
+                                      "seed=-1", "batches=1", "groups=1"])
     def test_bad_line_fails_before_any_output(self, tmp_path, capsys, line):
         outdir = tmp_path / "out"
         cfg = tmp_path / "cfg.txt"

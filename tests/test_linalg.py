@@ -14,7 +14,7 @@ from bctsne import (
     run_tsne,
     simulate,
 )
-from bctsne.linalg import pairwise_sqdist
+from bctsne.linalg import ensure_index, pairwise_sqdist
 from bctsne.metrics import kbet_acceptance
 
 
@@ -169,8 +169,11 @@ class TestIntegerSettings:
         (ValidationError, lambda: kbet_acceptance(X, BATCH, n_test=5.5)),
         (ValidationError, lambda: kbet_acceptance(X, BATCH, seed=1.5)),
         (ValidationError, lambda: evaluate(X, {"batch": BATCH}, MetricsConfig(knn=5.0))),
+        (DomainError, lambda: run_tsne(X, OptimizerConfig(n_iter=12, perplexity=5),
+                                       on_trace=lambda rec: None, trace_every=2.5)),
     ], ids=["pca_reduce-k", "n_iter", "dims", "optimizer-seed", "n_genes",
-            "simulate-seed", "knn", "n_test", "kbet-seed", "MetricsConfig-knn"])
+            "simulate-seed", "knn", "n_test", "kbet-seed", "MetricsConfig-knn",
+            "trace_every"])
     def test_non_integer_rejected_by_name(self, error, call):
         with pytest.raises(error, match="must be an integer"):
             call()
@@ -182,3 +185,17 @@ class TestIntegerSettings:
         assert run_tsne(X, cfg).Y.shape == (30, 2)
         assert simulate(SimSpec(n_cells=i(8), n_genes=i(10), seed=i(1))).counts.shape == (8, 10)
         assert 0 <= kbet_acceptance(X, BATCH, knn=i(5), n_test=i(10), seed=i(1)) <= 1
+
+    @pytest.mark.parametrize("value, low, high, message", [
+        (0, 1, None, "k must be >= 1; got 0"),
+        (-1, 0, None, "k must be >= 0; got -1"),
+        (1, 2, 3, r"k must be in \[2, 3\]; got 1"),
+        (4, 2, 3, r"k must be in \[2, 3\]; got 4"),
+    ])
+    def test_out_of_range_named_with_its_bounds(self, value, low, high, message):
+        with pytest.raises(DomainError, match=message):
+            ensure_index(value, "k", DomainError, low, high)
+
+    @pytest.mark.parametrize("value, low, high", [(1, 1, None), (2, 2, 3), (3, 2, 3)])
+    def test_ends_of_the_range_accepted(self, value, low, high):
+        assert ensure_index(np.int64(value), "k", DomainError, low, high) == value

@@ -25,6 +25,11 @@ def test_non_finite_points_rejected():
         render_scatter(Y)
 
 
+def test_empty_embedding_rejected():
+    with pytest.raises(ValidationError, match="Y needs at least 1 row"):
+        render_scatter(np.zeros((0, 2)))
+
+
 @pytest.mark.parametrize("keyword", ["color_labels", "shape_labels"])
 @pytest.mark.parametrize("length", [4, 6])
 def test_labels_length_checked(keyword, length):

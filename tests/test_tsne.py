@@ -15,6 +15,7 @@ from bctsne import (
     DomainError,
     OptimizerConfig,
     OptimizerError,
+    Projector,
     ValidationError,
     build_design,
     run_tsne,
@@ -540,6 +541,14 @@ class TestRunTsne:
         X = np.random.default_rng(27).standard_normal((20, 3))
         with pytest.raises(DomainError, match="seed"):
             run_tsne(X, OptimizerConfig(n_iter=5, perplexity=5, seed=-1))
+
+    def test_design_row_count_checked_before_rank(self):
+        # a 50-row design of rank 49 on 10 points is a row mismatch, not a
+        # design that leaves -39 dimensions free
+        X = np.random.default_rng(27).standard_normal((10, 3))
+        projector = Projector(np.eye(50)[:, :49])
+        with pytest.raises(ValidationError, match="row mismatch"):
+            run_tsne(X, OptimizerConfig(n_iter=5, perplexity=3), projector=projector)
 
     @pytest.mark.parametrize("every", [0, -1])
     def test_trace_every_below_one_rejected(self, monkeypatch, every):

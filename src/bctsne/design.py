@@ -75,18 +75,22 @@ class Projector:
         self._basis = U[:, S > S.max(initial=0.0) * 1e-12]
         self.rank = self._basis.shape[1]
 
-    def project(self, Y):
-        """Return Y minus its component in span(Z)."""
+    def _rows(self, Y):
         Y = ensure_matrix(Y, "Y")
         if Y.shape[0] != self.Z.shape[0]:
             raise ValidationError(
                 f"row mismatch: Y has {Y.shape[0]} rows, design has {self.Z.shape[0]}"
             )
+        return Y
+
+    def project(self, Y):
+        """Return Y minus its component in span(Z)."""
+        Y = self._rows(Y)
         return Y - self._basis @ (self._basis.T @ Y)
 
     def orthogonality(self, Y):
         """max |Z^T Y|, the residual linear association with the design;
         nan for a design with no columns."""
-        ZtY = np.abs(self.Z.T @ Y)
+        ZtY = np.abs(self.Z.T @ self._rows(Y))
         return float(ZtY.max()) if ZtY.size else np.nan
 

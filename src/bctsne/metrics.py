@@ -71,7 +71,8 @@ def kbet_acceptance(
     """Fraction of sampled points whose knn-neighborhood batch composition is
     consistent (chi-squared) with the global batch proportions.
 
-    sqdist, when given, is pairwise_sqdist(Y).
+    knn defaults to max(10, 5% of n), capped at n - 1.  sqdist, when given,
+    is pairwise_sqdist(Y).
     """
     Y = ensure_matrix(Y, "Y")
     n = Y.shape[0]
@@ -79,7 +80,7 @@ def kbet_acceptance(
     if len(levels) < 2:
         raise ValidationError("kBET needs at least 2 batch levels")
     if knn is None:
-        knn = max(10, int(0.05 * n))
+        knn = min(max(10, int(0.05 * n)), n - 1)
     if n_test is None:
         n_test = min(500, n)
     ensure_index(knn, "knn", ValidationError, 1, n - 1)

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .design import Projector
 from .errors import DomainError, ValidationError
@@ -21,7 +22,13 @@ class ReducedData:
 
 
 def pca_reduce(X, k):
-    """Exact truncated PCA scores U_k S_k of the column-centered X."""
+    """Exact truncated PCA scores U_k S_k of the column-centered X.
+
+    The top k eigenvectors of the Gram matrix on the smaller side of Xc
+    (Xc Xc^T when n <= p, Xc^T Xc otherwise) span the leading singular
+    subspace; a Rayleigh-Ritz step, the thin SVD of Xc restricted to that
+    span (k x p or n x k), gives S without squaring the condition number.
+    """
     X = ensure_matrix(X, "X")
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 rows")
@@ -30,8 +37,17 @@ def pca_reduce(X, k):
         raise ValidationError("matrix is constant: no variance left after centering")
     k = ensure_index(k, "k", DomainError, 1, min(X.shape))
     total = float(np.sum(Xc * Xc))
-    U, S, _ = np.linalg.svd(Xc, full_matrices=False)
-    U, S = U[:, :k], S[:k]
+    n, p = Xc.shape
+    # A @ A.T is one syrk call, so the Gram matrix is exactly symmetric
+    gram = Xc @ Xc.T if n <= p else Xc.T @ Xc
+    m = gram.shape[0]
+    _, W = eigh(gram, subset_by_index=[m - k, m - 1])
+    del gram
+    if n <= p:
+        R, S, _ = np.linalg.svd(W.T @ Xc, full_matrices=False)
+        U = W @ R
+    else:
+        U, S, _ = np.linalg.svd(Xc @ W, full_matrices=False)
     # each column's largest-|entry| coordinate (never 0 in a unit vector) is
     # made positive, so the signs are stable across LAPACK backends
     U = U * np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(k)])

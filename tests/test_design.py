@@ -175,6 +175,10 @@ class TestProjector:
         with pytest.raises(ValidationError):
             Projector(np.ones((5, 1))).project(np.ones((6, 2)))
 
+    def test_orthogonality_row_mismatch(self):
+        with pytest.raises(ValidationError, match="row mismatch"):
+            Projector(np.ones((5, 1))).orthogonality(np.ones((6, 2)))
+
 
 @st.composite
 def design_and_blocks(draw):

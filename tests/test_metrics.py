@@ -103,6 +103,19 @@ class TestKbet:
         with pytest.raises(ValidationError, match="knn"):
             kbet_acceptance(Y, batch, knn=10)
 
+    @pytest.mark.parametrize("n, knn", [(8, 7), (10, 9), (11, 10), (250, 12)])
+    def test_default_knn_capped_at_n_minus_one(self, n, knn):
+        rng = np.random.default_rng(n)
+        Y = rng.standard_normal((n, 2))
+        batch = (np.arange(n) % 2).tolist()
+        assert kbet_acceptance(Y, batch) == kbet_loop(Y, batch, knn, n, seed=0)
+
+    @pytest.mark.parametrize("knn", [0, 8])
+    def test_explicit_knn_outside_range_rejected(self, knn):
+        Y = np.random.default_rng(8).standard_normal((8, 2))
+        with pytest.raises(ValidationError, match=r"knn must be in \[1, 7\]"):
+            kbet_acceptance(Y, (np.arange(8) % 2).tolist(), knn=knn)
+
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(5)
         Y = rng.standard_normal((120, 2))

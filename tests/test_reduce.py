@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bctsne import DomainError, Projector, ValidationError, build_design, pca_reduce
 from bctsne.reduce import residualized_reduce
@@ -18,6 +19,33 @@ def geometric_spectrum(n=600, rank=30):
     Qa, _ = np.linalg.qr(rng.standard_normal((n, rank)))
     Qb, _ = np.linalg.qr(rng.standard_normal((n, rank)))
     return (Qa * 2.0 ** -np.arange(rank)) @ Qb.T
+
+
+def largest_angle_sine(A, B):
+    """sin of the largest principal angle between span(A) and span(B), exact
+    near 0 where arccos of the cosines loses half the digits."""
+    Qa, _ = np.linalg.qr(A)
+    Qb, _ = np.linalg.qr(B)
+    return np.linalg.norm(Qa - Qb @ (Qb.T @ Qa), 2)
+
+
+@st.composite
+def pca_inputs(draw):
+    """(X, k): X wide (n < p), tall (n > p) or of rank below k, built from a
+    drawn seed as a sum of rank-one terms with weights across three decades,
+    plus a constant that centering removes."""
+    kind = draw(st.sampled_from(["wide", "tall", "rank-deficient"]))
+    small = draw(st.integers(2, 40))
+    large = draw(st.integers(small + 1, 120))
+    n, p = (small, large) if kind != "tall" else (large, small)
+    if kind == "rank-deficient" and draw(st.booleans()):
+        n, p = p, n
+    k = draw(st.integers(2 if kind == "rank-deficient" else 1, min(n, p)))
+    rank = draw(st.integers(1, k - 1)) if kind == "rank-deficient" else min(n, p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = 10.0 ** rng.uniform(-3, 0, rank)
+    X = (rng.standard_normal((n, rank)) * weights) @ rng.standard_normal((rank, p))
+    return X + rng.uniform(-5, 5), k
 
 
 class TestPcaReduce:
@@ -63,6 +91,30 @@ class TestPcaReduce:
         assert np.max(np.abs(red.explained_variance - ev) / ev) < 1e-10
         oracle = np.abs(U[:, :k] * S[:k])
         assert np.max(np.abs(np.abs(red.scores) - oracle)) < 1e-10 * oracle.max()
+
+    @settings(max_examples=150, deadline=None)
+    @given(pca_inputs())
+    def test_matches_full_svd(self, case):
+        X, k = case
+        Xc = X - X.mean(axis=0)
+        U, S, _ = np.linalg.svd(Xc, full_matrices=False)
+        total = np.sum(Xc * Xc)
+        red = pca_reduce(X, k)
+        # relative where the variance lies above 1e-12 of the total, and
+        # within 1e-22 of it below, where the input's rank has run out
+        ev = S[:k] ** 2 / total
+        assert np.all(np.abs(red.explained_variance - ev) <= 1e-10 * np.maximum(ev, 1e-12))
+        # the leading i score directions are well posed only where the
+        # spectrum has a gap after them; in a flat tail any solver (or BLAS
+        # thread count) turns them inside the flat block.  Both solvers'
+        # perturbation bounds scale as eps * s_1^2 / (s_i^2 - s_{i+1}^2).
+        S1 = np.append(S, 0.0)
+        for i in range(1, k + 1):
+            if S[i - 1] ** 2 < 1e-12 * total:
+                break
+            if S1[i - 1] >= 1.01 * S1[i]:
+                bound = 1e-12 * S[0] ** 2 / (S1[i - 1] ** 2 - S1[i] ** 2)
+                assert largest_angle_sine(red.scores[:, :i], U[:, :i]) <= bound
 
     def test_constant_matrix_rejected(self):
         with pytest.raises(ValidationError):

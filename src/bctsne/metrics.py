@@ -211,6 +211,11 @@ def evaluate(Y, labelings, cfg=MetricsConfig()):
         )
         # computed after the first labeling's checks, so errors keep their order
         if weights is None:
+            if not 2.0 <= cfg.lisi_perplexity <= len(Y) - 1:
+                raise DomainError(
+                    f"lisi_perplexity must lie in [2, n - 1]; got "
+                    f"{cfg.lisi_perplexity} with n={len(Y)}"
+                )
             weights = lisi_weights(sqdist, cfg.lisi_perplexity)
         lisi_mean, lisi_resc = lisi(Y, labels, cfg.lisi_perplexity, weights=weights)
         pcr = pc_regression(Y, labels)

@@ -21,6 +21,18 @@ PROB_FLOOR = 1e-12
 # formed 128 at a time, so their scratch memory does not grow with the
 # number of rows
 _BLOCK_ROWS = 128
+# calibrate_bandwidths certifies a window per row: its edges lie _MARGIN of
+# its half width beyond where the perplexity leaves target -+ tol, and the
+# perplexities evaluated there must lie at least _MARGIN / 2 of tol beyond
+# target -+ tol.  An evaluated perplexity is taken to be off by at most
+# _ROUNDING * perplexity * (1 + beta d_min), beta d_min being the size of the
+# row's largest logit, and a row where that could reach the margin is not
+# certified.  The Newton solve that places the windows takes at most
+# _NEWTON_STEPS steps, each of at most _NEWTON_REACH in log(sigma^2).
+_MARGIN = 1e-3
+_ROUNDING = 64 * np.finfo(np.float64).eps
+_NEWTON_STEPS = 50
+_NEWTON_REACH = 4.0
 # the exact kernel works through tiles of at most 64 rows x 512 columns, so
 # its scratch memory does not grow with the number of rows; each BLAS product
 # in a tile is then at most 64 x 512 x 4 multiply-adds, below the size at
@@ -95,7 +107,7 @@ def _warn_caller(message, category):
 
 def _offdiag(D, rows):
     """D[rows] without each row's own entry: a new len(rows) x (n - 1) array,
-    from which the bandwidth search takes its start values."""
+    from which the bandwidth search takes its start values and windows."""
     return D[rows][np.arange(len(D)) != rows[:, None]].reshape(len(rows), -1)
 
 
@@ -143,6 +155,85 @@ def _row_perplexities(D, rows, sigma2):
     return perp
 
 
+def _locate(d, perplexity, tol):
+    """Log-bandwidths (low, high) per row of d, a block's distances without
+    each row's own entry, between which the row reaches its target
+    perplexity; nan for a row left unsolved.
+
+    Newton's method on the log-perplexity H(x) = beta E_p[d] + log Z in
+    x = log sigma^2, with beta = 1 / 2 sigma^2, the distances shifted by the
+    row's minimum and the slope dH/dx = beta^2 Var_p(d), bracketed by the
+    steps it has taken, from the ceil(perplexity)-th nearest distance.  At
+    the root x*, perplexity moves by about perplexity * dH/dx per unit of x,
+    so it stays within tol of the target on x* -+ w with
+    w = tol / (perplexity * dH/dx); the edges are x* -+ (1 + _MARGIN) w.
+    A row whose ceil(perplexity) nearest distances tie has no root and is
+    left unsolved, as is one whose solve does not converge.  So is a row
+    whose root needs so narrow a bandwidth that rounding its logits
+    -d / 2 sigma^2, each by a few ulps of beta * d, could move its evaluated
+    perplexity by the certification margin: there the evaluated perplexity
+    need not rise with the bandwidth, as when the nearest distances differ
+    by rounding error alone.
+    """
+    edges = np.full((2, len(d)), np.nan)
+    nearest = d.min(axis=1)
+    d = d - nearest[:, None]
+    k = int(np.ceil(perplexity))
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+    rows = np.flatnonzero(kth > 0)
+    if len(rows) < len(d):
+        d = d[rows]
+    x = np.log(kth[rows])
+    lo, hi = np.full(len(rows), -np.inf), np.full(len(rows), np.inf)
+    target = np.log(perplexity)
+    e = np.empty_like(d)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            beta = 0.5 * np.exp(-x)
+            np.multiply(d, -beta[:, None], out=e)
+            np.exp(e, out=e)
+            z = e.sum(axis=1)
+            e *= d
+            m1 = e.sum(axis=1) / z
+            m2 = np.einsum("ij,ij->i", e, d) / z
+            f = beta * m1 + np.log(z) - target
+            slope = beta * beta * (m2 - m1 * m1)
+            # converged within a tenth of the margin, in units of H
+            done = (np.abs(f) <= 0.1 * _MARGIN * tol / perplexity) & (slope > 0)
+            step = x - f / slope
+            if done.any():
+                root, solved = step[done], rows[done]
+                w = (1.0 + _MARGIN) * tol / (perplexity * slope[done])
+                beta_low = 0.5 * np.exp(w - root)
+                rounding = _ROUNDING * perplexity * (1.0 + beta_low * nearest[solved])
+                fine = rounding <= 0.5 * _MARGIN * tol
+                edges[:, solved[fine]] = (root - w)[fine], (root + w)[fine]
+            # a non-finite sum or a flat row drops out, unsolved
+            keep = ~done & np.isfinite(f) & (slope > 0)
+            if not keep.all():
+                rows, x, lo, hi, f, step = (a[keep] for a in (rows, x, lo, hi, f, step))
+                d, e = d[keep], e[: len(rows)]
+            if not len(rows):
+                break
+            wide = f > 0
+            hi = np.where(wide, x, hi)
+            lo = np.where(wide, lo, x)
+            # a Newton step outside the bracket, or more than _NEWTON_REACH
+            # from x, is replaced by a bisection step or a capped one
+            inside = (step > lo) & (step < hi) & (np.abs(step - x) <= _NEWTON_REACH)
+            bracketed = np.isfinite(lo) & np.isfinite(hi)
+            x = np.where(
+                inside,
+                step,
+                np.where(
+                    bracketed,
+                    (lo + hi) / 2.0,
+                    np.where(wide, x - _NEWTON_REACH, x + _NEWTON_REACH),
+                ),
+            )
+    return edges
+
+
 def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
     """Per-point bandwidth sigma^2 matching the target perplexity.
 
@@ -151,6 +242,16 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
     tol of the target, and the search ends after max_iter steps.  Rows still
     off target then issue a CalibrationWarning; their sigma^2 is returned as
     the search left it.
+
+    Most steps of the search are decided before they are taken.  _locate
+    finds, per row, log-bandwidths low < high between which the target is
+    reached; when the row's perplexity at low is below target - tol and at
+    high above target + tol, each by a margin, the row is certified, and a
+    step of its search below low counts as too narrow and one above high as
+    too wide without forming its Gaussian row.  Every other step is formed
+    and evaluated, so sigma^2 is that of the plain search to the last bit as
+    long as the evaluated perplexity rises with the bandwidth, which it does
+    to far within the certification margin.
     """
     D = ensure_matrix(D, "D")
     n = D.shape[0]
@@ -159,6 +260,7 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
     if not 2.0 <= perplexity <= n - 1:
         raise DomainError(f"perplexity must lie in [2, n - 1]; got {perplexity}")
     start = np.empty(n)
+    edges = np.empty((2, n))
     for i in range(0, n, _BLOCK_ROWS):
         block = np.arange(i, min(i + _BLOCK_ROWS, n))
         d = _offdiag(D, block)
@@ -172,12 +274,27 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
         start[block] = d.mean(axis=1)
         for j in np.flatnonzero(~positive.all(axis=1)):
             start[block[j]] = d[j][positive[j]].mean()
+        edges[:, block] = _locate(d, perplexity, tol)
+    located = np.flatnonzero(np.isfinite(edges).all(axis=0))
+    low = _row_perplexities(D, located, np.exp(edges[0, located]))
+    high = _row_perplexities(D, located, np.exp(edges[1, located]))
+    certified = np.zeros(n, dtype=bool)
+    certified[located] = (low <= perplexity - (1.0 + _MARGIN / 2) * tol) & (
+        high >= perplexity + (1.0 + _MARGIN / 2) * tol
+    )
+    # an uncertified row has every step evaluated
+    edges[:, ~certified] = [[-np.inf], [np.inf]]
     x = np.log(start)
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
     active = np.arange(n)
     for _ in range(max_iter):
-        perp = _row_perplexities(D, active, np.exp(x[active]))
+        xa = x[active]
+        # -inf and inf stand for the perplexities of steps known to be too
+        # narrow and too wide
+        perp = np.where(xa < edges[0, active], -np.inf, np.inf)
+        unknown = (edges[0, active] <= xa) & (xa <= edges[1, active])
+        perp[unknown] = _row_perplexities(D, active[unknown], np.exp(xa[unknown]))
         searching = ~(np.abs(perp - perplexity) < tol)
         active, perp = active[searching], perp[searching]
         if not active.size:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bctsne.cli import main, read_config
-from bctsne.matrixio import read_embedding_csv, read_matrix_csv
+from bctsne.matrixio import read_embedding_csv, read_matrix_csv, write_embedding_csv
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,20 @@ class TestEvaluateAndPlot:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert name in err
+        assert not report.exists()
+
+    def test_lisi_perplexity_above_rows_fails_cleanly(self, dataset, embedding,
+                                                      tmp_path, capsys):
+        # 20 rows cannot reach the default LISI perplexity, 30
+        _, labels = dataset
+        Y, ids = read_embedding_csv(embedding)
+        small, report = tmp_path / "small.csv", tmp_path / "report.csv"
+        write_embedding_csv(Y[:20], ids[:20], small)
+        rc = main(["evaluate", str(small), str(labels), "--out", str(report)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "lisi_perplexity" in err and "n=20" in err
         assert not report.exists()
 
     def test_plot_legend_and_determinism(self, dataset, embedding, tmp_path):

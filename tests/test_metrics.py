@@ -306,6 +306,26 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="labels length"):
             metric(Y, (["a", "b"] * length)[:length])
 
+    def test_lisi_perplexity_out_of_range_named(self):
+        # the default lisi_perplexity, 30, needs at least 31 points
+        rng = np.random.default_rng(16)
+        Y = rng.standard_normal((8, 2))
+        labelings = {"batch": ["a", "b"] * 4, "group": ["c"] * 4 + ["d"] * 4}
+        with pytest.raises(DomainError, match=r"^lisi_perplexity must lie in "
+                           r"\[2, n - 1\]; got 30.0 with n=8$"):
+            evaluate(Y, labelings)
+        evaluate(Y, labelings, MetricsConfig(lisi_perplexity=7.0))
+
+    def test_errors_keep_their_order_across_labelings(self):
+        # the first labeling's silhouette and kBET checks come before LISI's
+        # perplexity, which comes before the second labeling's checks
+        Y = np.random.default_rng(17).standard_normal((8, 2))
+        good, one_level = ["a", "b"] * 4, ["a"] * 8
+        with pytest.raises(ValidationError, match="at least 2 label levels"):
+            evaluate(Y, {"first": one_level, "second": good})
+        with pytest.raises(DomainError, match="lisi_perplexity"):
+            evaluate(Y, {"first": good, "second": one_level})
+
     def test_peak_two_square_arrays(self):
         # the shared distances and LISI's weights are the only n x n float64
         # arrays; silhouette takes its square roots 128 rows at a time, and

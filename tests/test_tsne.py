@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bctsne
 from bctsne import (
@@ -65,6 +66,49 @@ def calibration_inputs():
 
 
 CALIBRATION_INPUTS = calibration_inputs()
+
+
+@st.composite
+def calibration_cases(draw):
+    """(D, perplexity, max_iter): random, clustered-with-outliers and
+    quarter-duplicate points, the duplicates exact or apart by rounding
+    error alone, their coordinates scaled by 1e-3 to 1e3."""
+    kind = draw(st.sampled_from(
+        ["random", "clustered_outliers", "quarter_duplicates", "rounding_duplicates"]
+    ))
+    n = draw(st.integers(8, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, draw(st.integers(1, 5))))
+    if kind == "clustered_outliers":
+        X[: n // 2] += 8.0
+        X[-max(1, n // 20) :] *= 60.0
+    elif kind.endswith("duplicates"):
+        q = n // 4
+        X[n - q :] = X[rng.integers(0, n - q, q)]
+        if kind == "rounding_duplicates":
+            X[n - q :] *= 1.0 + 1e-15 * rng.standard_normal((q, 1))
+    D = pairwise_sqdist(10.0 ** draw(st.floats(-3.0, 3.0)) * X)
+    perplexity = draw(st.floats(2.0, n - 1.0))
+    return D, perplexity, draw(st.sampled_from([0, 1, 2, 5, 200]))
+
+
+def planted_layout(n=400):
+    """Four 2-D Gaussian clusters, 12 apart with spread 1.5."""
+    rng = np.random.default_rng(36)
+    centers = 12.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    return centers[np.arange(n) % 4] + rng.normal(0.0, 1.5, size=(n, 2))
+
+
+def count_evaluated_rows(monkeypatch):
+    """A one-element list that counts the rows _row_perplexities forms."""
+    count, evaluate = [0], bctsne.tsne._row_perplexities
+
+    def counted(D, rows, sigma2):
+        count[0] += len(rows)
+        return evaluate(D, rows, sigma2)
+
+    monkeypatch.setattr(bctsne.tsne, "_row_perplexities", counted)
+    return count
 
 
 def entropy_bisect_oracle(d, perplexity, lo=1e-12, hi=1e12, steps=200):
@@ -138,6 +182,72 @@ class TestCalibrateBandwidths:
                 sigma2 = calibrate_bandwidths(D, perplexity, max_iter=max_iter)
             oracle = calibrate_bandwidths_loop(D, perplexity, max_iter=max_iter)
             assert np.array_equal(sigma2, oracle), (name, max_iter)
+
+    @settings(max_examples=100, deadline=None)
+    @given(calibration_cases())
+    def test_matches_row_loop_oracle_property(self, case):
+        D, perplexity, max_iter = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CalibrationWarning)
+            sigma2 = calibrate_bandwidths(D, perplexity, max_iter=max_iter)
+        oracle = calibrate_bandwidths_loop(D, perplexity, max_iter=max_iter)
+        assert sigma2.tobytes() == oracle.tobytes()
+
+    def test_rounding_duplicates_left_to_the_plain_search(self):
+        # each of 10 points has a copy off by rounding error: at the bandwidth
+        # that separates the two, the evaluated perplexity jumps up and down
+        # with the bandwidth, so no step of such a row may be skipped
+        rng = np.random.default_rng(4)
+        X = 30.0 * rng.standard_normal((40, 3))
+        X[30:] = X[rng.integers(0, 30, 10)] * (1.0 + 1e-15 * rng.standard_normal((10, 1)))
+        D = pairwise_sqdist(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CalibrationWarning)
+            sigma2 = calibrate_bandwidths(D, 2.0)
+        assert sigma2.tobytes() == calibrate_bandwidths_loop(D, 2.0).tobytes()
+
+    def test_certified_rows_skip_most_steps(self, monkeypatch):
+        # two certification rows and the landing step per row, give or take;
+        # the plain search forms about 28 rows per row
+        n = 400
+        D = pairwise_sqdist(planted_layout(n))
+        count = count_evaluated_rows(monkeypatch)
+        sigma2 = calibrate_bandwidths(D, 30.0)
+        assert count[0] <= 4 * n, count[0]
+        assert np.array_equal(sigma2, calibrate_bandwidths_loop(D, 30.0))
+
+    @pytest.mark.parametrize("shift", [None, 0.5, -0.5])
+    def test_without_certified_rows_every_step_is_evaluated(self, monkeypatch, shift):
+        # no row located (None), or every window moved off its root, which
+        # the certification must catch: each step is then formed as in the
+        # plain search, and the result is the oracle's
+        locate = bctsne.tsne._locate
+
+        def misplaced(d, perplexity, tol):
+            edges = locate(d, perplexity, tol)
+            return np.full_like(edges, np.nan) if shift is None else edges + shift
+
+        monkeypatch.setattr(bctsne.tsne, "_locate", misplaced)
+        n = 400
+        D = pairwise_sqdist(planted_layout(n))
+        count = count_evaluated_rows(monkeypatch)
+        sigma2 = calibrate_bandwidths(D, 30.0)
+        assert np.array_equal(sigma2, calibrate_bandwidths_loop(D, 30.0))
+        steps = count[0] - (0 if shift is None else 2 * n)  # less the certification
+        assert steps >= 20 * n, count[0]
+
+    def test_peak_a_few_blocks_above_the_distances(self):
+        # the start values, the Newton solve and the Gaussian rows each work
+        # on 128 rows at a time: at most 6 blocks of 128 x n float64 besides D
+        n = 1000
+        D = pairwise_sqdist(np.random.default_rng(35).standard_normal((n, 30)))
+        tracemalloc.start()
+        try:
+            calibrate_bandwidths(D, 30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 128 * n * 8 + 256 * 1024, peak
 
     def test_zero_distance_rows_start_from_positive_mean(self):
         D = CALIBRATION_INPUTS["duplicates"]

@@ -384,63 +384,49 @@ def _tiles(Y):
             yield I, J, k, tile
 
 
-def _as_pair(P, Y):
-    """P and Y as float64 arrays, with P n x n for the n rows of Y."""
-    P = np.asarray(P, dtype=np.float64)
-    Y = ensure_matrix(Y, "Y")
-    n = Y.shape[0]
-    if P.shape != (n, n):
-        raise ValidationError(f"P must be {n} x {n} to match Y; got {P.shape}")
-    return P, Y
-
-
-def _embedding_kl(P, Y):
-    """KL(P || Q) for the Student-t affinities Q of the embedding Y, summed
-    tile by tile as sum p (log p - log w) + log Z sum p, so no n x n array is
-    built.  p is floored at PROB_FLOOR inside the log; q is not, since w > 0
-    for every finite Y.  P must be symmetric."""
-    P, Y = _as_pair(P, Y)
-    Z = plogpw = 0.0
-    for I, J, k, (term, _, w) in _tiles(Y):
-        p = P[I, J]
-        Z += w.sum() + w[:, k:].sum()
-        if k:
-            np.fill_diagonal(w, 1.0)  # log 1 = 0 where p_ii = 0
-        np.maximum(p, PROB_FLOOR, out=term)
-        np.log(term, out=term)
-        term -= np.log(w, out=w)
-        term *= p
-        plogpw += term.sum() + term[:, k:].sum()
-    return max(float(plogpw + P.sum() * np.log(Z)), 0.0)
-
-
-def kl_gradient(P, Y, exaggeration=1.0):
+def kl_gradient(P, Y, exaggeration=1.0, *, kl=False):
     """t-SNE gradient 4 sum_j (exaggeration * p_ij - q_ij) w_ij (y_i - y_j),
-    which at exaggeration 1 is the gradient of KL(P || Q) in Y.
+    which at exaggeration 1 is the gradient of KL(P || Q) in Y; with kl, the
+    pair (gradient, KL).
 
     One pass over the tiles of `_tiles` sums it as 4 (exaggeration A - R / Z),
     with A_i = sum_j p_ij w_ij (y_i - y_j), R_i = sum_j w_ij^2 (y_i - y_j) and
     Z = sum_{i != j} w_ij (van der Maaten 2014, JMLR 15), so no n x n array is
     built.  P must be symmetric: the pass reads it only in the tiles at and
-    above the diagonal, and uses each p_ij for both row i and row j.
+    above the diagonal, and uses each p_ij for both row i and row j.  The
+    same tiles give KL = sum p (log max(p, PROB_FLOOR) - log w) + log Z sum p.
     """
-    P, Y = _as_pair(P, Y)
+    P, Y = np.asarray(P, dtype=np.float64), ensure_matrix(Y, "Y")
     n, dims = Y.shape
+    if P.shape != (n, n):
+        raise ValidationError(f"P must be {n} x {n} to match Y; got {P.shape}")
     Y1 = np.ones((n, dims + 1))
     Y1[:, :dims] = Y
     # [P o w], [w o w] and w times [Y | 1], row by row: the last column holds
     # the row sums, and the w rows' last column sums to Z
     acc = np.zeros((3, n, dims + 1))
+    Z = plogpw = 0.0
     for I, J, k, tile in _tiles(Y):
-        np.multiply(P[I, J], tile[2], out=tile[0])
-        np.multiply(tile[2], tile[2], out=tile[1])
+        p, (term, ww, w) = P[I, J], tile
+        np.multiply(p, w, out=term)  # P o w, and then the KL's terms
+        np.multiply(w, w, out=ww)
         acc[:, I] += tile @ Y1[J]
         # the pairs seen once also count for their column's row
         if J.start + k < J.stop:
             acc[:, J.start + k : J.stop] += tile[:, :, k:].transpose(0, 2, 1) @ Y1[I]
+        if kl:
+            Z += w.sum() + w[:, k:].sum()
+            if k:
+                np.fill_diagonal(w, 1.0)  # log 1 = 0 where p_ii = 0
+            np.maximum(p, PROB_FLOOR, out=term)
+            np.log(term, out=term)
+            term -= np.log(w, out=w)
+            term *= p
+            plogpw += term.sum() + term[:, k:].sum()
     attract, repulse, weights = acc
     coef = (4.0 * exaggeration) * attract - repulse / (weights[:, -1].sum() / 4.0)
-    return coef[:, -1:] * Y - coef[:, :-1]
+    grad = coef[:, -1:] * Y - coef[:, :-1]
+    return (grad, max(float(plogpw + P.sum() * np.log(Z)), 0.0)) if kl else grad
 
 
 def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
@@ -450,7 +436,8 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
     schedule that OptimizerConfig describes.  The projector (for plain t-SNE,
     the empty design's, an exact copy) projects X before the affinities are
     calibrated, and every iterate.  Trace records are emitted through
-    on_trace every trace_every iterations and at the last.
+    on_trace every trace_every iterations and at the last, each with the KL
+    of its post-step iterate; tracing adds one pass, after the last iteration.
     """
     X = ensure_matrix(X, "X")
     n = X.shape[0]
@@ -473,7 +460,13 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
 
     for t in range(cfg.n_iter):
         early = t < _EARLY_ITERS
-        grad = kl_gradient(P, Y, cfg.exaggeration_factor if early else 1.0)
+        factor = cfg.exaggeration_factor if early else 1.0
+        # this pass runs at iteration t - 1's post-step iterate
+        if on_trace is not None and t and (t - 1) % trace_every == 0:
+            grad, kl = kl_gradient(P, Y, factor, kl=True)
+            on_trace(TraceRecord(t - 1, kl, projector.orthogonality(Y)))
+        else:
+            grad = kl_gradient(P, Y, factor)
         if not np.isfinite(grad).all():
             raise OptimizerError("non-finite gradient", iteration=t)
         velocity = Y - Y_prev
@@ -484,6 +477,7 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
         # no explicit re-centering: the gradient rows sum to zero, so the
         # embedding mean stays at its initial value
         Y = projector.project(Y)
-        if on_trace is not None and (t % trace_every == 0 or t == cfg.n_iter - 1):
-            on_trace(TraceRecord(t, _embedding_kl(P, Y), projector.orthogonality(Y)))
+    if on_trace is not None:  # one more pass, for the last iterate's KL
+        _, kl = kl_gradient(P, Y, kl=True)
+        on_trace(TraceRecord(cfg.n_iter - 1, kl, projector.orthogonality(Y)))
     return EmbeddingState(Y=Y, gains=gains)

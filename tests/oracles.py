@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from bctsne.tsne import PROB_FLOOR, input_affinities, kl_gradient
+from bctsne.tsne import PROB_FLOOR, _tiles, input_affinities, kl_gradient
 
 
 def literal_input_affinities(X, sigma2):
@@ -231,6 +231,25 @@ def kl_loss(P, Q):
     logq = np.maximum(Q, PROB_FLOOR)
     logratio -= np.log(logq, out=logq)
     return max(float(np.vdot(P, logratio)), 0.0)
+
+
+def reference_tiled_kl(P, Y):
+    """KL(P || Q) summed tile by tile as sum p (log p - log w) + log Z sum p,
+    in a walk over the tiles of its own: the package's trace step before its
+    KL came from the gradient's pass, which must match it bit for bit."""
+    P = np.asarray(P, dtype=np.float64)
+    Z = plogpw = 0.0
+    for I, J, k, (term, _, w) in _tiles(Y):
+        p = P[I, J]
+        Z += w.sum() + w[:, k:].sum()
+        if k:
+            np.fill_diagonal(w, 1.0)  # log 1 = 0 where p_ii = 0
+        np.maximum(p, PROB_FLOOR, out=term)
+        np.log(term, out=term)
+        term -= np.log(w, out=w)
+        term *= p
+        plogpw += term.sum() + term[:, k:].sum()
+    return max(float(plogpw + P.sum() * np.log(Z)), 0.0)
 
 
 def reference_kl_loss(P, Q):

@@ -42,6 +42,7 @@ from oracles import (
     reference_kl_gradient,
     reference_kl_loss,
     reference_run_tsne,
+    reference_tiled_kl,
     row_perplexities,
 )
 
@@ -532,7 +533,8 @@ class TestKlGradient:
         # form exaggeration * A - R / Z, so it matches the per-entry n x n
         # expression to rounding only: observed up to 6.3e-14 of max|grad|,
         # at Y scales near 1e2, where both lose digits to the cancellation in
-        # |y_i|^2 + |y_j|^2 - 2 y_i . y_j
+        # |y_i|^2 + |y_j|^2 - 2 y_i . y_j.  Asked for the KL too, the pass
+        # keeps the gradient's bytes, and its KL is that of a walk of its own
         rng = np.random.default_rng(21)
         for n in (3, 60, 257, 800):
             P = rng.random((n, n))
@@ -543,8 +545,12 @@ class TestKlGradient:
                 Y = rng.standard_normal((n, dims)) * 10.0 ** rng.uniform(-4, 2)
                 for factor in (1.0, 12.0):
                     ref = reference_kl_gradient(P, Y, factor)
-                    err = np.abs(kl_gradient(P, Y, factor) - ref).max()
+                    grad = kl_gradient(P, Y, factor)
+                    err = np.abs(grad - ref).max()
                     assert err <= 1e-13 * np.abs(ref).max(), (n, dims, factor)
+                    traced, kl = kl_gradient(P, Y, factor, kl=True)
+                    assert traced.tobytes() == grad.tobytes(), (n, dims, factor)
+                    assert kl == reference_tiled_kl(P, Y), (n, dims, factor)
 
     def test_p_of_another_size_rejected(self):
         Y = np.arange(10.0).reshape(5, 2)
@@ -593,17 +599,30 @@ class TestRunTsne:
         s2 = run_tsne(X, cfg)
         assert np.array_equal(s1.Y, s2.Y)
 
-    def test_trace_cadence(self):
+    @pytest.mark.parametrize("n_iter, every", [(1, 50), (50, 50), (51, 50), (200, 50),
+                                               (7, 1)])
+    def test_trace_cadence(self, monkeypatch, n_iter, every):
+        # a record's KL comes from the next iteration's kernel pass, so
+        # tracing adds one pass, after the last iteration, and moves no byte
+        calls = []
+
+        def gradient(*args, **kwargs):
+            calls.append(1)
+            return kl_gradient(*args, **kwargs)
+
+        monkeypatch.setattr("bctsne.tsne.kl_gradient", gradient)
         rng = np.random.default_rng(14)
         X = rng.standard_normal((30, 4))
+        cfg = OptimizerConfig(n_iter=n_iter, perplexity=8, seed=0)
         trace = []
-        run_tsne(
-            X,
-            OptimizerConfig(n_iter=200, perplexity=8, seed=0),
-            on_trace=trace.append,
-        )
-        assert [r.iteration for r in trace] == [0, 50, 100, 150, 199]
+        traced = run_tsne(X, cfg, on_trace=trace.append, trace_every=every)
+        expected = sorted({t for t in range(n_iter) if t % every == 0} | {n_iter - 1})
+        assert [r.iteration for r in trace] == expected
         assert all(np.isnan(r.orthogonality_maxabs) for r in trace)
+        assert len(calls) == n_iter + 1
+        calls.clear()
+        assert run_tsne(X, cfg).Y.tobytes() == traced.Y.tobytes()
+        assert len(calls) == n_iter
 
     def test_affinity_normalization_at_checkpoints(self):
         rng = np.random.default_rng(15)
@@ -675,19 +694,27 @@ class TestRunTsne:
     def test_non_finite_gradient_raises_with_iteration(self, monkeypatch, k):
         calls = []
 
-        def gradient(P, Y, exaggeration=1.0):
+        def gradient(P, Y, exaggeration=1.0, **kwargs):
             calls.append(1)
-            grad = kl_gradient(P, Y, exaggeration)
+            out = kl_gradient(P, Y, exaggeration, **kwargs)
+            grad = out[0] if kwargs.get("kl") else out
             if len(calls) == k + 1:
                 grad[1, 0] = np.nan
-            return grad
+            return out
 
         monkeypatch.setattr("bctsne.tsne.kl_gradient", gradient)
         X = np.random.default_rng(25).standard_normal((20, 3))
-        with pytest.raises(OptimizerError) as exc:
-            run_tsne(X, OptimizerConfig(n_iter=300, perplexity=5))
-        assert exc.value.iteration == k
-        assert len(calls) == k + 1
+        for traced in (False, True):
+            calls.clear()
+            trace = []
+            with pytest.raises(OptimizerError) as exc:
+                run_tsne(X, OptimizerConfig(n_iter=300, perplexity=5),
+                         on_trace=trace.append if traced else None, trace_every=2)
+            assert exc.value.iteration == k
+            assert len(calls) == k + 1
+            # the record of iteration k - 1 comes from the pass that fails
+            expected = [t for t in range(k) if t % 2 == 0] if traced else []
+            assert [r.iteration for r in trace] == expected
 
     @staticmethod
     def _loop_peak(monkeypatch, X, cfg, on_trace):
@@ -715,11 +742,12 @@ class TestRunTsne:
     TILE_SCRATCH = 3 * 64 * 512 * 8
 
     def test_trace_step_adds_no_square_array(self, monkeypatch):
+        # the trace's KL is summed in the gradient pass's own tile scratch
         X = np.random.default_rng(26).standard_normal((self.N_MEMORY, 5))
         cfg = OptimizerConfig(n_iter=3, perplexity=20)
         peaks = [self._loop_peak(monkeypatch, X, cfg, on_trace)
                  for on_trace in (None, lambda rec: None)]
-        assert peaks[1] - peaks[0] <= self.TILE_SCRATCH + 256 * 1024, peaks
+        assert peaks[1] - peaks[0] <= 256 * 1024, peaks
 
     def test_loop_holds_no_square_array_besides_p(self, monkeypatch):
         # besides the tiles, the loop and the kernel hold arrays of a few

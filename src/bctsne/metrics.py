@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .design import Projector, encode_labels
 from .errors import DomainError, ValidationError
@@ -110,7 +110,7 @@ def kbet_acceptance(
             codes[neigh][:, :, None] == np.arange(len(levels)), axis=1
         )
     stat = np.sum((observed - expected) ** 2 / np.maximum(expected, 1e-12), axis=1)
-    accepted = int(np.count_nonzero(stats.chi2.sf(stat, len(levels) - 1) >= alpha))
+    accepted = int(np.count_nonzero(chdtrc(len(levels) - 1, stat) >= alpha))
     return accepted / len(test_idx)
 
 

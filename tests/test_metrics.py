@@ -152,6 +152,24 @@ class TestKbet:
             values.add(acc)
         assert len(values) > 1 and 0.0 < min(values) and max(values) < 1.0
 
+    @pytest.mark.parametrize("layout", ["tie_free", "tied"])
+    @pytest.mark.parametrize("levels", [4, 6])
+    def test_matches_row_loop_oracle_at_more_levels(self, levels, layout):
+        # chi-squared with levels - 1 = 3 and 5 degrees of freedom; 4 batches
+        # are the pipeline's default.  Batch centres on a unit circle, so
+        # every triple accepts some points and rejects others
+        rng = np.random.default_rng(levels)
+        batch = rng.integers(0, levels, 200)
+        angle = 2 * np.pi * batch / levels
+        Y = rng.standard_normal((200, 2)) + np.c_[np.cos(angle), np.sin(angle)]
+        if layout == "tied":
+            Y = np.round(Y)
+        labels = [f"b{b}" for b in batch]
+        for knn, n_test, seed in [(10, 200, 0), (15, 80, 1), (30, 120, 2), (50, 199, 3)]:
+            acc = kbet_acceptance(Y, labels, knn=knn, n_test=n_test, seed=seed)
+            assert acc == kbet_loop(Y, labels, knn, n_test, seed=seed)
+            assert 0.0 < acc < 1.0
+
     def test_precomputed_shape_checked(self):
         layouts, batch = kbet_layouts()
         with pytest.raises(ValidationError, match="shape"):

@@ -15,11 +15,7 @@ from scipy.special import chdtrc
 from .design import Projector, encode_labels
 from .errors import DomainError, ValidationError
 from .linalg import ensure_index, ensure_matrix, pairwise_sqdist
-from .tsne import calibrate_bandwidths, conditional_rows
-
-# silhouette and kBET work through 128 rows of the distances at a time, so
-# their scratch memory stays small next to the n x n distances
-_BLOCK_ROWS = 128
+from .tsne import _BLOCK_ROWS, calibrate_bandwidths, conditional_rows, ensure_perplexity
 
 
 def _precomputed(given, n, compute):
@@ -211,11 +207,7 @@ def evaluate(Y, labelings, cfg=MetricsConfig()):
         )
         # computed after the first labeling's checks, so errors keep their order
         if weights is None:
-            if not 2.0 <= cfg.lisi_perplexity <= len(Y) - 1:
-                raise DomainError(
-                    f"lisi_perplexity must lie in [2, n - 1]; got "
-                    f"{cfg.lisi_perplexity} with n={len(Y)}"
-                )
+            ensure_perplexity(cfg.lisi_perplexity, len(Y), "lisi_perplexity")
             weights = lisi_weights(sqdist, cfg.lisi_perplexity)
         lisi_mean, lisi_resc = lisi(Y, labels, cfg.lisi_perplexity, weights=weights)
         pcr = pc_regression(Y, labels)

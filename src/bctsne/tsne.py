@@ -17,14 +17,18 @@ from .errors import CalibrationWarning, DomainError, OptimizerError, ValidationE
 from .linalg import ensure_index, ensure_matrix, pairwise_sqdist
 
 PROB_FLOOR = 1e-12
-# the Gaussian rows (bandwidth search, input affinities, LISI weights) are
-# formed 128 at a time, so their scratch memory does not grow with the
-# number of rows
+# the Gaussian rows (bandwidth search, input affinities, LISI weights), and
+# the distance rows of silhouette and kBET, are taken 128 at a time, so their
+# scratch memory does not grow with the number of rows
 _BLOCK_ROWS = 128
+# calibrate_bandwidths' search ends for a row when its perplexity is within
+# _TOL of the target, and for all rows after _MAX_ITER steps
+_TOL = 1e-5
+_MAX_ITER = 200
 # calibrate_bandwidths certifies a window per row: its edges lie _MARGIN of
-# its half width beyond where the perplexity leaves target -+ tol, and the
-# perplexities evaluated there must lie at least _MARGIN / 2 of tol beyond
-# target -+ tol.  An evaluated perplexity is taken to be off by at most
+# its half width beyond where the perplexity leaves target -+ _TOL, and the
+# perplexities evaluated there must lie at least _MARGIN / 2 of _TOL beyond
+# target -+ _TOL.  An evaluated perplexity is taken to be off by at most
 # _ROUNDING * perplexity * (1 + beta d_min), beta d_min being the size of the
 # row's largest logit, and a row where that could reach the margin is not
 # certified.  The Newton solve that places the windows takes at most
@@ -71,10 +75,7 @@ class OptimizerConfig:
 
     def validate(self, n):
         ensure_index(self.n_iter, "n_iter", DomainError, 1)
-        if not 2.0 <= self.perplexity <= n - 1:
-            raise DomainError(
-                f"perplexity must lie in [2, n - 1]; got {self.perplexity} with n={n}"
-            )
+        ensure_perplexity(self.perplexity, n)
         for name in ("eta", "exaggeration_factor"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise DomainError(f"{name} must be positive and finite")
@@ -85,7 +86,6 @@ class OptimizerConfig:
 @dataclass
 class EmbeddingState:
     Y: np.ndarray  # n x q
-    gains: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,14 @@ class TraceRecord:
     iteration: int
     kl_loss: float
     orthogonality_maxabs: float  # nan for unconstrained runs
+
+
+def ensure_perplexity(value, n, name="perplexity"):
+    """Raise DomainError unless 2 <= value <= n - 1: above n - 1, the
+    perplexity of a uniform distribution over the other points, no bandwidth
+    reaches the target."""
+    if not 2.0 <= value <= n - 1:
+        raise DomainError(f"{name} must lie in [2, n - 1]; got {value} with n={n}")
 
 
 def _warn_caller(message, category):
@@ -155,7 +163,7 @@ def _row_perplexities(D, rows, sigma2):
     return perp
 
 
-def _locate(d, perplexity, tol):
+def _locate(d, perplexity):
     """Log-bandwidths (low, high) per row of d, a block's distances without
     each row's own entry, between which the row reaches its target
     perplexity; nan for a row left unsolved.
@@ -165,8 +173,8 @@ def _locate(d, perplexity, tol):
     row's minimum and the slope dH/dx = beta^2 Var_p(d), bracketed by the
     steps it has taken, from the ceil(perplexity)-th nearest distance.  At
     the root x*, perplexity moves by about perplexity * dH/dx per unit of x,
-    so it stays within tol of the target on x* -+ w with
-    w = tol / (perplexity * dH/dx); the edges are x* -+ (1 + _MARGIN) w.
+    so it stays within _TOL of the target on x* -+ w with
+    w = _TOL / (perplexity * dH/dx); the edges are x* -+ (1 + _MARGIN) w.
     A row whose ceil(perplexity) nearest distances tie has no root and is
     left unsolved, as is one whose solve does not converge.  So is a row
     whose root needs so narrow a bandwidth that rounding its logits
@@ -199,14 +207,14 @@ def _locate(d, perplexity, tol):
             f = beta * m1 + np.log(z) - target
             slope = beta * beta * (m2 - m1 * m1)
             # converged within a tenth of the margin, in units of H
-            done = (np.abs(f) <= 0.1 * _MARGIN * tol / perplexity) & (slope > 0)
+            done = (np.abs(f) <= 0.1 * _MARGIN * _TOL / perplexity) & (slope > 0)
             step = x - f / slope
             if done.any():
                 root, solved = step[done], rows[done]
-                w = (1.0 + _MARGIN) * tol / (perplexity * slope[done])
+                w = (1.0 + _MARGIN) * _TOL / (perplexity * slope[done])
                 beta_low = 0.5 * np.exp(w - root)
                 rounding = _ROUNDING * perplexity * (1.0 + beta_low * nearest[solved])
-                fine = rounding <= 0.5 * _MARGIN * tol
+                fine = rounding <= 0.5 * _MARGIN * _TOL
                 edges[:, solved[fine]] = (root - w)[fine], (root + w)[fine]
             # a non-finite sum or a flat row drops out, unsolved
             keep = ~done & np.isfinite(f) & (slope > 0)
@@ -234,19 +242,19 @@ def _locate(d, perplexity, tol):
     return edges
 
 
-def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
+def calibrate_bandwidths(D, perplexity):
     """Per-point bandwidth sigma^2 matching the target perplexity.
 
     Binary search over log(sigma^2) with expanding brackets, run on all rows
     at once; a row leaves the search when its achieved perplexity is within
-    tol of the target, and the search ends after max_iter steps.  Rows still
+    _TOL of the target, and the search ends after _MAX_ITER steps.  Rows still
     off target then issue a CalibrationWarning; their sigma^2 is returned as
     the search left it.
 
     Most steps of the search are decided before they are taken.  _locate
     finds, per row, log-bandwidths low < high between which the target is
-    reached; when the row's perplexity at low is below target - tol and at
-    high above target + tol, each by a margin, the row is certified, and a
+    reached; when the row's perplexity at low is below target - _TOL and at
+    high above target + _TOL, each by a margin, the row is certified, and a
     step of its search below low counts as too narrow and one above high as
     too wide without forming its Gaussian row.  Every other step is formed
     and evaluated, so sigma^2 is that of the plain search to the last bit as
@@ -257,8 +265,7 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
     n = D.shape[0]
     if D.shape[1] != n:
         raise ValidationError("distance matrix must be square")
-    if not 2.0 <= perplexity <= n - 1:
-        raise DomainError(f"perplexity must lie in [2, n - 1]; got {perplexity}")
+    ensure_perplexity(perplexity, n)
     start = np.empty(n)
     edges = np.empty((2, n))
     for i in range(0, n, _BLOCK_ROWS):
@@ -274,13 +281,13 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
         start[block] = d.mean(axis=1)
         for j in np.flatnonzero(~positive.all(axis=1)):
             start[block[j]] = d[j][positive[j]].mean()
-        edges[:, block] = _locate(d, perplexity, tol)
+        edges[:, block] = _locate(d, perplexity)
     located = np.flatnonzero(np.isfinite(edges).all(axis=0))
     low = _row_perplexities(D, located, np.exp(edges[0, located]))
     high = _row_perplexities(D, located, np.exp(edges[1, located]))
     certified = np.zeros(n, dtype=bool)
-    certified[located] = (low <= perplexity - (1.0 + _MARGIN / 2) * tol) & (
-        high >= perplexity + (1.0 + _MARGIN / 2) * tol
+    certified[located] = (low <= perplexity - (1.0 + _MARGIN / 2) * _TOL) & (
+        high >= perplexity + (1.0 + _MARGIN / 2) * _TOL
     )
     # an uncertified row has every step evaluated
     edges[:, ~certified] = [[-np.inf], [np.inf]]
@@ -288,14 +295,14 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
     active = np.arange(n)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         xa = x[active]
         # -inf and inf stand for the perplexities of steps known to be too
         # narrow and too wide
         perp = np.where(xa < edges[0, active], -np.inf, np.inf)
         unknown = (edges[0, active] <= xa) & (xa <= edges[1, active])
         perp[unknown] = _row_perplexities(D, active[unknown], np.exp(xa[unknown]))
-        searching = ~(np.abs(perp - perplexity) < tol)
+        searching = ~(np.abs(perp - perplexity) < _TOL)
         active, perp = active[searching], perp[searching]
         if not active.size:
             break
@@ -311,11 +318,11 @@ def calibrate_bandwidths(D, perplexity, tol=1e-5, max_iter=200):
     sigma2 = np.exp(x)
     if active.size:
         miss = np.abs(_row_perplexities(D, active, sigma2[active]) - perplexity)
-        off = ~(miss < tol)
+        off = ~(miss < _TOL)
         if off.any():
             _warn_caller(
                 f"{int(off.sum())} of {n} rows missed perplexity {perplexity} by "
-                f"tol={tol} or more after {max_iter} bisection steps; worst "
+                f"tol={_TOL} or more after {_MAX_ITER} bisection steps; worst "
                 f"|perplexity - target| = {miss[off].max():.3g}",
                 CalibrationWarning,
             )
@@ -480,4 +487,4 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
     if on_trace is not None:  # one more pass, for the last iterate's KL
         _, kl = kl_gradient(P, Y, kl=True)
         on_trace(TraceRecord(cfg.n_iter - 1, kl, projector.orthogonality(Y)))
-    return EmbeddingState(Y=Y, gains=gains)
+    return EmbeddingState(Y=Y)

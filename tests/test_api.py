@@ -1,12 +1,16 @@
 """The package root's public names: those of README's "Library use" block,
 the Projector and the error classes.  Everything else is imported from its
-own module.  Also what importing the package and its CLI loads."""
+own module.  Also what importing the package and its CLI loads, and the
+settings that calibration and the optimizer's result keep."""
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
 import types
 
 import bctsne
+from bctsne.tsne import EmbeddingState, calibrate_bandwidths
 
 LIBRARY_USE = {"SimSpec", "simulate", "normalize_log1p_cpm", "build_design",
                "pca_reduce", "OptimizerConfig", "run_tsne", "evaluate",
@@ -33,3 +37,10 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]", out
+
+
+def test_calibration_and_optimizer_keep_only_what_a_caller_sets():
+    # the search's tolerance and step count are module constants, and the
+    # optimizer returns the embedding alone
+    assert list(inspect.signature(calibrate_bandwidths).parameters) == ["D", "perplexity"]
+    assert [f.name for f in dataclasses.fields(EmbeddingState)] == ["Y"]

@@ -143,13 +143,14 @@ class TestCalibrateBandwidths:
             p /= p.sum()
             assert np.allclose(p, 0.5)
 
-    def test_collinear_matches_bisection_oracle(self):
+    def test_collinear_matches_bisection_oracle(self, monkeypatch):
         # target 2.5 keeps the entropy strictly monotone at the solution
         # (target 2 is attained in the sigma -> 0 limit for interior points
         # with tied nearest neighbors, so sigma^2 would be non-unique there)
         X = np.arange(5.0)[:, None]
         D = pairwise_sqdist(X)
-        sigma2 = calibrate_bandwidths(D, 2.5, tol=1e-8)
+        monkeypatch.setattr(bctsne.tsne, "_TOL", 1e-8)
+        sigma2 = calibrate_bandwidths(D, 2.5)
         for i in range(5):
             d = np.delete(D[i], i)
             oracle = entropy_bisect_oracle(d, 2.5)
@@ -173,14 +174,23 @@ class TestCalibrateBandwidths:
         with pytest.raises(ValidationError, match="row 0"):
             calibrate_bandwidths(D, 2.0)
 
-    @pytest.mark.parametrize("name", sorted(CALIBRATION_INPUTS))
-    @pytest.mark.parametrize("perplexity", [2.5, 8.0])
-    def test_matches_row_loop_oracle_bitwise(self, name, perplexity):
-        D = CALIBRATION_INPUTS[name]
-        for max_iter in (200, 5, 2, 1, 0):  # small max_iter leaves rows unconverged
+    @pytest.mark.parametrize("perplexity, name", [
+        *((p, name) for p in (2.5, 8.0) for name in sorted(CALIBRATION_INPUTS)),
+        # every point of a 6 x 5 integer grid has at least 2 neighbours tied at
+        # its nearest distance, so its perplexity exceeds 2 at every bandwidth:
+        # each step of its search goes down in sigma^2, and the 26 points with
+        # 3 or 4 such neighbours never land.  _MAX_ITER steps stay far above
+        # those (about 700) where the Gaussian rows' logits overflow
+        (2.0, "grid"),
+    ])
+    def test_matches_row_loop_oracle_bitwise(self, monkeypatch, perplexity, name):
+        grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0)), -1).reshape(-1, 2)
+        D = {**CALIBRATION_INPUTS, "grid": pairwise_sqdist(grid)}[name]
+        for max_iter in (200, 5, 2, 1, 0):  # few steps leave rows unconverged
+            monkeypatch.setattr(bctsne.tsne, "_MAX_ITER", max_iter)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CalibrationWarning)
-                sigma2 = calibrate_bandwidths(D, perplexity, max_iter=max_iter)
+                sigma2 = calibrate_bandwidths(D, perplexity)
             oracle = calibrate_bandwidths_loop(D, perplexity, max_iter=max_iter)
             assert np.array_equal(sigma2, oracle), (name, max_iter)
 
@@ -188,9 +198,12 @@ class TestCalibrateBandwidths:
     @given(calibration_cases())
     def test_matches_row_loop_oracle_property(self, case):
         D, perplexity, max_iter = case
-        with warnings.catch_warnings():
+        # a context, not the function-scoped fixture, which hypothesis would
+        # share between examples
+        with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
+            monkeypatch.setattr(bctsne.tsne, "_MAX_ITER", max_iter)
             warnings.simplefilter("ignore", CalibrationWarning)
-            sigma2 = calibrate_bandwidths(D, perplexity, max_iter=max_iter)
+            sigma2 = calibrate_bandwidths(D, perplexity)
         oracle = calibrate_bandwidths_loop(D, perplexity, max_iter=max_iter)
         assert sigma2.tobytes() == oracle.tobytes()
 
@@ -224,8 +237,8 @@ class TestCalibrateBandwidths:
         # plain search, and the result is the oracle's
         locate = bctsne.tsne._locate
 
-        def misplaced(d, perplexity, tol):
-            edges = locate(d, perplexity, tol)
+        def misplaced(d, perplexity):
+            edges = locate(d, perplexity)
             return np.full_like(edges, np.nan) if shift is None else edges + shift
 
         monkeypatch.setattr(bctsne.tsne, "_locate", misplaced)
@@ -250,19 +263,21 @@ class TestCalibrateBandwidths:
             tracemalloc.stop()
         assert peak <= 6 * 128 * n * 8 + 256 * 1024, peak
 
-    def test_zero_distance_rows_start_from_positive_mean(self):
+    def test_zero_distance_rows_start_from_positive_mean(self, monkeypatch):
         D = CALIBRATION_INPUTS["duplicates"]
+        monkeypatch.setattr(bctsne.tsne, "_MAX_ITER", 0)
         with pytest.warns(CalibrationWarning):
-            start = calibrate_bandwidths(D, 5.0, max_iter=0)
+            start = calibrate_bandwidths(D, 5.0)
         for i in range(D.shape[0]):
             d = np.delete(D[i], i)
             assert start[i] == np.exp(np.log(d[d > 0].mean()))
         assert np.any(D + np.eye(30) == 0)
 
-    def test_unconverged_rows_warn_with_count_and_worst_miss(self):
+    def test_unconverged_rows_warn_with_count_and_worst_miss(self, monkeypatch):
         D = CALIBRATION_INPUTS["clustered_outliers"]
+        monkeypatch.setattr(bctsne.tsne, "_MAX_ITER", 2)
         with pytest.warns(CalibrationWarning) as record:
-            sigma2 = calibrate_bandwidths(D, 10.0, max_iter=2)
+            sigma2 = calibrate_bandwidths(D, 10.0)
         assert np.array_equal(sigma2, calibrate_bandwidths_loop(D, 10.0, max_iter=2))
         miss = np.abs(row_perplexities(D, sigma2) - 10.0)
         off = miss >= 1e-5
@@ -271,19 +286,22 @@ class TestCalibrateBandwidths:
         assert int(count) == off.sum() > 0
         assert float(worst) == pytest.approx(miss[off].max(), rel=1e-2)
 
-    def test_warning_points_at_the_callers_line(self):
+    def test_warning_points_at_the_callers_line(self, monkeypatch):
         D = CALIBRATION_INPUTS["clustered_outliers"]
         # each of 4 coincident points has 3 neighbours at distance 0, so its
         # perplexity cannot fall to 2 at any bandwidth
         X = np.random.default_rng(0).standard_normal((20, 3))
         X[1:4] = X[0]
         calls = {
-            "calibrate_bandwidths": lambda: calibrate_bandwidths(D, 10.0, max_iter=2),
+            "calibrate_bandwidths": lambda: calibrate_bandwidths(D, 10.0),
             "input_affinities": lambda: input_affinities(X, 2.0),
         }
         for name, call in calls.items():
+            if name == "calibrate_bandwidths":  # two steps leave rows of D off target
+                monkeypatch.setattr(bctsne.tsne, "_MAX_ITER", 2)
             with pytest.warns(CalibrationWarning) as record:
                 call()
+            monkeypatch.undo()
             assert record[0].filename == __file__, name
             assert name in linecache.getline(__file__, record[0].lineno), name
 
@@ -316,12 +334,13 @@ class TestConditionalRows:
         return {**CALIBRATION_INPUTS, "n1000": pairwise_sqdist(X)}
 
     @pytest.mark.parametrize("perplexity", [2.5, 8.0])
-    def test_match_reference_bitwise(self, perplexity):
+    def test_match_reference_bitwise(self, monkeypatch, perplexity):
         for name, D in self.inputs().items():
             for max_iter in (200, 2, 0):
+                monkeypatch.setattr(bctsne.tsne, "_MAX_ITER", max_iter)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", CalibrationWarning)
-                    sigma2 = calibrate_bandwidths(D, perplexity, max_iter=max_iter)
+                    sigma2 = calibrate_bandwidths(D, perplexity)
                 P = conditional_rows(D, sigma2)
                 assert np.array_equal(P, reference_conditional_rows(D, sigma2)), name
 
@@ -652,9 +671,8 @@ class TestRunTsne:
         trace = []
         state = run_tsne(X, cfg, projector=projector, on_trace=trace.append,
                          trace_every=10)
-        Y, gains, ref_trace = reference_run_tsne(X, cfg, projector, trace_every=10)
+        Y, _, ref_trace = reference_run_tsne(X, cfg, projector, trace_every=10)
         assert np.array_equal(state.Y, Y)
-        assert np.array_equal(state.gains, gains)
         assert [r.iteration for r in trace] == [t for t, _, _ in ref_trace]
         for rec, (_, kl, orth) in zip(trace, ref_trace):
             assert abs(rec.kl_loss - kl) <= 1e-13 * kl

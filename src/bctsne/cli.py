@@ -263,6 +263,7 @@ def cmd_pipeline(args):
     counts_path, labels_path = outdir / "counts.csv", outdir / "labels.csv"
     counts, ids, labels = _write_dataset(_config(SimSpec, cfg), counts_path, labels_path)
     scores = pca_reduce(normalize_log1p_cpm(counts), cfg.k).scores
+    del counts  # written to counts.csv; not held through the embeddings
     projector = build_design({"batch": labels["batch"]})
 
     artifacts = [counts_path, labels_path]

@@ -11,6 +11,12 @@ import numpy as np
 
 from .errors import ValidationError
 
+# row-blocked loops take 128 rows at a time, so their scratch memory does not
+# grow with the number of rows: the simulated counts, the Gaussian rows
+# (bandwidth search, input affinities, LISI weights) and the distance rows of
+# silhouette and kBET
+_BLOCK_ROWS = 128
+
 
 def ensure_matrix(A, name="matrix"):
     """Coerce to a finite float64 2-D array, raising ValidationError otherwise."""

@@ -14,8 +14,8 @@ from scipy.special import chdtrc
 
 from .design import Projector, encode_labels
 from .errors import DomainError, ValidationError
-from .linalg import ensure_index, ensure_matrix, pairwise_sqdist
-from .tsne import _BLOCK_ROWS, calibrate_bandwidths, conditional_rows, ensure_perplexity
+from .linalg import _BLOCK_ROWS, ensure_index, ensure_matrix, pairwise_sqdist
+from .tsne import calibrate_bandwidths, conditional_rows, ensure_perplexity
 
 
 def _precomputed(given, n, compute):

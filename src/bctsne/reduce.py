@@ -36,12 +36,13 @@ def pca_reduce(X, k):
     if not np.any(Xc):
         raise ValidationError("matrix is constant: no variance left after centering")
     k = ensure_index(k, "k", DomainError, 1, min(X.shape))
-    total = float(np.sum(Xc * Xc))
     n, p = Xc.shape
-    # A @ A.T is one syrk call, so the Gram matrix is exactly symmetric
+    # A @ A.T is one syrk call, so the Gram matrix is exactly symmetric: its
+    # transpose is the same matrix in the Fortran order that LAPACK
+    # overwrites in place, without a copy
     gram = Xc @ Xc.T if n <= p else Xc.T @ Xc
     m = gram.shape[0]
-    _, W = eigh(gram, subset_by_index=[m - k, m - 1])
+    _, W = eigh(gram.T, overwrite_a=True, subset_by_index=[m - k, m - 1])
     del gram
     if n <= p:
         R, S, _ = np.linalg.svd(W.T @ Xc, full_matrices=False)
@@ -51,6 +52,8 @@ def pca_reduce(X, k):
     # each column's largest-|entry| coordinate (never 0 in a unit vector) is
     # made positive, so the signs are stable across LAPACK backends
     U = U * np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(k)])
+    # Xc is not needed any more: square it in place for the total variance
+    total = float(np.square(Xc, out=Xc).sum())
     return ReducedData(scores=U * S, explained_variance=S**2 / total)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import ensure_index, ensure_matrix
+from .linalg import _BLOCK_ROWS, ensure_index, ensure_matrix
 
 _LIB_SIZE_LOCATION = np.log(20000.0)  # log-normal library size per cell
 _LIB_SIZE_SCALE = 0.2
@@ -53,6 +53,11 @@ def simulate(spec):
     log-normal multiplicative factors; each cell's expected counts are its
     gene proportions times a log-normal library size, rounded out by a
     Poisson draw.  Fully deterministic per seed.
+
+    The expected counts and their draws are formed 128 cells at a time into
+    the one output array, so the scratch memory does not grow with the
+    number of cells.  Poisson draws follow C order, so the blocks take the
+    same random stream, and give the same counts, as one whole-matrix draw.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -72,9 +77,14 @@ def simulate(spec):
     batch_idx = np.arange(n) % spec.n_batches
     group_idx = (np.arange(n) // spec.n_batches) % spec.n_groups
 
-    mean = base[None, :] * batch_factors[batch_idx] * group_factors[group_idx]
-    prop = mean / mean.sum(axis=1, keepdims=True)
-    counts = rng.poisson(lib[:, None] * prop).astype(np.float64)
+    counts = np.empty((n, p))
+    for i in range(0, n, _BLOCK_ROWS):
+        rows = slice(i, i + _BLOCK_ROWS)
+        lam = base * batch_factors[batch_idx[rows]]
+        lam *= group_factors[group_idx[rows]]
+        lam /= lam.sum(axis=1, keepdims=True)  # gene proportions
+        lam *= lib[rows, None]
+        counts[rows] = rng.poisson(lam)
 
     return SimOutput(
         counts=counts,
@@ -90,4 +100,6 @@ def normalize_log1p_cpm(counts):
         raise ValidationError("counts must be nonnegative")
     totals = counts.sum(axis=1, keepdims=True)
     safe = np.where(totals == 0, 1.0, totals)
-    return np.log1p(counts / safe * _CPM_SCALE)
+    X = counts / safe
+    X *= _CPM_SCALE
+    return np.log1p(X, out=X)

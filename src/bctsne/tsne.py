@@ -14,13 +14,9 @@ import numpy as np
 
 from .design import Projector
 from .errors import CalibrationWarning, DomainError, OptimizerError, ValidationError
-from .linalg import ensure_index, ensure_matrix, pairwise_sqdist
+from .linalg import _BLOCK_ROWS, ensure_index, ensure_matrix, pairwise_sqdist
 
 PROB_FLOOR = 1e-12
-# the Gaussian rows (bandwidth search, input affinities, LISI weights), and
-# the distance rows of silhouette and kBET, are taken 128 at a time, so their
-# scratch memory does not grow with the number of rows
-_BLOCK_ROWS = 128
 # calibrate_bandwidths' search ends for a row when its perplexity is within
 # _TOL of the target, and for all rows after _MAX_ITER steps
 _TOL = 1e-5

@@ -9,7 +9,15 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import stats
+from scipy.linalg import eigh
 
+from bctsne.simulate import (
+    _BASE_MEAN_SCALE,
+    _BASE_MEAN_SHAPE,
+    _CPM_SCALE,
+    _LIB_SIZE_LOCATION,
+    _LIB_SIZE_SCALE,
+)
 from bctsne.tsne import PROB_FLOOR, _tiles, input_affinities, kl_gradient
 
 
@@ -312,3 +320,50 @@ def reference_run_tsne(X, cfg, projector=None, trace_every=50):
             orth = projector.orthogonality(Y) if projector is not None else np.nan
             trace.append((t, reference_kl_loss(P, Q), orth))
     return Y, gains, trace
+
+
+def reference_simulate_counts(spec):
+    """The package's earlier simulate, which formed the expected counts and
+    the Poisson draw over whole n x p temporaries; its counts only."""
+    rng = np.random.default_rng(spec.seed)
+    n, p = spec.n_cells, spec.n_genes
+    base = rng.gamma(_BASE_MEAN_SHAPE, _BASE_MEAN_SCALE, size=p)
+    batch_factors = np.exp(
+        rng.normal(0.0, spec.batch_effect_sd, size=(spec.n_batches, p))
+    )
+    de_mask = rng.random((spec.n_groups, p)) < spec.de_prob
+    group_factors = np.where(
+        de_mask, np.exp(rng.normal(0.0, spec.group_effect_sd, size=(spec.n_groups, p))), 1.0
+    )
+    lib = rng.lognormal(_LIB_SIZE_LOCATION, _LIB_SIZE_SCALE, size=n)
+    batch_idx = np.arange(n) % spec.n_batches
+    group_idx = (np.arange(n) // spec.n_batches) % spec.n_groups
+    mean = base[None, :] * batch_factors[batch_idx] * group_factors[group_idx]
+    prop = mean / mean.sum(axis=1, keepdims=True)
+    return rng.poisson(lib[:, None] * prop).astype(np.float64)
+
+
+def reference_normalize_log1p_cpm(counts):
+    """The package's earlier normalize_log1p_cpm, over two n x p temporaries."""
+    totals = counts.sum(axis=1, keepdims=True)
+    safe = np.where(totals == 0, 1.0, totals)
+    return np.log1p(counts / safe * _CPM_SCALE)
+
+
+def reference_pca_reduce(X, k):
+    """The package's earlier pca_reduce, which squared a copy of the centered
+    X for the total variance and let eigh copy the Gram matrix; returns
+    (scores, explained_variance)."""
+    Xc = X - X.mean(axis=0)
+    total = float(np.sum(Xc * Xc))
+    n, p = Xc.shape
+    gram = Xc @ Xc.T if n <= p else Xc.T @ Xc
+    m = gram.shape[0]
+    _, W = eigh(gram, subset_by_index=[m - k, m - 1])
+    if n <= p:
+        R, S, _ = np.linalg.svd(W.T @ Xc, full_matrices=False)
+        U = W @ R
+    else:
+        U, S, _ = np.linalg.svd(Xc @ W, full_matrices=False)
+    U = U * np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(k)])
+    return U * S, S**2 / total

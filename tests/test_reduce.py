@@ -1,9 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bctsne import DomainError, Projector, ValidationError, build_design, pca_reduce
+from bctsne import (
+    DomainError,
+    Projector,
+    SimSpec,
+    ValidationError,
+    build_design,
+    normalize_log1p_cpm,
+    pca_reduce,
+    simulate,
+)
 from bctsne.reduce import residualized_reduce
+
+from oracles import reference_pca_reduce
 
 
 def principal_angles(A, B):
@@ -115,6 +128,35 @@ class TestPcaReduce:
             if S1[i - 1] >= 1.01 * S1[i]:
                 bound = 1e-12 * S[0] ** 2 / (S1[i - 1] ** 2 - S1[i] ** 2)
                 assert largest_angle_sine(red.scores[:, :i], U[:, :i]) <= bound
+
+    @pytest.mark.parametrize("n, p", [
+        pytest.param(500, 2000, id="gram-over-cells"),
+        pytest.param(3000, 200, id="gram-over-genes"),
+    ])
+    def test_matches_earlier_copies_bitwise(self, n, p):
+        # squaring Xc in place, and eigh overwriting the Gram matrix, leave
+        # every byte of the scores, the variance fractions and the input
+        X = normalize_log1p_cpm(simulate(SimSpec(n_cells=n, n_genes=p, seed=10)).counts)
+        before = X.copy()
+        red = pca_reduce(X, 30)
+        scores, explained_variance = reference_pca_reduce(X, 30)
+        assert red.scores.tobytes() == scores.tobytes()
+        assert red.explained_variance.tobytes() == explained_variance.tobytes()
+        assert np.array_equal(X, before)
+
+    def test_peak_centered_copy_and_gram(self):
+        # Xc and the Gram matrix are the only large arrays alive together;
+        # eigh's finiteness check takes a boolean mask of the Gram matrix
+        n, p = 1000, 2000
+        X = np.random.default_rng(12).standard_normal((n, p))
+        tracemalloc.start()
+        try:
+            pca_reduce(X, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram = n * n * 8
+        assert peak <= X.nbytes + gram + gram / 8 + 256 * 1024, peak
 
     def test_constant_matrix_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,19 @@ from bctsne import (
     simulate,
 )
 from bctsne.metrics import kbet_acceptance, lisi, pc_regression
+
+from oracles import reference_normalize_log1p_cpm, reference_simulate_counts
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 class TestSimulate:
@@ -75,6 +90,34 @@ class TestSimulate:
         assert r2[0] <= r2[1] + 1e-9
         assert r2[1] <= r2[2] + 1e-9
 
+    @pytest.mark.parametrize("spec", [
+        pytest.param(SimSpec(n_cells=1, n_genes=300, seed=1), id="1-cell"),
+        pytest.param(SimSpec(n_cells=127, n_genes=300, seed=2), id="127-cells"),
+        pytest.param(SimSpec(n_cells=128, n_genes=300, seed=3), id="128-cells"),
+        pytest.param(SimSpec(n_cells=129, n_genes=300, seed=4), id="129-cells"),
+        pytest.param(SimSpec(n_cells=500, n_genes=2000, seed=0), id="500-cells"),
+        pytest.param(SimSpec(n_cells=300, n_genes=200, n_batches=1, n_groups=1, seed=5),
+                     id="one-batch-one-group"),
+        pytest.param(SimSpec(n_cells=300, n_genes=200, batch_effect_sd=0.0, seed=6),
+                     id="no-batch-effect"),
+        pytest.param(SimSpec(n_cells=300, n_genes=200, de_prob=0.0, seed=7), id="de_prob-0"),
+        pytest.param(SimSpec(n_cells=300, n_genes=200, de_prob=1.0, seed=8), id="de_prob-1"),
+    ])
+    def test_blocks_match_whole_matrix_draw_bitwise(self, spec):
+        # blocks of 128 cells, with a last block of 1 cell (129) or none left
+        # over (128), take the same random stream as the whole-matrix draw
+        counts = simulate(spec).counts
+        assert counts.dtype == np.float64 and counts.flags.c_contiguous
+        assert counts.tobytes() == reference_simulate_counts(spec).tobytes()
+
+    def test_peak_output_and_block_scratch(self):
+        # the count matrix, plus a few blocks of 128 rows: the expected counts
+        # being formed, the one before them and the integer draw
+        n, p = 1000, 2000
+        out, peak = traced_peak(simulate, SimSpec(n_cells=n, n_genes=p, seed=0))
+        block_scratch = 4 * 128 * p * 8
+        assert peak <= out.counts.nbytes + block_scratch + 256 * 1024, peak
+
     def test_invalid_spec(self):
         with pytest.raises(ValidationError):
             simulate(SimSpec(n_cells=0))
@@ -105,6 +148,21 @@ class TestNormalize:
         counts[:, 0] += 1  # no empty cells
         X = normalize_log1p_cpm(counts)
         assert np.allclose(np.expm1(X).sum(axis=1), 1e4)
+
+    def test_matches_two_temporary_form_bitwise(self):
+        counts = simulate(SimSpec(n_cells=300, n_genes=200, seed=9)).counts
+        counts[17] = 0.0  # an empty cell keeps its zero row
+        counts[:, 3] = 0.0
+        X = normalize_log1p_cpm(counts)
+        assert not np.any(X[17])
+        assert X.tobytes() == reference_normalize_log1p_cpm(counts).tobytes()
+
+    def test_peak_output_and_masks(self):
+        # one n x p float64 output; the finiteness and sign checks take a
+        # boolean mask each, an eighth of it, one at a time
+        counts = simulate(SimSpec(n_cells=1000, n_genes=2000, seed=0)).counts
+        X, peak = traced_peak(normalize_log1p_cpm, counts)
+        assert peak <= X.nbytes + X.nbytes / 8 + 256 * 1024, peak
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):

@@ -4,7 +4,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import multiprocessing
 import sys
+import traceback
+import warnings
 from pathlib import Path
 
 from . import matrixio, plot
@@ -14,7 +17,13 @@ from .linalg import ensure_index
 from .metrics import MetricsConfig, evaluate
 from .reduce import pca_reduce
 from .simulate import SimSpec, normalize_log1p_cpm, simulate
-from .tsne import OptimizerConfig, run_tsne
+from .tsne import OptimizerConfig, _warn_caller, run_tsne
+
+# pipeline's uncorrected embedding runs in a child process.  A forked child
+# inherits the imported package and the scores; a spawned one would import
+# bctsne again, which takes longer than a 200-cell run.  None is the
+# platform's default start method.
+_START_METHOD = "fork" if sys.platform.startswith("linux") else None
 
 # The option tables below are the only definition of each setting: the
 # subcommands are built from them, `read_config` parses a pipeline config with
@@ -120,17 +129,21 @@ def _add_embed(sub):
     p.set_defaults(func=cmd_embed)
 
 
-def _embed(scores, ids, projector, opts, out):
-    """t-SNE of the PCA scores with the embed options and seed in opts,
-    corrected for the projector's design when one is given.  Writes the
-    embedding CSV and its trace next to it and returns the embedding."""
-    cfg = _config(OptimizerConfig, opts)
+def _tsne(scores, projector, opts):
+    """(embedding, trace records) of the t-SNE of the PCA scores with the
+    embed options and seed in opts, corrected for the projector's design when
+    one is given."""
     trace = []
-    state = run_tsne(scores, cfg, projector=projector, on_trace=trace.append)
-    matrixio.write_embedding_csv(state.Y, ids, out)
+    state = run_tsne(scores, _config(OptimizerConfig, opts), projector=projector,
+                     on_trace=trace.append)
+    return state.Y, trace
+
+
+def _write_embedding(Y, trace, ids, out, tag):
+    """Write the embedding CSV and its trace next to it."""
+    matrixio.write_embedding_csv(Y, ids, out)
     matrixio.write_loss_trace(trace, _trace_path(out))
-    print(f"wrote {out} ({'uncorrected' if projector is None else 'corrected'})")
-    return state.Y
+    print(f"wrote {out} ({tag})")
 
 
 def cmd_embed(args):
@@ -145,7 +158,9 @@ def cmd_embed(args):
             raise BctsneError("a labels file is required for batch correction")
         labels = _read_labels(args.labels, ids, args.batch_vars)
         projector = build_design(labels)
-    _embed(pca_reduce(X, args.k).scores, ids, projector, args, args.out)
+    Y, trace = _tsne(pca_reduce(X, args.k).scores, projector, args)
+    _write_embedding(Y, trace, ids, args.out,
+                     "uncorrected" if projector is None else "corrected")
     return 0
 
 
@@ -256,6 +271,62 @@ def read_config(path):
     return cfg
 
 
+class _ChildTraceback(Exception):
+    """The traceback, as text, of an exception raised in a child process."""
+
+
+def _tsne_in_child(receiver, sender, scores, opts):
+    """Process target: send the uncorrected run's (embedding, trace) or None,
+    the warnings it recorded, and the exception that ended it with its
+    traceback, or None."""
+    # with the read end open here too, a result larger than the pipe's buffer
+    # would wait forever for a parent that has died
+    receiver.close()
+    result = error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the parent's filters decide
+        try:
+            result = _tsne(scores, None, opts)
+        except Exception as exc:
+            error = exc, traceback.format_exc()
+    sender.send((result, [w.message for w in caught], error))
+    sender.close()
+
+
+def _receive(receiver, child):
+    """The child's (embedding, trace), after raising its warnings in order
+    from the caller's side; raises the child's exception if it sent one."""
+    try:
+        result, messages, error = receiver.recv()
+    except EOFError:
+        child.join()
+        raise BctsneError(
+            f"the uncorrected embedding's process ended with exit code "
+            f"{child.exitcode} before sending its result"
+        ) from None
+    for message in messages:
+        _warn_caller(message, type(message))
+    if error is not None:
+        exc, text = error
+        raise exc from _ChildTraceback(text)
+    return result
+
+
+def _write_outputs(outdir, tag, Y, trace, ids, labels, seed):
+    """Write the embedding, trace, report and plot for tag, print the report
+    and return the four paths."""
+    emb = outdir / f"embedding_{tag}.csv"
+    report = outdir / f"report_{tag}.csv"
+    svg = outdir / f"embedding_{tag}.svg"
+    _write_embedding(Y, trace, ids, emb, tag)
+    metrics = evaluate(Y, labels, MetricsConfig(seed=seed))
+    matrixio.write_report_csv(metrics, report)
+    print(metrics.format_table())
+    plot.write_scatter_svg(svg, Y, color_labels=labels["group"],
+                           shape_labels=labels["batch"], title=tag)
+    return [emb, _trace_path(emb), report, svg]
+
+
 def cmd_pipeline(args):
     cfg = read_config(args.config)
     outdir = Path(cfg.outdir)
@@ -264,20 +335,29 @@ def cmd_pipeline(args):
     counts, ids, labels = _write_dataset(_config(SimSpec, cfg), counts_path, labels_path)
     scores = pca_reduce(normalize_log1p_cpm(counts), cfg.k).scores
     del counts  # written to counts.csv; not held through the embeddings
-    projector = build_design({"batch": labels["batch"]})
 
-    artifacts = [counts_path, labels_path]
-    for tag, tag_projector in (("corrected", projector), ("uncorrected", None)):
-        emb = outdir / f"embedding_{tag}.csv"
-        report = outdir / f"report_{tag}.csv"
-        svg = outdir / f"embedding_{tag}.svg"
-        Y = _embed(scores, ids, tag_projector, cfg, emb)
-        metrics = evaluate(Y, labels, MetricsConfig(seed=cfg.seed))
-        matrixio.write_report_csv(metrics, report)
-        print(metrics.format_table())
-        plot.write_scatter_svg(svg, Y, color_labels=labels["group"],
-                               shape_labels=labels["batch"], title=tag)
-        artifacts += [emb, _trace_path(emb), report, svg]
+    # a child process computes the uncorrected embedding while this one
+    # computes the corrected one; the child writes nothing, so every file and
+    # line comes from here, in the order of running the two one after the other
+    context = multiprocessing.get_context(_START_METHOD)
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_tsne_in_child, args=(receiver, sender, scores, cfg),
+                            daemon=True)
+    child.start()
+    sender.close()
+    try:
+        projector = build_design({"batch": labels["batch"]})
+        artifacts = [counts_path, labels_path]
+        artifacts += _write_outputs(outdir, "corrected", *_tsne(scores, projector, cfg),
+                                    ids, labels, cfg.seed)
+        artifacts += _write_outputs(outdir, "uncorrected", *_receive(receiver, child),
+                                    ids, labels, cfg.seed)
+    except BaseException:
+        child.terminate()  # its result is no longer wanted
+        raise
+    finally:
+        receiver.close()
+        child.join()
 
     manifest = outdir / "manifest.txt"
     with matrixio.replacing(manifest) as fh:

@@ -26,6 +26,9 @@ class CollinearityError(ValidationError):
         super().__init__(message)
         self.columns = list(columns)
 
+    def __reduce__(self):  # Exception's passes args alone, without columns
+        return type(self), (str(self), self.columns)
+
 
 class OptimizerError(BctsneError):
     """Numerical failure during gradient descent.
@@ -39,6 +42,9 @@ class OptimizerError(BctsneError):
     def __init__(self, message, iteration):
         super().__init__(message)
         self.iteration = iteration
+
+    def __reduce__(self):  # Exception's passes args alone, without iteration
+        return type(self), (str(self), self.iteration)
 
 
 class CalibrationWarning(UserWarning):

@@ -22,10 +22,13 @@ from .errors import ValidationError
 _FMT = "%.17g"
 
 
-def _read_table(path):
-    """(header, [(line number, fields)]) of a table with unique ids in its
-    first column; tab-delimited when the first header field holds a tab."""
+def _read_table(path, convert=lambda lineno, cells: cells):
+    """(header, ids, rows) of a table with unique ids in its first column;
+    tab-delimited when the first header field holds a tab.  Each row holds
+    convert(line number, the fields after the id), applied as the row is
+    read, so that only the converted rows are kept."""
     path = Path(path)
+    ids, rows = [], []
     with path.open("r", encoding="utf-8", newline="") as fh:
         first = fh.readline()
         if not first.strip():
@@ -35,23 +38,27 @@ def _read_table(path):
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
-            body = [(reader.line_num, row) for row in reader if row]
+            if len(header) < 2:
+                raise ValidationError(f"{path}: header needs an id column and one more")
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(header):
+                    raise ValidationError(
+                        f"{path}: line {reader.line_num}: expected {len(header)} "
+                        f"fields, found {len(fields)}"
+                    )
+                ids.append(fields[0])
+                rows.append(convert(reader.line_num, fields[1:]))
         except csv.Error as exc:
             raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-    if len(header) < 2:
-        raise ValidationError(f"{path}: header needs an id column and one more")
-    for lineno, row in body:
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}: line {lineno}: expected {len(header)} fields, found {len(row)}"
-            )
-    if not body:
+    if not rows:
         raise ValidationError(f"{path}: no data rows")
-    counts = Counter(row[0] for _, row in body)
+    counts = Counter(ids)
     dupes = sorted(i for i, count in counts.items() if count > 1)
     if dupes:
         raise ValidationError(f"{path}: duplicate ids: {dupes}")
-    return header, body
+    return header, ids, rows
 
 
 @contextlib.contextmanager
@@ -86,13 +93,12 @@ def read_matrix_csv(path):
 
     Returns (matrix, row_ids, column_names).
     """
-    header, body = _read_table(path)
-    data = []
-    for lineno, row in body:
+
+    def parse(lineno, cells):
         try:
-            data.append(np.array(row[1:], dtype=np.float64))
+            return np.array(cells, dtype=np.float64)
         except ValueError:
-            for j, cell in enumerate(row[1:], start=2):
+            for j, cell in enumerate(cells, start=2):
                 try:
                     float(cell)
                 except ValueError:
@@ -101,10 +107,13 @@ def read_matrix_csv(path):
                         f"non-numeric value {cell!r}"
                     ) from None
             raise
-    M = np.vstack(data)
+
+    header, ids, rows = _read_table(path, parse)
+    M = np.vstack(rows)
+    del rows  # before the finiteness mask, so the peak stays the rows plus M
     if not np.isfinite(M).all():
         raise ValidationError(f"{path}: non-finite values present")
-    return M, [row[0] for _, row in body], header[1:]
+    return M, ids, header[1:]
 
 
 def write_matrix_csv(M, row_ids, col_names, path):
@@ -121,11 +130,8 @@ def read_labels_csv(path):
 
     Returns (ids, {column: list of strings}).
     """
-    header, body = _read_table(path)
-    table = {
-        name: [row[j] for _, row in body] for j, name in enumerate(header[1:], start=1)
-    }
-    return [row[0] for _, row in body], table
+    header, ids, rows = _read_table(path)
+    return ids, {name: [row[j] for row in rows] for j, name in enumerate(header[1:])}
 
 
 def align_labels(ids, table, reference_ids):

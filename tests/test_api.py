@@ -1,15 +1,20 @@
 """The package root's public names: those of README's "Library use" block,
 the Projector and the error classes.  Everything else is imported from its
-own module.  Also what importing the package and its CLI loads, and the
-settings that calibration and the optimizer's result keep."""
+own module.  Also what importing the package and its CLI loads, the
+settings that calibration and the optimizer's result keep, and errors that
+cross a process boundary."""
 import dataclasses
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 import types
 
+import pytest
+
 import bctsne
+from bctsne import CollinearityError, OptimizerError
 from bctsne.tsne import EmbeddingState, calibrate_bandwidths
 
 LIBRARY_USE = {"SimSpec", "simulate", "normalize_log1p_cpm", "build_design",
@@ -44,3 +49,15 @@ def test_calibration_and_optimizer_keep_only_what_a_caller_sets():
     # optimizer returns the embedding alone
     assert list(inspect.signature(calibrate_bandwidths).parameters) == ["D", "perplexity"]
     assert [f.name for f in dataclasses.fields(EmbeddingState)] == ["Y"]
+
+
+@pytest.mark.parametrize("error, attribute", [
+    (OptimizerError("non-finite gradient", iteration=3), "iteration"),
+    (CollinearityError("design is rank deficient", ["batch[b2]"]), "columns"),
+], ids=["OptimizerError", "CollinearityError"])
+def test_errors_survive_a_pickle_round_trip(error, attribute):
+    # pipeline's uncorrected run sends its error from a child process
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert getattr(copy, attribute) == getattr(error, attribute)

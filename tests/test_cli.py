@@ -1,9 +1,17 @@
 import hashlib
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bctsne import CalibrationWarning, OptimizerError, cli, tsne
 from bctsne.cli import main, read_config
 from bctsne.matrixio import read_embedding_csv, read_matrix_csv, write_embedding_csv
 
@@ -248,6 +256,7 @@ class TestPipelineMatchesSubcommands:
         cfg = tmp_path / "pipeline.cfg"
         cfg.write_text(f"cells=60\ngenes=100\niters=100\nseed={seed}\noutdir={outdir}\n")
         assert main(["pipeline", str(cfg)]) == 0
+        assert multiprocessing.active_children() == []
 
         counts, labels = tmp_path / "counts.csv", tmp_path / "labels.csv"
         assert main(["generate", "--cells", "60", "--genes", "100", "--seed", seed,
@@ -270,3 +279,150 @@ class TestPipelineMatchesSubcommands:
         assert [name for _, name in entries] == expected
         for digest, name in entries:
             assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == digest
+
+
+class TestPipelineInTwoProcesses:
+    """pipeline computes the uncorrected embedding in a child process (forked
+    on Linux, so the child inherits monkeypatched functions).  A failure on
+    either side ends the run with one error line, and no child outlives it."""
+
+    @pytest.fixture
+    def pipeline(self, tmp_path):
+        outdir = tmp_path / "pipe"
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"cells=60\ngenes=100\niters=50\noutdir={outdir}\n")
+        return cfg, outdir
+
+    @staticmethod
+    def patch_runs(monkeypatch, corrected=None, uncorrected=None):
+        """Call corrected() or uncorrected() at the start of that run."""
+        run_tsne = cli.run_tsne
+
+        def patched(X, cfg, projector=None, **kwargs):
+            before = uncorrected if projector is None else corrected
+            if before is not None:
+                before()
+            return run_tsne(X, cfg, projector=projector, **kwargs)
+
+        monkeypatch.setattr(cli, "run_tsne", patched)
+
+    @staticmethod
+    def raise_optimizer_error():
+        raise OptimizerError("non-finite gradient", iteration=7)
+
+    def test_uncorrected_run_raises(self, pipeline, monkeypatch, capsys):
+        cfg, outdir = pipeline
+        self.patch_runs(monkeypatch, uncorrected=self.raise_optimizer_error)
+        assert main(["pipeline", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: OptimizerError: non-finite gradient\n"
+        assert not (outdir / "manifest.txt").exists()
+        assert not list(outdir.glob("*uncorrected*"))
+        assert (outdir / "report_corrected.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_corrected_run_raises_and_the_child_is_terminated(self, pipeline,
+                                                               monkeypatch, capsys):
+        cfg, outdir = pipeline
+        self.patch_runs(monkeypatch, corrected=self.raise_optimizer_error,
+                        uncorrected=lambda: time.sleep(600))
+        start = time.monotonic()
+        assert main(["pipeline", str(cfg)]) == 1
+        assert time.monotonic() - start < 300  # the child did not sleep it out
+        assert capsys.readouterr().err == "error: OptimizerError: non-finite gradient\n"
+        assert not list(outdir.glob("embedding_*"))
+        assert multiprocessing.active_children() == []
+
+    def test_other_errors_carry_the_childs_traceback(self, pipeline, monkeypatch):
+        cfg, _ = pipeline
+
+        def fail():
+            raise KeyError("not a package error")
+
+        self.patch_runs(monkeypatch, uncorrected=fail)
+        with pytest.raises(KeyError, match="not a package error") as info:
+            main(["pipeline", str(cfg)])
+        assert "in _tsne_in_child" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_dies_silently_names_its_exit_code(self, pipeline, monkeypatch,
+                                                          capsys):
+        cfg, outdir = pipeline
+        self.patch_runs(monkeypatch, uncorrected=lambda: os._exit(3))
+        assert main(["pipeline", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: BctsneError:") and err.count("\n") == 1
+        assert "exit code 3" in err
+        assert not (outdir / "manifest.txt").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_child_of_a_vanished_parent_does_not_wait_forever(self, pipeline):
+        # the parent exits without cleaning up while its child has a result
+        # larger than a pipe's buffer to send: the send must fail, not block
+        cfg, _ = pipeline
+        script = textwrap.dedent("""
+            import multiprocessing, os, sys
+            import numpy as np
+            from bctsne import cli
+            from bctsne.tsne import EmbeddingState
+
+            def run_tsne(X, cfg, projector=None, **kwargs):
+                if projector is None:
+                    return EmbeddingState(Y=np.zeros((100_000, 2)))
+                print(multiprocessing.active_children()[0].pid, flush=True)
+                os._exit(0)
+
+            cli.run_tsne = run_tsne
+            cli.main(["pipeline", sys.argv[1]])
+        """)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = cfg.with_name("stdout.txt")
+        with out.open("w") as fh:
+            subprocess.run([sys.executable, "-c", script, str(cfg)], stdout=fh,
+                           stderr=subprocess.DEVNULL, check=True, timeout=120, env=env)
+        pid = int(out.read_text().split()[-1])
+
+        def running():
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+        deadline = time.monotonic() + 60
+        try:
+            while running() and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not running()
+        finally:
+            if running():
+                os.kill(pid, signal.SIGKILL)
+
+    def test_child_warnings_reach_the_caller(self, pipeline, monkeypatch):
+        cfg, _ = pipeline
+        monkeypatch.setattr(tsne, "_MAX_ITER", 2)  # every calibration misses
+        with pytest.warns(CalibrationWarning) as record:
+            assert main(["pipeline", str(cfg)]) == 0
+        caught = [w for w in record if issubclass(w.category, CalibrationWarning)]
+        # per embedding, one from its run's affinities and one from its
+        # report's LISI weights; the third came from the child's run
+        assert len(caught) == 4
+        assert [w.filename for w in caught] == [__file__] * 4
+        assert multiprocessing.active_children() == []
+
+    def test_spawned_child_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        default, outputs = cli._START_METHOD, {}
+        for method in (default, "spawn"):
+            monkeypatch.setattr(cli, "_START_METHOD", method)
+            run = tmp_path / str(method)
+            run.mkdir()
+            (run / "pipeline.cfg").write_text("cells=60\ngenes=100\niters=50\noutdir=out\n")
+            monkeypatch.chdir(run)
+            assert main(["pipeline", "pipeline.cfg"]) == 0
+            files = {p.name: p.read_bytes() for p in (run / "out").iterdir()}
+            outputs[method] = (files, capsys.readouterr().out)
+        assert len(outputs["spawn"][0]) == 11
+        assert outputs[default] == outputs["spawn"]
+        assert multiprocessing.active_children() == []

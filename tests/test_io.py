@@ -1,5 +1,6 @@
 import csv
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ class TestMatrixCsv:
         M, _, _ = read_matrix_csv(p)
         assert time.time() - t0 < 5.0
         assert M.shape == (800, 2000)
+
+    def test_peak_parsed_rows_and_matrix(self, tmp_path):
+        # each row is parsed to float64 as it is read, so the peak is the rows
+        # and the matrix stacked from them, not every field held as a str
+        counts = simulate(SimSpec(n_cells=1000, seed=0)).counts
+        p = tmp_path / "counts.csv"
+        write_matrix_csv(counts, [f"cell{i}" for i in range(counts.shape[0])],
+                         [f"gene{j}" for j in range(counts.shape[1])], p)
+        tracemalloc.start()
+        try:
+            M, _, _ = read_matrix_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(M, counts)
+        assert peak <= 2 * counts.nbytes + 2**20
 
 
 class TestLabelsCsv:

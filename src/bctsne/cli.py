@@ -5,6 +5,8 @@ import argparse
 import dataclasses
 import hashlib
 import multiprocessing
+import os
+import signal
 import sys
 import traceback
 import warnings
@@ -24,6 +26,7 @@ from .tsne import OptimizerConfig, _warn_caller, run_tsne
 # bctsne again, which takes longer than a 200-cell run.  None is the
 # platform's default start method.
 _START_METHOD = "fork" if sys.platform.startswith("linux") else None
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 # The option tables below are the only definition of each setting: the
 # subcommands are built from them, `read_config` parses a pipeline config with
@@ -129,13 +132,20 @@ def _add_embed(sub):
     p.set_defaults(func=cmd_embed)
 
 
-def _tsne(scores, projector, opts):
+def _tsne(scores, projector, opts, parent=None):
     """(embedding, trace records) of the t-SNE of the PCA scores with the
     embed options and seed in opts, corrected for the projector's design when
-    one is given."""
+    one is given.  When parent is a pid, each trace record first ends this
+    process if that one is no longer its parent."""
     trace = []
+
+    def record(entry):
+        if parent is not None:
+            _exit_if_orphaned(parent)
+        trace.append(entry)
+
     state = run_tsne(scores, _config(OptimizerConfig, opts), projector=projector,
-                     on_trace=trace.append)
+                     on_trace=record)
     return state.Y, trace
 
 
@@ -275,18 +285,40 @@ class _ChildTraceback(Exception):
     """The traceback, as text, of an exception raised in a child process."""
 
 
-def _tsne_in_child(receiver, sender, scores, opts):
+def _exit_if_orphaned(parent):
+    """End this process at once if the process with pid parent, which started
+    it, has died: its result would go nowhere."""
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _die_with_parent():
+    """Have Linux send this process SIGKILL when its parent dies, even by a
+    signal; 0 on success."""
+    import ctypes  # only a forked child needs it
+
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    return prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+
+
+def _tsne_in_child(receiver, sender, scores, opts, parent, forked):
     """Process target: send the uncorrected run's (embedding, trace) or None,
     the warnings it recorded, and the exception that ended it with its
-    traceback, or None."""
+    traceback, or None.  parent is the pid of the process that started this
+    one, and forked says whether that was by fork, which only Linux uses."""
     # with the read end open here too, a result larger than the pipe's buffer
     # would wait forever for a parent that has died
     receiver.close()
+    # the child ends with its parent: Linux kills a forked child, and any other
+    # (or one whose prctl failed) checks at each trace record, every 50 iterations
+    watch = not forked or _die_with_parent() != 0
+    _exit_if_orphaned(parent)  # the parent may have died before prctl
     result = error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the parent's filters decide
         try:
-            result = _tsne(scores, None, opts)
+            result = _tsne(scores, None, opts, parent if watch else None)
         except Exception as exc:
             error = exc, traceback.format_exc()
     sender.send((result, [w.message for w in caught], error))
@@ -341,8 +373,9 @@ def cmd_pipeline(args):
     # line comes from here, in the order of running the two one after the other
     context = multiprocessing.get_context(_START_METHOD)
     receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_tsne_in_child, args=(receiver, sender, scores, cfg),
-                            daemon=True)
+    forked = context.get_start_method() == "fork"
+    child = context.Process(target=_tsne_in_child, daemon=True,
+                            args=(receiver, sender, scores, cfg, os.getpid(), forked))
     child.start()
     sender.close()
     try:

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .design import Projector
 from .errors import DomainError, ValidationError
@@ -29,6 +28,8 @@ def pca_reduce(X, k):
     subspace; a Rayleigh-Ritz step, the thin SVD of Xc restricted to that
     span (k x p or n x k), gives S without squaring the condition number.
     """
+    from scipy.linalg import eigh  # on first use: slow to import, and only PCA needs it
+
     X = ensure_matrix(X, "X")
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 rows")

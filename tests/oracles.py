@@ -205,7 +205,8 @@ def kbet_loop(Y, batch, knn, n_test, alpha=0.05, seed=0):
     """kBET acceptance with one neighbour search and one test per sampled
     row: the package's kBET before it handled all rows at once.
     Its p-value comes from scipy.stats.chi2.sf, an independent reference for
-    the package's scipy.special.chdtrc; this is the one import of scipy.stats."""
+    the package's closed-form chi-squared tail, metrics._chi2_sf; this is the
+    one import of scipy.stats."""
     n = Y.shape[0]
     levels = sorted(set(batch), key=str)
     codes = np.array([levels.index(b) for b in batch])

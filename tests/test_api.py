@@ -3,12 +3,14 @@ the Projector and the error classes.  Everything else is imported from its
 own module.  Also what importing the package and its CLI loads, the
 settings that calibration and the optimizer's result keep, and errors that
 cross a process boundary."""
+import ast
 import dataclasses
 import inspect
 import os
 import pickle
 import subprocess
 import sys
+import textwrap
 import types
 
 import pytest
@@ -31,17 +33,55 @@ def test_root_exports_the_documented_names_only():
     assert len(public) == 16
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # kBET's p-value comes from scipy.special; scipy.stats would add over half
-    # a second to the start of every process that imports the package
-    script = ("import sys, bctsne, bctsne.cli\n"
-              "print(sorted(m for m in sys.modules\n"
-              "             if m == 'scipy.stats' or m.startswith('scipy.stats.')))\n")
+def _fresh_modules(script, *args):
+    """The sorted scipy modules loaded after script runs in a fresh
+    interpreter that imports this checkout's package."""
+    script += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     src = os.path.dirname(os.path.dirname(bctsne.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]", out
+    return out.splitlines()[-1]
+
+
+def test_import_leaves_scipy_unloaded():
+    # kBET's p-value is computed in metrics.py and PCA imports scipy.linalg on
+    # first use: scipy (scipy.stats above all) would add a quarter of a second
+    # or more to the start of every process that imports the package
+    assert _fresh_modules("import sys, bctsne, bctsne.cli") == "[]"
+
+
+def test_generate_evaluate_and_plot_leave_scipy_unloaded(tmp_path):
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from bctsne import cli, matrixio
+
+        counts, labels, emb = sys.argv[1:]
+        assert cli.main(["generate", "--cells", "40", "--genes", "30",
+                         "--counts-out", counts, "--labels-out", labels]) == 0
+        Y = np.random.default_rng(0).normal(size=(40, 2))
+        matrixio.write_embedding_csv(Y, [f"cell{i + 1}" for i in range(40)], emb)
+        assert cli.main(["evaluate", emb, labels, "--lisi-perplexity", "10",
+                         "--out", emb + ".report.csv"]) == 0
+        assert cli.main(["plot", emb, labels, "--color-by", "group",
+                         "--out", emb + ".svg"]) == 0
+    """)
+    paths = [str(tmp_path / name) for name in ("counts.csv", "labels.csv", "emb.csv")]
+    assert _fresh_modules(script, *paths) == "[]"
+
+
+def test_pca_loads_scipy_linalg_only():
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from bctsne import pca_reduce
+
+        pca_reduce(np.random.default_rng(0).normal(size=(20, 8)), 3)
+    """)
+    loaded = ast.literal_eval(_fresh_modules(script))
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.special", "scipy.stats"))]
 
 
 def test_calibration_and_optimizer_keep_only_what_a_caller_sets():

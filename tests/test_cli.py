@@ -16,6 +16,32 @@ from bctsne.cli import main, read_config
 from bctsne.matrixio import read_embedding_csv, read_matrix_csv, write_embedding_csv
 
 
+def package_env():
+    """The environment for a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def ends_within(pid, seconds):
+    """Whether process pid has ended, or is a zombie, within seconds; it is
+    killed if not."""
+
+    def running():
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+    deadline = time.monotonic() + seconds
+    while running() and time.monotonic() < deadline:
+        time.sleep(0.1)
+    if running():
+        os.kill(pid, signal.SIGKILL)
+        return False
+    return True
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     d = tmp_path_factory.mktemp("data")
@@ -359,7 +385,8 @@ class TestPipelineInTwoProcesses:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     def test_child_of_a_vanished_parent_does_not_wait_forever(self, pipeline):
         # the parent exits without cleaning up while its child has a result
-        # larger than a pipe's buffer to send: the send must fail, not block
+        # larger than a pipe's buffer to send: the send must fail, not block.
+        # prctl is made to fail, or Linux would kill the child with its parent
         cfg, _ = pipeline
         script = textwrap.dedent("""
             import multiprocessing, os, sys
@@ -374,31 +401,52 @@ class TestPipelineInTwoProcesses:
                 os._exit(0)
 
             cli.run_tsne = run_tsne
+            cli._die_with_parent = lambda: -1
             cli.main(["pipeline", sys.argv[1]])
         """)
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
         out = cfg.with_name("stdout.txt")
         with out.open("w") as fh:
             subprocess.run([sys.executable, "-c", script, str(cfg)], stdout=fh,
-                           stderr=subprocess.DEVNULL, check=True, timeout=120, env=env)
+                           stderr=subprocess.DEVNULL, check=True, timeout=120,
+                           env=package_env())
         pid = int(out.read_text().split()[-1])
+        assert ends_within(pid, 60)
 
-        def running():
-            try:
-                stat = Path(f"/proc/{pid}/stat").read_text()
-            except FileNotFoundError:
-                return False
-            return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_child_ends_with_a_parent_killed_by_a_signal(self, tmp_path, method):
+        # SIGTERM gives the parent no chance to stop its child.  The forked
+        # child's run sleeps, so only the kernel's SIGKILL can end it; the
+        # spawned one runs a real embedding of ten million iterations and
+        # must notice at a trace record
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"cells=60\ngenes=100\niters=10000000\noutdir={tmp_path}\n")
+        script = textwrap.dedent("""
+            import multiprocessing, sys, time
+            from bctsne import cli
 
-        deadline = time.monotonic() + 60
+            def run_tsne(X, cfg, projector=None, **kwargs):
+                if projector is None:
+                    time.sleep(120)
+                print("child", multiprocessing.active_children()[0].pid, flush=True)
+                time.sleep(120)
+
+            cli._START_METHOD = sys.argv[2]
+            cli.run_tsne = run_tsne
+            cli.main(["pipeline", sys.argv[1]])
+        """)
+        parent = subprocess.Popen([sys.executable, "-c", script, str(cfg), method],
+                                  stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                                  text=True, env=package_env())
         try:
-            while running() and time.monotonic() < deadline:
-                time.sleep(0.1)
-            assert not running()
+            lines = iter(parent.stdout.readline, "")
+            pid = int(next(line for line in lines if line.startswith("child ")).split()[1])
+            time.sleep(0.5)  # the child is under way
         finally:
-            if running():
-                os.kill(pid, signal.SIGKILL)
+            parent.send_signal(signal.SIGTERM)
+            parent.stdout.close()
+            assert parent.wait(timeout=30) == -signal.SIGTERM
+        assert ends_within(pid, 5)
 
     def test_child_warnings_reach_the_caller(self, pipeline, monkeypatch):
         cfg, _ = pipeline

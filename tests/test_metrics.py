@@ -1,5 +1,6 @@
 from fractions import Fraction
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from bctsne import (
     build_design,
     evaluate,
 )
-from bctsne.metrics import kbet_acceptance, lisi, pc_regression, silhouette
+from bctsne.metrics import _chi2_sf, kbet_acceptance, lisi, pc_regression, silhouette
 
 
 from oracles import (
@@ -169,6 +170,27 @@ class TestKbet:
             acc = kbet_acceptance(Y, labels, knn=knn, n_test=n_test, seed=seed)
             assert acc == kbet_loop(Y, labels, knn, n_test, seed=seed)
             assert 0.0 < acc < 1.0
+
+    def test_p_value_matches_scipy_chdtrc(self):
+        # kBET's closed-form chi-squared tail against scipy's, imported here
+        # only; every x from 0 to 5000, densest where kBET's statistics lie
+        from scipy.special import chdtrc
+
+        x = np.unique(np.concatenate([
+            np.linspace(0.0, 5000.0, 5001), np.linspace(0.0, 200.0, 2001),
+            np.geomspace(1e-12, 1.0, 200),
+        ]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # also under a pytest that allows them
+            for df in range(1, 151):
+                ref, got = chdtrc(df, x), _chi2_sf(df, x)
+                assert got[0] == 1.0  # at x = 0
+                assert np.all(got >= 0.0)
+                tail = ref > 1e-10
+                np.testing.assert_allclose(got[tail], ref[tail], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got[~tail], ref[~tail], rtol=0, atol=1e-10)
+                far = _chi2_sf(df, np.array([1e6]))
+                assert np.isfinite(far[0]) and far[0] >= 0.0
 
     def test_precomputed_shape_checked(self):
         layouts, batch = kbet_layouts()

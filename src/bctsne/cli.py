@@ -14,12 +14,12 @@ from pathlib import Path
 
 from . import matrixio, plot
 from .design import build_design
-from .errors import BctsneError, DomainError, ValidationError
+from .errors import BctsneError, DomainError, ValidationError, _warn_caller
 from .linalg import ensure_index
 from .metrics import MetricsConfig, evaluate
 from .reduce import pca_reduce
 from .simulate import SimSpec, normalize_log1p_cpm, simulate
-from .tsne import OptimizerConfig, _warn_caller, run_tsne
+from .tsne import OptimizerConfig, run_tsne
 
 # pipeline's uncorrected embedding runs in a child process.  A forked child
 # inherits the imported package and the scores; a spawned one would import
@@ -72,21 +72,6 @@ def _config(cls, opts):
 def _names(text):
     """The comma-separated names in text, blanks dropped."""
     return [v.strip() for v in text.split(",") if v.strip()]
-
-
-def _read_labels(path, ids, columns=None):
-    """The named columns (all when None) of the labels file at path, with
-    rows in the order of ids."""
-    label_ids, table = matrixio.read_labels_csv(path)
-    table = matrixio.align_labels(label_ids, table, ids)
-    if columns is None:
-        return table
-    unknown = [c for c in columns if c not in table]
-    if unknown:
-        raise BctsneError(
-            f"unknown label column(s) {unknown}; {path} has {sorted(table)}"
-        )
-    return {c: table[c] for c in columns}
 
 
 def _add_generate(sub):
@@ -166,7 +151,7 @@ def cmd_embed(args):
     if not args.no_correction:
         if args.labels is None:
             raise BctsneError("a labels file is required for batch correction")
-        labels = _read_labels(args.labels, ids, args.batch_vars)
+        labels = matrixio.read_labels_csv(args.labels, ids, args.batch_vars)
         projector = build_design(labels)
     Y, trace = _tsne(pca_reduce(X, args.k).scores, projector, args)
     _write_embedding(Y, trace, ids, args.out,
@@ -196,7 +181,7 @@ def _add_evaluate(sub):
 
 def cmd_evaluate(args):
     Y, ids = matrixio.read_embedding_csv(args.embedding)
-    table = _read_labels(args.labels, ids, args.labelings or None)
+    table = matrixio.read_labels_csv(args.labels, ids, args.labelings or None)
     report = evaluate(Y, table, _config(MetricsConfig, args))
     matrixio.write_report_csv(report, args.out)
     print(report.format_table())
@@ -217,7 +202,7 @@ def _add_plot(sub):
 def cmd_plot(args):
     Y, ids = matrixio.read_embedding_csv(args.embedding)
     columns = [c for c in (args.color_by, args.shape_by) if c is not None]
-    table = _read_labels(args.labels, ids, columns)
+    table = matrixio.read_labels_csv(args.labels, ids, columns)
     plot.write_scatter_svg(
         args.out,
         Y,
@@ -257,7 +242,7 @@ class _ConfigParser(argparse.ArgumentParser):
 def read_config(path):
     """Typed pipeline settings from a flat key=value file whose keys are the
     generate and embed option names with _ for -, seed and outdir."""
-    argv = []
+    argv, first = [], {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -265,8 +250,13 @@ def read_config(path):
                 continue
             if "=" not in line:
                 raise BctsneError(f"{path}: line {lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            argv.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            flag = f"--{key.replace('_', '-')}"
+            if flag in first:
+                raise BctsneError(f"{path}: line {lineno}: {key} was already set "
+                                  f"on line {first[flag]}")
+            first[flag] = lineno
+            argv.append(f"{flag}={value}")
     parser = _ConfigParser(path)
     cfg = parser.parse_args(argv)
     try:  # settings that clash fail here, before the pipeline writes anything

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its warnings."""
+import os
+import sys
+import warnings
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
 
 class BctsneError(Exception):
@@ -49,3 +54,13 @@ class OptimizerError(BctsneError):
 
 class CalibrationWarning(UserWarning):
     """Bandwidth search ended with rows whose perplexity is off target."""
+
+
+def _warn_caller(message, category):
+    """warnings.warn attributed to the first caller outside this package, so
+    filters keyed on the caller's module match whichever bctsne function it
+    called."""
+    frame, stacklevel = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, stacklevel = frame.f_back, stacklevel + 1
+    warnings.warn(message, category, stacklevel=stacklevel)

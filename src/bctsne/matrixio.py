@@ -121,27 +121,28 @@ def write_matrix_csv(M, row_ids, col_names, path):
     _write_table(
         path,
         ["id", *col_names],
-        ([rid, *(_FMT % v for v in row)] for rid, row in zip(row_ids, M)),
+        # row by row as Python floats: faster to format than numpy's, same text
+        ([rid, *(_FMT % v for v in row.tolist())] for rid, row in zip(row_ids, M)),
     )
 
 
-def read_labels_csv(path):
-    """Parse a label table: first column ids, remaining columns categorical.
-
-    Returns (ids, {column: list of strings}).
-    """
-    header, ids, rows = _read_table(path)
-    return ids, {name: [row[j] for row in rows] for j, name in enumerate(header[1:])}
-
-
-def align_labels(ids, table, reference_ids):
-    """Reorder label rows to match reference_ids, erroring on missing ids."""
-    index = {rid: i for i, rid in enumerate(ids)}
-    missing = [rid for rid in reference_ids if rid not in index]
+def read_labels_csv(path, ids, columns=None):
+    """Parse a label table (first column ids, remaining columns categorical)
+    into {column: the labels of ids, in their order}: the named columns, or
+    all of them in file order when columns is None."""
+    header, label_ids, rows = _read_table(path)
+    index = {rid: i for i, rid in enumerate(label_ids)}
+    missing = [rid for rid in ids if rid not in index]
     if missing:
-        raise ValidationError(f"label file is missing ids: {missing[:10]}")
-    order = [index[rid] for rid in reference_ids]
-    return {name: [values[i] for i in order] for name, values in table.items()}
+        raise ValidationError(f"{path}: label file is missing ids: {missing[:10]}")
+    names = {name: j for j, name in enumerate(header[1:])}
+    columns = list(names) if columns is None else columns
+    unknown = [c for c in columns if c not in names]
+    if unknown:
+        raise ValidationError(f"{path}: unknown label column(s) {unknown}; "
+                              f"its columns are {list(names)}")
+    order = [index[rid] for rid in ids]
+    return {c: [rows[i][names[c]] for i in order] for c in columns}
 
 
 def write_labels_csv(ids, table, path):

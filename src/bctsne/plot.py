@@ -6,13 +6,12 @@ produce byte-identical output.
 """
 from __future__ import annotations
 
-import warnings
 from html import escape
 
 import numpy as np
 
 from .design import encode_labels
-from .errors import ValidationError
+from .errors import ValidationError, _warn_caller
 from .linalg import ensure_matrix
 from .matrixio import replacing
 
@@ -67,9 +66,10 @@ def _option_codes(labels, n, options, kind):
         return np.zeros(n, dtype=np.intp), []
     levels, codes = encode_labels(labels, n)
     if len(levels) > len(options):
-        warnings.warn(
+        _warn_caller(
             f"{len(levels)} levels exceed the {len(options)} available "
-            f"{kind}s; cycling"
+            f"{kind}s; cycling",
+            UserWarning,
         )
     return codes % len(options), levels
 

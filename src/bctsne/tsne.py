@@ -5,15 +5,13 @@ onto a linear constraint set.
 """
 from __future__ import annotations
 
-import os
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .design import Projector
-from .errors import CalibrationWarning, DomainError, OptimizerError, ValidationError
+from .errors import (CalibrationWarning, DomainError, OptimizerError,
+                     ValidationError, _warn_caller)
 from .linalg import _BLOCK_ROWS, ensure_index, ensure_matrix, pairwise_sqdist
 
 PROB_FLOOR = 1e-12
@@ -44,7 +42,7 @@ _EARLY_ITERS = 250
 _MOMENTUM_EARLY = 0.5
 _MOMENTUM_LATE = 0.8
 _MIN_GAIN = 0.01
-_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+_TRACE_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -97,16 +95,6 @@ def ensure_perplexity(value, n, name="perplexity"):
     reaches the target."""
     if not 2.0 <= value <= n - 1:
         raise DomainError(f"{name} must lie in [2, n - 1]; got {value} with n={n}")
-
-
-def _warn_caller(message, category):
-    """warnings.warn attributed to the first caller outside this package, so
-    filters keyed on the caller's module match whichever bctsne function it
-    called."""
-    frame, stacklevel = sys._getframe(1), 2
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-        frame, stacklevel = frame.f_back, stacklevel + 1
-    warnings.warn(message, category, stacklevel=stacklevel)
 
 
 def _offdiag(D, rows):
@@ -432,20 +420,19 @@ def kl_gradient(P, Y, exaggeration=1.0, *, kl=False):
     return (grad, max(float(plogpw + P.sum() * np.log(Z)), 0.0)) if kl else grad
 
 
-def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
+def run_tsne(X, cfg, projector=None, on_trace=None):
     """Full optimization loop over the configured number of iterations.
 
     The embedding starts as Normal(0, 1e-4) with cfg.seed and follows the
     schedule that OptimizerConfig describes.  The projector (for plain t-SNE,
     the empty design's, an exact copy) projects X before the affinities are
     calibrated, and every iterate.  Trace records are emitted through
-    on_trace every trace_every iterations and at the last, each with the KL
+    on_trace every _TRACE_EVERY iterations and at the last, each with the KL
     of its post-step iterate; tracing adds one pass, after the last iteration.
     """
     X = ensure_matrix(X, "X")
     n = X.shape[0]
     cfg.validate(n)
-    ensure_index(trace_every, "trace_every", DomainError, 1)
     if projector is None:
         projector = Projector(np.empty((n, 0)))
     # projecting checks the design's row count before its rank is read
@@ -465,7 +452,7 @@ def run_tsne(X, cfg, projector=None, on_trace=None, trace_every=50):
         early = t < _EARLY_ITERS
         factor = cfg.exaggeration_factor if early else 1.0
         # this pass runs at iteration t - 1's post-step iterate
-        if on_trace is not None and t and (t - 1) % trace_every == 0:
+        if on_trace is not None and t and (t - 1) % _TRACE_EVERY == 0:
             grad, kl = kl_gradient(P, Y, factor, kl=True)
             on_trace(TraceRecord(t - 1, kl, projector.orthogonality(Y)))
         else:

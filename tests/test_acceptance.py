@@ -75,35 +75,35 @@ def report(criterion, ok, detail):
 def simulation_runs():
     """Corrected + uncorrected embeddings for seeds 1-3 at desk scale."""
     runs = {}
-    for seed in (1, 2, 3):
-        out = simulate(SimSpec(seed=seed))
-        X = normalize_log1p_cpm(out.counts)
-        cfg = OptimizerConfig(n_iter=1000, seed=seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr("bctsne.tsne._TRACE_EVERY", 10)
+        for seed in (1, 2, 3):
+            out = simulate(SimSpec(seed=seed))
+            X = normalize_log1p_cpm(out.counts)
+            cfg = OptimizerConfig(n_iter=1000, seed=seed)
 
-        trace_u = []
-        state_u = run_tsne(
-            pca_reduce(X, 30).scores,
-            cfg,
-            on_trace=trace_u.append,
-            trace_every=10,
-        )
+            trace_u = []
+            state_u = run_tsne(
+                pca_reduce(X, 30).scores,
+                cfg,
+                on_trace=trace_u.append,
+            )
 
-        projector = build_design({"batch": out.batch_labels.tolist()})
-        scores_c = residualized_reduce(X, projector, 30).scores
-        trace_c = []
-        state_c = run_tsne(
-            scores_c, cfg, projector=projector,
-            on_trace=trace_c.append, trace_every=10,
-        )
-        runs[seed] = {
-            "sim": out,
-            "scores_corrected": scores_c,
-            "uncorrected": state_u,
-            "corrected": state_c,
-            "trace_uncorrected": trace_u,
-            "trace_corrected": trace_c,
-            "projector": projector,
-        }
+            projector = build_design({"batch": out.batch_labels.tolist()})
+            scores_c = residualized_reduce(X, projector, 30).scores
+            trace_c = []
+            state_c = run_tsne(
+                scores_c, cfg, projector=projector, on_trace=trace_c.append,
+            )
+            runs[seed] = {
+                "sim": out,
+                "scores_corrected": scores_c,
+                "uncorrected": state_u,
+                "corrected": state_c,
+                "trace_uncorrected": trace_u,
+                "trace_corrected": trace_c,
+                "projector": projector,
+            }
     return runs
 
 
@@ -136,7 +136,7 @@ def test_criterion_1_gradient_vs_finite_differences():
     )
 
 
-def test_criterion_2_projection_exactness(simulation_runs):
+def test_criterion_2_projection_exactness(simulation_runs, monkeypatch):
     worst_orth = 0.0
     worst_pcr = 0.0
     for seed, run in simulation_runs.items():
@@ -149,12 +149,12 @@ def test_criterion_2_projection_exactness(simulation_runs):
     X = rng.standard_normal((150, 20))
     design = build_design({"b": (np.arange(150) % 3).tolist()})
     trace = []
+    monkeypatch.setattr("bctsne.tsne._TRACE_EVERY", 1)
     run_tsne(
         X,
         OptimizerConfig(n_iter=400, perplexity=20, seed=0),
         projector=design,
         on_trace=trace.append,
-        trace_every=1,
     )
     every_iter = max(r.orthogonality_maxabs for r in trace)
     report(

@@ -16,8 +16,8 @@ import types
 import pytest
 
 import bctsne
-from bctsne import CollinearityError, OptimizerError
-from bctsne.tsne import EmbeddingState, calibrate_bandwidths
+from bctsne import CollinearityError, OptimizerError, matrixio
+from bctsne.tsne import EmbeddingState, calibrate_bandwidths, run_tsne
 
 LIBRARY_USE = {"SimSpec", "simulate", "normalize_log1p_cpm", "build_design",
                "pca_reduce", "OptimizerConfig", "run_tsne", "evaluate",
@@ -85,10 +85,14 @@ def test_pca_loads_scipy_linalg_only():
 
 
 def test_calibration_and_optimizer_keep_only_what_a_caller_sets():
-    # the search's tolerance and step count are module constants, and the
-    # optimizer returns the embedding alone
+    # the search's tolerance and step count and the trace cadence are module
+    # constants, the optimizer returns the embedding alone, and one reader
+    # returns labels in the order of the caller's ids
     assert list(inspect.signature(calibrate_bandwidths).parameters) == ["D", "perplexity"]
+    assert list(inspect.signature(run_tsne).parameters) == ["X", "cfg", "projector",
+                                                           "on_trace"]
     assert [f.name for f in dataclasses.fields(EmbeddingState)] == ["Y"]
+    assert not hasattr(matrixio, "align_labels")
 
 
 @pytest.mark.parametrize("error, attribute", [

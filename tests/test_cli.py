@@ -131,7 +131,9 @@ class TestEmbed:
         rc = main(["embed", str(counts), str(labels), "--batch-vars", "nope",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
-        assert "nope" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValidationError:") and err.count("\n") == 1
+        assert "nope" in err and str(labels) in err
 
     @pytest.mark.parametrize("value", ["0", "-1", "inf"])
     def test_non_positive_exaggeration_rejected(self, dataset, tmp_path, capsys, value):
@@ -253,7 +255,8 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("line", ["cells=abc", "dims=4", "bogus=1", "cell=100",
                                       "k=900", "exaggeration=0", "perplexity=800",
                                       "de_prob=1.5", "batch_effect_sd=nan", "eta=inf",
-                                      "seed=-1", "batches=1", "groups=1"])
+                                      "seed=-1", "batches=1", "groups=1",
+                                      "seed=1\nseed=2"])
     def test_bad_line_fails_before_any_output(self, tmp_path, capsys, line):
         outdir = tmp_path / "out"
         cfg = tmp_path / "cfg.txt"

@@ -242,7 +242,8 @@ class TestProjectedStep:
         with pytest.raises(DomainError):
             run_tsne(X, OptimizerConfig(n_iter=5, perplexity=3), projector=design)
 
-    def test_orthogonality_every_iteration(self):
+    def test_orthogonality_every_iteration(self, monkeypatch):
+        monkeypatch.setattr("bctsne.tsne._TRACE_EVERY", 1)
         rng = np.random.default_rng(6)
         X = rng.standard_normal((40, 6))
         P = build_design({"b": (np.arange(40) % 2).tolist()})
@@ -252,7 +253,6 @@ class TestProjectedStep:
             OptimizerConfig(n_iter=120, perplexity=10, seed=0),
             projector=P,
             on_trace=trace.append,
-            trace_every=1,
         )
         assert len(trace) == 120
         assert all(r.orthogonality_maxabs < 1e-8 for r in trace)

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from bctsne import SimSpec, ValidationError, simulate
 from bctsne.matrixio import (
-    align_labels,
     read_embedding_csv,
     read_labels_csv,
     read_matrix_csv,
@@ -32,6 +31,18 @@ class TestMatrixCsv:
         assert np.array_equal(M, M2)
         assert ids == ["r1", "r2", "r3"]
         assert cols == ["c1", "c2"]
+
+    def test_text_is_that_of_numpy_scalars(self, tmp_path):
+        # rows are formatted from Python floats; the text must be what
+        # formatting the matrix's own numpy scalars gives
+        M = np.array([[-0.0, 5e-324, 1e300], [0.1, 2.0**60, 1 / 3]])
+        p = tmp_path / "m.csv"
+        write_matrix_csv(M, ["r1", "r2"], ["a", "b", "c"], p)
+        expected = "id,a,b,c\n" + "".join(
+            f"{rid}," + ",".join("%.17g" % v for v in row) + "\n"
+            for rid, row in zip(["r1", "r2"], M)
+        )
+        assert p.read_bytes() == expected.encode()
 
     def test_non_numeric_cell_named(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -67,7 +78,7 @@ class TestMatrixCsv:
         label = "x" * csv.field_size_limit()
         p = tmp_path / "labels.csv"
         write_labels_csv(["c1", "c2"], {"b": [label, "y"]}, p)
-        assert read_labels_csv(p) == (["c1", "c2"], {"b": [label, "y"]})
+        assert read_labels_csv(p, ["c1", "c2"]) == {"b": [label, "y"]}
 
     def test_field_over_csv_limit_refused_at_write(self, tmp_path):
         limit = csv.field_size_limit()
@@ -128,16 +139,14 @@ class TestLabelsCsv:
     def test_realignment_by_id(self, tmp_path):
         p = tmp_path / "labels.csv"
         write_labels_csv(["c2", "c1", "c3"], {"batch": ["B", "A", "C"]}, p)
-        ids, table = read_labels_csv(p)
-        aligned = align_labels(ids, table, ["c1", "c2", "c3"])
+        aligned = read_labels_csv(p, ["c1", "c2", "c3"])
         assert aligned["batch"] == ["A", "B", "C"]
 
     def test_missing_id_listed(self, tmp_path):
         p = tmp_path / "labels.csv"
         write_labels_csv(["c1"], {"batch": ["A"]}, p)
-        ids, table = read_labels_csv(p)
         with pytest.raises(ValidationError, match="c9"):
-            align_labels(ids, table, ["c1", "c9"])
+            read_labels_csv(p, ["c1", "c9"])
 
     def test_multi_variable_file(self, tmp_path):
         p = tmp_path / "labels.csv"
@@ -146,8 +155,18 @@ class TestLabelsCsv:
             {"mouse": ["m1", "m2"], "sex": ["F", "M"], "date": ["d1", "d2"]},
             p,
         )
-        _, table = read_labels_csv(p)
-        assert sorted(table) == ["date", "mouse", "sex"]
+        assert list(read_labels_csv(p, ["c1", "c2"])) == ["mouse", "sex", "date"]
+        assert read_labels_csv(p, ["c2"], ["sex", "mouse"]) == {"sex": ["M"],
+                                                               "mouse": ["m2"]}
+
+    def test_missing_ids_reported_before_unknown_columns(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        write_labels_csv(["c1"], {"batch": ["A"]}, p)
+        with pytest.raises(ValidationError, match=r"labels.csv: .*missing ids: \['c9'\]"):
+            read_labels_csv(p, ["c1", "c9"], ["nope"])
+        with pytest.raises(ValidationError,
+                           match=r"labels.csv: unknown .*\['nope'\].*\['batch'\]"):
+            read_labels_csv(p, ["c1"], ["nope"])
 
 
 class TestEmbeddingAndTrace:
@@ -211,7 +230,7 @@ class TestHostileRoundTrip:
                  for name in names}
         p = tmp_path_factory.mktemp("hostile") / "l.csv"
         write_labels_csv(ids, table, p)
-        assert read_labels_csv(p) == (ids, table)
+        assert read_labels_csv(p, ids) == table
 
     @settings(max_examples=100, deadline=None)
     @given(_hostile_matrix())

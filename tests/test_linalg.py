@@ -169,11 +169,8 @@ class TestIntegerSettings:
         (ValidationError, lambda: kbet_acceptance(X, BATCH, n_test=5.5)),
         (ValidationError, lambda: kbet_acceptance(X, BATCH, seed=1.5)),
         (ValidationError, lambda: evaluate(X, {"batch": BATCH}, MetricsConfig(knn=5.0))),
-        (DomainError, lambda: run_tsne(X, OptimizerConfig(n_iter=12, perplexity=5),
-                                       on_trace=lambda rec: None, trace_every=2.5)),
     ], ids=["pca_reduce-k", "n_iter", "dims", "optimizer-seed", "n_genes",
-            "simulate-seed", "knn", "n_test", "kbet-seed", "MetricsConfig-knn",
-            "trace_every"])
+            "simulate-seed", "knn", "n_test", "kbet-seed", "MetricsConfig-knn"])
     def test_non_integer_rejected_by_name(self, error, call):
         with pytest.raises(error, match="must be an integer"):
             call()

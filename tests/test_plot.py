@@ -49,3 +49,10 @@ def test_failed_write_keeps_existing_file(tmp_path, monkeypatch):
         write_scatter_svg(path, np.zeros((5, 2)))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["old.svg"]
+
+
+def test_cycling_warning_points_at_the_caller():
+    Y = np.random.default_rng(4).standard_normal((10, 2))
+    with pytest.warns(UserWarning, match="10 levels exceed the 8 available colors") as rec:
+        render_scatter(Y, color_labels=[f"g{i}" for i in range(10)])
+    assert [w.filename for w in rec] == [__file__]

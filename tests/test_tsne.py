@@ -498,14 +498,15 @@ class TestKlLoss:
             exact = float(np.sum(Pl * (np.log(Pl) - np.log(Ql))))
             assert abs(kl_loss(P, Q) - exact) <= 1e-12 * exact
 
-    def test_descent_over_first_iterations(self):
+    def test_descent_over_first_iterations(self, monkeypatch):
+        monkeypatch.setattr("bctsne.tsne._TRACE_EVERY", 1)
         rng = np.random.default_rng(6)
         X = rng.standard_normal((100, 5))
         cfg = OptimizerConfig(
             n_iter=50, perplexity=20, eta=100, exaggeration_factor=1.0, seed=0
         )
         trace = []
-        run_tsne(X, cfg, on_trace=trace.append, trace_every=1)
+        run_tsne(X, cfg, on_trace=trace.append)
         losses = [r.kl_loss for r in trace]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -576,16 +577,17 @@ class TestKlGradient:
         with pytest.raises(ValidationError, match="5 x 5"):
             kl_gradient(np.full((4, 4), 1 / 12), Y)
 
-    def test_trace_kl_matches_reference(self):
+    def test_trace_kl_matches_reference(self, monkeypatch):
         # a trace step sums KL over the kernel's tiles as
         # sum p (log p - log w) + log Z sum p; the reference sums per-entry
         # log ratios over n x n arrays
+        monkeypatch.setattr("bctsne.tsne._TRACE_EVERY", 100)
         rng = np.random.default_rng(30)
         for n in (257, 800):
             X = rng.standard_normal((n, 5))
             cfg = OptimizerConfig(n_iter=260, perplexity=20)
             trace = []
-            state = run_tsne(X, cfg, on_trace=trace.append, trace_every=100)
+            state = run_tsne(X, cfg, on_trace=trace.append)
             P = input_affinities(X, 20.0).P
             ref = reference_kl_loss(P, embedding_affinities(state.Y)[0])
             assert trace[-1].iteration == 259, n
@@ -630,11 +632,12 @@ class TestRunTsne:
             return kl_gradient(*args, **kwargs)
 
         monkeypatch.setattr("bctsne.tsne.kl_gradient", gradient)
+        monkeypatch.setattr("bctsne.tsne._TRACE_EVERY", every)
         rng = np.random.default_rng(14)
         X = rng.standard_normal((30, 4))
         cfg = OptimizerConfig(n_iter=n_iter, perplexity=8, seed=0)
         trace = []
-        traced = run_tsne(X, cfg, on_trace=trace.append, trace_every=every)
+        traced = run_tsne(X, cfg, on_trace=trace.append)
         expected = sorted({t for t in range(n_iter) if t % every == 0} | {n_iter - 1})
         assert [r.iteration for r in trace] == expected
         assert all(np.isnan(r.orthogonality_maxabs) for r in trace)
@@ -656,10 +659,12 @@ class TestRunTsne:
         (80, 300, 12.0, True, 2),
         (70, 251, 4.0, False, 3),
     ])
-    def test_matches_earlier_loop_bitwise(self, n, n_iter, factor, projected, dims):
+    def test_matches_earlier_loop_bitwise(self, monkeypatch, n, n_iter, factor, projected,
+                                          dims):
         # the loop with the update and schedule inlined must reproduce the
         # separate `step` with its momentum schedule bit for bit, on both
         # sides of the switch at iteration 250
+        monkeypatch.setattr("bctsne.tsne._TRACE_EVERY", 10)
         rng = np.random.default_rng(n + n_iter)
         X = rng.standard_normal((n, 5))
         X[: n // 2] += 4.0
@@ -669,8 +674,7 @@ class TestRunTsne:
         cfg = OptimizerConfig(n_iter=n_iter, perplexity=10, exaggeration_factor=factor,
                               dims=dims, seed=n)
         trace = []
-        state = run_tsne(X, cfg, projector=projector, on_trace=trace.append,
-                         trace_every=10)
+        state = run_tsne(X, cfg, projector=projector, on_trace=trace.append)
         Y, _, ref_trace = reference_run_tsne(X, cfg, projector, trace_every=10)
         assert np.array_equal(state.Y, Y)
         assert [r.iteration for r in trace] == [t for t, _, _ in ref_trace]
@@ -697,17 +701,6 @@ class TestRunTsne:
         with pytest.raises(ValidationError, match="row mismatch"):
             run_tsne(X, OptimizerConfig(n_iter=5, perplexity=3), projector=projector)
 
-    @pytest.mark.parametrize("every", [0, -1])
-    def test_trace_every_below_one_rejected(self, monkeypatch, every):
-        def affinities(*args, **kwargs):
-            raise AssertionError("work started before trace_every was checked")
-
-        monkeypatch.setattr("bctsne.tsne.input_affinities", affinities)
-        X = np.random.default_rng(27).standard_normal((20, 3))
-        with pytest.raises(DomainError, match="trace_every"):
-            run_tsne(X, OptimizerConfig(n_iter=5, perplexity=5),
-                     on_trace=lambda rec: None, trace_every=every)
-
     @pytest.mark.parametrize("k", [0, 3, 251])
     def test_non_finite_gradient_raises_with_iteration(self, monkeypatch, k):
         calls = []
@@ -721,13 +714,14 @@ class TestRunTsne:
             return out
 
         monkeypatch.setattr("bctsne.tsne.kl_gradient", gradient)
+        monkeypatch.setattr("bctsne.tsne._TRACE_EVERY", 2)
         X = np.random.default_rng(25).standard_normal((20, 3))
         for traced in (False, True):
             calls.clear()
             trace = []
             with pytest.raises(OptimizerError) as exc:
                 run_tsne(X, OptimizerConfig(n_iter=300, perplexity=5),
-                         on_trace=trace.append if traced else None, trace_every=2)
+                         on_trace=trace.append if traced else None)
             assert exc.value.iteration == k
             assert len(calls) == k + 1
             # the record of iteration k - 1 comes from the pass that fails
@@ -747,9 +741,10 @@ class TestRunTsne:
             return table
 
         monkeypatch.setattr("bctsne.tsne.input_affinities", affinities)
+        monkeypatch.setattr("bctsne.tsne._TRACE_EVERY", 1)
         tracemalloc.start()
         try:
-            run_tsne(X, cfg, on_trace=on_trace, trace_every=1)
+            run_tsne(X, cfg, on_trace=on_trace)
             return tracemalloc.get_traced_memory()[1] - base[0]
         finally:
             tracemalloc.stop()

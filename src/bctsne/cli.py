@@ -82,24 +82,25 @@ def _add_generate(sub):
     p.set_defaults(func=cmd_generate)
 
 
-def _write_dataset(spec, counts_out, labels_out):
-    """Simulate spec, write its counts and labels CSVs and return
-    (counts, cell ids, {"batch": ..., "group": ...})."""
+def _write_dataset(spec, labels_out):
+    """Simulate spec, print its summary line, write its labels CSV and return
+    (counts, cell ids, gene names, {"batch": ..., "group": ...}); the caller
+    writes the counts CSV."""
     out = simulate(spec)
     ids = [f"cell{i + 1}" for i in range(spec.n_cells)]
     genes = [f"gene{j + 1}" for j in range(spec.n_genes)]
     labels = {"batch": out.batch_labels.tolist(), "group": out.group_labels.tolist()}
-    matrixio.write_matrix_csv(out.counts, ids, genes, counts_out)
-    matrixio.write_labels_csv(ids, labels, labels_out)
     print(
         f"generated {spec.n_cells} cells x {spec.n_genes} genes, "
         f"{spec.n_batches} batches, {spec.n_groups} groups, seed {spec.seed}"
     )
-    return out.counts, ids, labels
+    matrixio.write_labels_csv(ids, labels, labels_out)
+    return out.counts, ids, genes, labels
 
 
 def cmd_generate(args):
-    _write_dataset(_config(SimSpec, args), args.counts_out, args.labels_out)
+    counts, ids, genes, _ = _write_dataset(_config(SimSpec, args), args.labels_out)
+    matrixio.write_matrix_csv(counts, ids, genes, args.counts_out)
     return 0
 
 
@@ -292,11 +293,13 @@ def _die_with_parent():
     return prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
 
 
-def _tsne_in_child(receiver, sender, scores, opts, parent, forked):
-    """Process target: send the uncorrected run's (embedding, trace) or None,
-    the warnings it recorded, and the exception that ended it with its
-    traceback, or None.  parent is the pid of the process that started this
-    one, and forked says whether that was by fork, which only Linux uses."""
+def _tsne_in_child(receiver, sender, counts_csv, scores, opts, parent, forked):
+    """Process target: write the counts CSV from counts_csv, a list of
+    write_matrix_csv's arguments, then send the uncorrected run's (embedding,
+    trace) or None, the warnings recorded, and the exception that ended
+    either step with its traceback, or None.  parent is the pid of the
+    process that started this one, and forked says whether that was by fork,
+    which only Linux uses."""
     # with the read end open here too, a result larger than the pipe's buffer
     # would wait forever for a parent that has died
     receiver.close()
@@ -308,6 +311,10 @@ def _tsne_in_child(receiver, sender, scores, opts, parent, forked):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the parent's filters decide
         try:
+            matrixio.write_matrix_csv(*counts_csv)
+            # the process object keeps its arguments: drop the counts here
+            # rather than hold them through the run
+            counts_csv.clear()
             result = _tsne(scores, None, opts, parent if watch else None)
         except Exception as exc:
             error = exc, traceback.format_exc()
@@ -354,20 +361,22 @@ def cmd_pipeline(args):
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     counts_path, labels_path = outdir / "counts.csv", outdir / "labels.csv"
-    counts, ids, labels = _write_dataset(_config(SimSpec, cfg), counts_path, labels_path)
+    counts, ids, genes, labels = _write_dataset(_config(SimSpec, cfg), labels_path)
     scores = pca_reduce(normalize_log1p_cpm(counts), cfg.k).scores
-    del counts  # written to counts.csv; not held through the embeddings
 
-    # a child process computes the uncorrected embedding while this one
-    # computes the corrected one; the child writes nothing, so every file and
-    # line comes from here, in the order of running the two one after the other
+    # a child process writes counts.csv and computes the uncorrected embedding
+    # while this one computes the corrected one; the child prints nothing, so
+    # every line comes from here, in the order of running the two one after
+    # the other
     context = multiprocessing.get_context(_START_METHOD)
     receiver, sender = context.Pipe(duplex=False)
     forked = context.get_start_method() == "fork"
     child = context.Process(target=_tsne_in_child, daemon=True,
-                            args=(receiver, sender, scores, cfg, os.getpid(), forked))
+                            args=(receiver, sender, [counts, ids, genes, counts_path],
+                                  scores, cfg, os.getpid(), forked))
     child.start()
     sender.close()
+    del counts  # the child's now; start() let go of its arguments
     try:
         projector = build_design({"batch": labels["batch"]})
         artifacts = [counts_path, labels_path]
@@ -381,6 +390,8 @@ def cmd_pipeline(args):
     finally:
         receiver.close()
         child.join()
+        # a child terminated while writing counts.csv leaves its temporary file
+        matrixio.temporary_path(counts_path, child.pid).unlink(missing_ok=True)
 
     manifest = outdir / "manifest.txt"
     with matrixio.replacing(manifest) as fh:

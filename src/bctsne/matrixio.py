@@ -20,6 +20,9 @@ import numpy as np
 from .errors import ValidationError
 
 _FMT = "%.17g"
+# values per block of rows that write_matrix_csv formats at once; its scratch
+# memory, about 70 bytes a value, depends on this and not on the row count
+_BLOCK_VALUES = 2**14
 
 
 def _read_table(path, convert=lambda lineno, cells: cells):
@@ -61,11 +64,18 @@ def _read_table(path, convert=lambda lineno, cells: cells):
     return header, ids, rows
 
 
+def temporary_path(path, pid=None):
+    """The temporary file that `replacing` writes for path in process pid,
+    by default this one."""
+    return Path(f"{path}.{os.getpid() if pid is None else pid}.tmp")
+
+
 @contextlib.contextmanager
 def replacing(path):
     """A UTF-8 text handle on a temporary file that replaces path when the
-    block completes; if the block raises, path keeps its old bytes."""
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    block completes; if the block raises, path keeps its old bytes.  A
+    process killed by a signal leaves the temporary file behind."""
+    tmp = temporary_path(path)
     try:
         with tmp.open("w", encoding="utf-8", newline="") as fh:
             yield fh
@@ -116,14 +126,27 @@ def read_matrix_csv(path):
     return M, ids, header[1:]
 
 
+def _text_rows(M, row_ids):
+    """[id, the text of each value] for each row of M, a block of rows at a
+    time: the block's distinct values are formatted once each, as Python
+    floats (faster than numpy's scalars, same text).  Values are told apart
+    by their bits, so 0.0 and -0.0 keep their own text."""
+    ids = iter(row_ids)
+    width = M.shape[1]
+    step = max(1, _BLOCK_VALUES // max(width, 1))
+    for start in range(0, M.shape[0], step):
+        block = M[start:start + step]
+        bits, codes = np.unique(block.ravel().view(np.int64), return_inverse=True)
+        text = [_FMT % v for v in bits.view(np.float64).tolist()]
+        cells = list(map(text.__getitem__, codes.tolist()))
+        # the block's rows first, so that zip takes no id past them
+        for i, rid in zip(range(len(block)), ids):
+            yield [rid, *cells[i * width:(i + 1) * width]]
+
+
 def write_matrix_csv(M, row_ids, col_names, path):
     M = np.asarray(M, dtype=np.float64)
-    _write_table(
-        path,
-        ["id", *col_names],
-        # row by row as Python floats: faster to format than numpy's, same text
-        ([rid, *(_FMT % v for v in row.tolist())] for rid, row in zip(row_ids, M)),
-    )
+    _write_table(path, ["id", *col_names], _text_rows(M, row_ids))
 
 
 def read_labels_csv(path, ids, columns=None):
@@ -131,6 +154,11 @@ def read_labels_csv(path, ids, columns=None):
     into {column: the labels of ids, in their order}: the named columns, or
     all of them in file order when columns is None."""
     header, label_ids, rows = _read_table(path)
+    # a repeated column would leave only its last labels; a matrix's gene
+    # names may repeat, since real gene symbols do
+    repeated = sorted(n for n, count in Counter(header[1:]).items() if count > 1)
+    if repeated:
+        raise ValidationError(f"{path}: repeated label column(s) {repeated}")
     index = {rid: i for i, rid in enumerate(label_ids)}
     missing = [rid for rid in ids if rid not in index]
     if missing:

@@ -11,6 +11,7 @@ import numpy as np
 from scipy import stats
 from scipy.linalg import eigh
 
+from bctsne.matrixio import _FMT, _write_table
 from bctsne.simulate import (
     _BASE_MEAN_SCALE,
     _BASE_MEAN_SHAPE,
@@ -368,3 +369,14 @@ def reference_pca_reduce(X, k):
         U, S, _ = np.linalg.svd(Xc @ W, full_matrices=False)
     U = U * np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(k)])
     return U * S, S**2 / total
+
+
+def per_value_write_matrix_csv(M, row_ids, col_names, path):
+    """The package's earlier write_matrix_csv, which formatted every value of
+    each row on its own."""
+    M = np.asarray(M, dtype=np.float64)
+    _write_table(
+        path,
+        ["id", *col_names],
+        ([rid, *(_FMT % v for v in row.tolist())] for rid, row in zip(row_ids, M)),
+    )

@@ -11,7 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bctsne import CalibrationWarning, OptimizerError, cli, tsne
+from bctsne import (
+    CalibrationWarning,
+    OptimizerError,
+    ValidationError,
+    cli,
+    matrixio,
+    tsne,
+)
 from bctsne.cli import main, read_config
 from bctsne.matrixio import read_embedding_csv, read_matrix_csv, write_embedding_csv
 
@@ -360,6 +367,59 @@ class TestPipelineInTwoProcesses:
         assert time.monotonic() - start < 300  # the child did not sleep it out
         assert capsys.readouterr().err == "error: OptimizerError: non-finite gradient\n"
         assert not list(outdir.glob("embedding_*"))
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def patch_counts_write(monkeypatch, write):
+        """Call write(path) instead of writing counts.csv."""
+        write_matrix_csv = matrixio.write_matrix_csv
+
+        def patched(M, row_ids, col_names, path):
+            if Path(path).name == "counts.csv":
+                return write(path)
+            return write_matrix_csv(M, row_ids, col_names, path)
+
+        monkeypatch.setattr(matrixio, "write_matrix_csv", patched)
+
+    def test_counts_write_raises_in_the_child(self, pipeline, monkeypatch, capsys):
+        cfg, outdir = pipeline
+
+        def fail(path):
+            raise ValidationError(f"{path}: no space left")
+
+        self.patch_counts_write(monkeypatch, fail)
+        assert main(["pipeline", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ValidationError: {outdir / 'counts.csv'}: no space left\n"
+        assert not (outdir / "manifest.txt").exists()
+        assert not list(outdir.glob("counts.csv*"))
+        assert multiprocessing.active_children() == []
+
+    def test_child_terminated_mid_write_leaves_no_temporary_file(self, pipeline,
+                                                                monkeypatch, capsys):
+        # SIGTERM ends the child without running replacing's cleanup, so the
+        # parent removes the child's temporary file
+        cfg, outdir = pipeline
+
+        def stall(path):
+            with matrixio.replacing(path) as fh:
+                fh.write("id,gene1\n")
+                time.sleep(600)
+
+        def raise_mid_write():
+            deadline = time.monotonic() + 60
+            while not list(outdir.glob("counts.csv.*.tmp")):
+                assert time.monotonic() < deadline, "the child never began counts.csv"
+                time.sleep(0.01)
+            self.raise_optimizer_error()
+
+        self.patch_counts_write(monkeypatch, stall)
+        self.patch_runs(monkeypatch, corrected=raise_mid_write)
+        start = time.monotonic()
+        assert main(["pipeline", str(cfg)]) == 1
+        assert time.monotonic() - start < 300  # the child did not sleep it out
+        assert capsys.readouterr().err == "error: OptimizerError: non-finite gradient\n"
+        assert sorted(p.name for p in outdir.iterdir()) == ["labels.csv"]
         assert multiprocessing.active_children() == []
 
     def test_other_errors_carry_the_childs_traceback(self, pipeline, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bctsne import SimSpec, ValidationError, simulate
+from bctsne import SimSpec, ValidationError, matrixio, simulate
 from bctsne.matrixio import (
     read_embedding_csv,
     read_labels_csv,
@@ -18,6 +18,11 @@ from bctsne.matrixio import (
     write_matrix_csv,
 )
 from bctsne.tsne import TraceRecord
+from oracles import per_value_write_matrix_csv
+
+
+def _names(prefix, count):
+    return [f"{prefix}{i + 1}" for i in range(count)]
 
 
 class TestMatrixCsv:
@@ -43,6 +48,57 @@ class TestMatrixCsv:
             for rid, row in zip(["r1", "r2"], M)
         )
         assert p.read_bytes() == expected.encode()
+
+    def test_counts_match_per_value_writer(self, tmp_path):
+        counts = simulate(SimSpec(n_cells=300, seed=0)).counts
+        assert counts.size > matrixio._BLOCK_VALUES  # more than one block
+        ids, genes = _names("cell", 300), _names("gene", counts.shape[1])
+        p, ref = tmp_path / "counts.csv", tmp_path / "reference.csv"
+        write_matrix_csv(counts, ids, genes, p)
+        per_value_write_matrix_csv(counts, ids, genes, ref)
+        assert p.read_bytes() == ref.read_bytes()
+
+    def test_signed_zeros_match_per_value_writer(self, tmp_path):
+        # distinct values are keyed on their bits: a key that compared equal
+        # for 0.0 and -0.0 would give one of them the other's text
+        width = 1000
+        block = matrixio._BLOCK_VALUES // width
+        rng = np.random.default_rng(0)
+        M = rng.choice([0.0, -0.0, 5e-324, 0.1, 1 / 3, np.nan, -np.nan],
+                       size=(3 * block + 1, width))
+        # both zeros in the first block, only -0.0 in the second, only 0.0 after
+        second, rest = M[block:2 * block], M[2 * block:]
+        second[second == 0] = -0.0
+        rest[rest == 0] = 0.0
+        signs = np.signbit(M[M == 0])
+        assert signs.any() and not signs.all()
+        ids, cols = _names("r", M.shape[0]), _names("c", width)
+        p, ref = tmp_path / "m.csv", tmp_path / "reference.csv"
+        write_matrix_csv(M, ids, cols, p)
+        per_value_write_matrix_csv(M, ids, cols, ref)
+        assert p.read_bytes() == ref.read_bytes()
+        assert b",-0," in p.read_bytes().split(b"\n")[1]
+
+    @pytest.mark.parametrize("n_cells", [200, 1000])
+    def test_writer_scratch_does_not_grow_with_rows(self, tmp_path, n_cells):
+        # a block of rows at a time: one np.unique over the whole matrix would
+        # hold a count-sized copy, 16 MB at 1000 x 2000
+        counts = simulate(SimSpec(n_cells=n_cells, seed=0)).counts
+        ids, genes = _names("cell", n_cells), _names("gene", counts.shape[1])
+        tracemalloc.start()
+        try:
+            write_matrix_csv(counts, ids, genes, tmp_path / "counts.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    def test_repeated_gene_names_accepted(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("id,Actb,Actb\nc1,1,2\n")
+        M, _, cols = read_matrix_csv(p)
+        assert cols == ["Actb", "Actb"]
+        assert np.array_equal(M, [[1.0, 2.0]])
 
     def test_non_numeric_cell_named(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -158,6 +214,13 @@ class TestLabelsCsv:
         assert list(read_labels_csv(p, ["c1", "c2"])) == ["mouse", "sex", "date"]
         assert read_labels_csv(p, ["c2"], ["sex", "mouse"]) == {"sex": ["M"],
                                                                "mouse": ["m2"]}
+
+    def test_repeated_column_rejected(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("id,batch,batch\nc1,A,X\nc2,B,Y\n")
+        with pytest.raises(ValidationError,
+                           match=r"labels.csv: repeated label column\(s\) \['batch'\]"):
+            read_labels_csv(p, ["c1", "c2"])
 
     def test_missing_ids_reported_before_unknown_columns(self, tmp_path):
         p = tmp_path / "labels.csv"

@@ -335,44 +335,99 @@ def input_affinities(X, perplexity):
     return AffinityTable(P=P, sigma2=sigma2)
 
 
-def _tiles(Y):
-    """Student-t weights w_ij = 1 / (1 + |y_i - y_j|^2), tile by tile.
+class _Kernel:
+    """The exact pass of `kl_gradient` for one P and one embedding width,
+    with its scratch and its walk over the tiles built once: each call copies
+    Y in, refills the scratch in place and walks the plan.
 
-    Yields (I, J, k, tile) for every row tile I and every panel J of the
-    columns from I's first row on, so each pair i != j is seen once or, inside
-    the tile's own rows, twice.  tile is 3 x len(I) x len(J): tile[2] holds w,
-    zero where i == j, and tile[0] and tile[1] are scratch.  The first k
-    columns are I's own rows (k = 0 when J starts past I), so the pairs in
-    [:, :k] appear in both orders and those in [:, k:] once.  Every tile is a
-    view of one array, so the caller may overwrite it but not keep it.
+    The plan pairs every row tile I with the panels J of the columns from I's
+    first row on, so each pair i != j is seen once or, inside the tile's own
+    rows, twice.  A tile is 3 x len(I) x len(J), a view of one buffer: its
+    last plane holds the Student-t weights w_ij = 1 / (1 + |y_i - y_j|^2),
+    zero where i == j, and the first two hold P o w and w o w, then the KL's
+    terms.  The first k columns are I's own rows (k = 0 when J starts past
+    I), so the pairs in [:, :k] appear in both orders and those in [:, k:]
+    once.  Every product goes to one shared buffer before it is added in.
     """
-    n = Y.shape[0]
-    sq = np.einsum("ij,ij->i", Y, Y)
-    # BLAS forms 1 + |y_i|^2 + |y_j|^2 exactly as the sum (1 + |y_i|^2) + |y_j|^2
-    # from the two-column factors [1 + |y_i|^2, 1] and [1, |y_j|^2], faster
-    # than a broadcast sum
-    left, right = np.ones((2, n, 2))
-    left[:, 0] = sq + 1.0
-    right[:, 1] = sq
-    Y2 = 2.0 * Y
-    buf = np.empty(3 * min(n, _TILE_ROWS) * min(n, _TILE_COLS))
-    for i0 in range(0, n, _TILE_ROWS):
-        I = slice(i0, min(i0 + _TILE_ROWS, n))
-        for j0 in range(i0, n, _TILE_COLS):
-            J = slice(j0, min(j0 + _TILE_COLS, n))
-            # contiguous, so that numpy's loops need no buffers of their own
-            shape = (3, I.stop - i0, J.stop - j0)
-            tile = buf[: shape[0] * shape[1] * shape[2]].reshape(shape)
-            w = tile[2]
-            np.matmul(left[I], right[J].T, out=w)
-            w -= np.matmul(Y2[I], Y[J].T, out=tile[0])
+
+    def __init__(self, P, dims):
+        n = len(P)
+        if n < 2:
+            raise ValidationError("need at least 2 points")
+        self.p_sum = P.sum()
+        self.Y = np.empty((n, dims))
+        # BLAS forms 1 + |y_i|^2 + |y_j|^2 exactly as the sum (1 + |y_i|^2) + |y_j|^2
+        # from the two-column factors [1 + |y_i|^2, 1] and [1, |y_j|^2], faster
+        # than a broadcast sum
+        left, right = np.ones((2, n, 2))
+        self.left_sq, self.sq = left[:, 0], right[:, 1]
+        self.Y2 = np.empty((n, dims))
+        # [P o w], [w o w] and w times [Y | 1], row by row: the last column holds
+        # the row sums, and the w rows' last column sums to Z
+        self.Y1 = np.ones((n, dims + 1))
+        self.acc = np.empty((3, n, dims + 1))
+        # contiguous, so that numpy's loops need no buffers of their own
+        buf = np.empty(3 * min(n, _TILE_ROWS) * min(n, _TILE_COLS))
+        prod = np.empty((3, min(n, _TILE_COLS), dims + 1))
+        self.plan = []
+        for i0 in range(0, n, _TILE_ROWS):
+            I = slice(i0, min(i0 + _TILE_ROWS, n))
+            m = I.stop - i0
+            row_side = (left[I], self.Y2[I], self.Y1[I], prod[:, :m], self.acc[:, I])
+            for j0 in range(i0, n, _TILE_COLS):
+                J = slice(j0, min(j0 + _TILE_COLS, n))
+                tile = buf[: 3 * m * (J.stop - j0)].reshape(3, m, -1)
+                term, _, w = planes = tuple(tile)
+                k, diag = 0, None
+                if j0 == i0:
+                    k, diag = m, w.reshape(-1)[:: w.shape[1] + 1]  # w[i, i]; m <= len(J)
+                # the pairs seen once also count for their column's row
+                once = None
+                if j0 + k < J.stop:
+                    once = (tile[:, :, k:].transpose(0, 2, 1), prod[:, : J.stop - j0 - k],
+                            self.acc[:, j0 + k : J.stop])
+                self.plan.append((P[I, J], right[J].T, self.Y[J].T, self.Y1[J], row_side,
+                                  tile, planes, diag, once, w[:, k:], term[:, k:]))
+
+    def __call__(self, Y, exaggeration=1.0, kl=False):
+        np.copyto(self.Y, Y)
+        Y = self.Y
+        np.einsum("ij,ij->i", Y, Y, out=self.sq)
+        np.add(self.sq, 1.0, out=self.left_sq)
+        np.multiply(2.0, Y, out=self.Y2)
+        np.copyto(self.Y1[:, :-1], Y)
+        self.acc.fill(0.0)
+        Z = plogpw = 0.0
+        for p, right, y, y1, row_side, tile, planes, diag, once, w_once, term_once in self.plan:
+            left, y2, y1_rows, prod, acc = row_side
+            term, ww, w = planes
+            np.matmul(left, right, out=w)
+            w -= np.matmul(y2, y, out=term)
             np.maximum(w, 1.0, out=w)  # clamp distances below 0 from cancellation
             np.divide(1.0, w, out=w)
-            k = 0
-            if j0 == i0:
-                k = I.stop - i0
-                w.flat[:: w.shape[1] + 1] = 0.0  # w[i, i]; len(I) <= len(J)
-            yield I, J, k, tile
+            if diag is not None:
+                diag.fill(0.0)
+            np.multiply(p, w, out=term)  # P o w, and then the KL's terms
+            np.multiply(w, w, out=ww)
+            acc += np.matmul(tile, y1, out=prod)
+            if once is not None:
+                tile_t, prod_once, acc_once = once
+                acc_once += np.matmul(tile_t, y1_rows, out=prod_once)
+            if kl:
+                Z += w.sum() + w_once.sum()
+                if diag is not None:
+                    diag.fill(1.0)  # log 1 = 0 where p_ii = 0
+                np.maximum(p, PROB_FLOOR, out=term)
+                np.log(term, out=term)
+                term -= np.log(w, out=w)
+                term *= p
+                plogpw += term.sum() + term_once.sum()
+        attract, repulse, weights = self.acc
+        attract *= 4.0 * exaggeration
+        repulse /= weights[:, -1].sum() / 4.0
+        coef = np.subtract(attract, repulse, out=attract)
+        grad = coef[:, -1:] * Y - coef[:, :-1]
+        return (grad, max(float(plogpw + self.p_sum * np.log(Z)), 0.0)) if kl else grad
 
 
 def kl_gradient(P, Y, exaggeration=1.0, *, kl=False):
@@ -380,7 +435,7 @@ def kl_gradient(P, Y, exaggeration=1.0, *, kl=False):
     which at exaggeration 1 is the gradient of KL(P || Q) in Y; with kl, the
     pair (gradient, KL).
 
-    One pass over the tiles of `_tiles` sums it as 4 (exaggeration A - R / Z),
+    One pass over the tiles of `_Kernel` sums it as 4 (exaggeration A - R / Z),
     with A_i = sum_j p_ij w_ij (y_i - y_j), R_i = sum_j w_ij^2 (y_i - y_j) and
     Z = sum_{i != j} w_ij (van der Maaten 2014, JMLR 15), so no n x n array is
     built.  P must be symmetric: the pass reads it only in the tiles at and
@@ -388,36 +443,10 @@ def kl_gradient(P, Y, exaggeration=1.0, *, kl=False):
     same tiles give KL = sum p (log max(p, PROB_FLOOR) - log w) + log Z sum p.
     """
     P, Y = np.asarray(P, dtype=np.float64), ensure_matrix(Y, "Y")
-    n, dims = Y.shape
+    n = Y.shape[0]
     if P.shape != (n, n):
         raise ValidationError(f"P must be {n} x {n} to match Y; got {P.shape}")
-    Y1 = np.ones((n, dims + 1))
-    Y1[:, :dims] = Y
-    # [P o w], [w o w] and w times [Y | 1], row by row: the last column holds
-    # the row sums, and the w rows' last column sums to Z
-    acc = np.zeros((3, n, dims + 1))
-    Z = plogpw = 0.0
-    for I, J, k, tile in _tiles(Y):
-        p, (term, ww, w) = P[I, J], tile
-        np.multiply(p, w, out=term)  # P o w, and then the KL's terms
-        np.multiply(w, w, out=ww)
-        acc[:, I] += tile @ Y1[J]
-        # the pairs seen once also count for their column's row
-        if J.start + k < J.stop:
-            acc[:, J.start + k : J.stop] += tile[:, :, k:].transpose(0, 2, 1) @ Y1[I]
-        if kl:
-            Z += w.sum() + w[:, k:].sum()
-            if k:
-                np.fill_diagonal(w, 1.0)  # log 1 = 0 where p_ii = 0
-            np.maximum(p, PROB_FLOOR, out=term)
-            np.log(term, out=term)
-            term -= np.log(w, out=w)
-            term *= p
-            plogpw += term.sum() + term[:, k:].sum()
-    attract, repulse, weights = acc
-    coef = (4.0 * exaggeration) * attract - repulse / (weights[:, -1].sum() / 4.0)
-    grad = coef[:, -1:] * Y - coef[:, :-1]
-    return (grad, max(float(plogpw + P.sum() * np.log(Z)), 0.0)) if kl else grad
+    return _Kernel(P, Y.shape[1])(Y, exaggeration, kl)
 
 
 def run_tsne(X, cfg, projector=None, on_trace=None):
@@ -442,7 +471,7 @@ def run_tsne(X, cfg, projector=None, on_trace=None):
             f"design of rank {projector.rank} leaves {n - projector.rank} of {n} "
             f"dimensions free; a {cfg.dims}-D embedding needs {cfg.dims + 1}"
         )
-    P = input_affinities(X, cfg.perplexity).P
+    kernel = _Kernel(input_affinities(X, cfg.perplexity).P, cfg.dims)
 
     rng = np.random.default_rng(cfg.seed)
     Y = projector.project(1e-4 * rng.standard_normal((n, cfg.dims)))
@@ -453,10 +482,10 @@ def run_tsne(X, cfg, projector=None, on_trace=None):
         factor = cfg.exaggeration_factor if early else 1.0
         # this pass runs at iteration t - 1's post-step iterate
         if on_trace is not None and t and (t - 1) % _TRACE_EVERY == 0:
-            grad, kl = kl_gradient(P, Y, factor, kl=True)
+            grad, kl = kernel(Y, factor, kl=True)
             on_trace(TraceRecord(t - 1, kl, projector.orthogonality(Y)))
         else:
-            grad = kl_gradient(P, Y, factor)
+            grad = kernel(Y, factor)
         if not np.isfinite(grad).all():
             raise OptimizerError("non-finite gradient", iteration=t)
         velocity = Y - Y_prev
@@ -468,6 +497,6 @@ def run_tsne(X, cfg, projector=None, on_trace=None):
         # embedding mean stays at its initial value
         Y = projector.project(Y)
     if on_trace is not None:  # one more pass, for the last iterate's KL
-        _, kl = kl_gradient(P, Y, kl=True)
+        _, kl = kernel(Y, kl=True)
         on_trace(TraceRecord(cfg.n_iter - 1, kl, projector.orthogonality(Y)))
     return EmbeddingState(Y=Y)

@@ -19,7 +19,7 @@ from bctsne.simulate import (
     _LIB_SIZE_LOCATION,
     _LIB_SIZE_SCALE,
 )
-from bctsne.tsne import PROB_FLOOR, _tiles, input_affinities, kl_gradient
+from bctsne.tsne import PROB_FLOOR, input_affinities, kl_gradient
 
 
 def literal_input_affinities(X, sigma2):
@@ -245,13 +245,84 @@ def kl_loss(P, Q):
     return max(float(np.vdot(P, logratio)), 0.0)
 
 
+def reference_tiles(Y):
+    """Student-t weights w_ij = 1 / (1 + |y_i - y_j|^2), tile by tile: the
+    package's tile walk before its scratch was built once per run.
+
+    Yields (I, J, k, tile) for every row tile I of 64 rows and every panel J
+    of at most 512 columns from I's first row on, so each pair i != j is seen
+    once or, inside the tile's own rows, twice.  tile is 3 x len(I) x len(J):
+    tile[2] holds w, zero where i == j, and tile[0] and tile[1] are scratch.
+    The first k columns are I's own rows (k = 0 when J starts past I), so the
+    pairs in [:, :k] appear in both orders and those in [:, k:] once.  Every
+    tile is a view of one array, so the caller may overwrite it but not keep
+    it.
+    """
+    rows, cols = 64, 512
+    n = Y.shape[0]
+    sq = np.einsum("ij,ij->i", Y, Y)
+    left, right = np.ones((2, n, 2))
+    left[:, 0] = sq + 1.0
+    right[:, 1] = sq
+    Y2 = 2.0 * Y
+    buf = np.empty(3 * min(n, rows) * min(n, cols))
+    for i0 in range(0, n, rows):
+        I = slice(i0, min(i0 + rows, n))
+        for j0 in range(i0, n, cols):
+            J = slice(j0, min(j0 + cols, n))
+            shape = (3, I.stop - i0, J.stop - j0)
+            tile = buf[: shape[0] * shape[1] * shape[2]].reshape(shape)
+            w = tile[2]
+            np.matmul(left[I], right[J].T, out=w)
+            w -= np.matmul(Y2[I], Y[J].T, out=tile[0])
+            np.maximum(w, 1.0, out=w)
+            np.divide(1.0, w, out=w)
+            k = 0
+            if j0 == i0:
+                k = I.stop - i0
+                w.flat[:: w.shape[1] + 1] = 0.0
+            yield I, J, k, tile
+
+
+def reference_tiled_gradient(P, Y, exaggeration=1.0, kl=False):
+    """The gradient, or with kl the pair (gradient, KL), as the package's
+    kl_gradient summed it over `reference_tiles` with scratch allocated per
+    call; the kernel built once per run must match it bit for bit."""
+    P, Y = np.asarray(P, dtype=np.float64), np.asarray(Y, dtype=np.float64)
+    n, dims = Y.shape
+    Y1 = np.ones((n, dims + 1))
+    Y1[:, :dims] = Y
+    acc = np.zeros((3, n, dims + 1))
+    Z = plogpw = 0.0
+    for I, J, k, tile in reference_tiles(Y):
+        p, (term, ww, w) = P[I, J], tile
+        np.multiply(p, w, out=term)
+        np.multiply(w, w, out=ww)
+        acc[:, I] += tile @ Y1[J]
+        if J.start + k < J.stop:
+            acc[:, J.start + k : J.stop] += tile[:, :, k:].transpose(0, 2, 1) @ Y1[I]
+        if kl:
+            Z += w.sum() + w[:, k:].sum()
+            if k:
+                np.fill_diagonal(w, 1.0)
+            np.maximum(p, PROB_FLOOR, out=term)
+            np.log(term, out=term)
+            term -= np.log(w, out=w)
+            term *= p
+            plogpw += term.sum() + term[:, k:].sum()
+    attract, repulse, weights = acc
+    coef = (4.0 * exaggeration) * attract - repulse / (weights[:, -1].sum() / 4.0)
+    grad = coef[:, -1:] * Y - coef[:, :-1]
+    return (grad, max(float(plogpw + P.sum() * np.log(Z)), 0.0)) if kl else grad
+
+
 def reference_tiled_kl(P, Y):
     """KL(P || Q) summed tile by tile as sum p (log p - log w) + log Z sum p,
     in a walk over the tiles of its own: the package's trace step before its
     KL came from the gradient's pass, which must match it bit for bit."""
     P = np.asarray(P, dtype=np.float64)
     Z = plogpw = 0.0
-    for I, J, k, (term, _, w) in _tiles(Y):
+    for I, J, k, (term, _, w) in reference_tiles(Y):
         p = P[I, J]
         Z += w.sum() + w[:, k:].sum()
         if k:

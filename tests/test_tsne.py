@@ -24,6 +24,7 @@ from bctsne import (
 from bctsne.linalg import pairwise_sqdist
 from bctsne.metrics import lisi_weights, silhouette
 from bctsne.tsne import (
+    _Kernel,
     calibrate_bandwidths,
     conditional_rows,
     input_affinities,
@@ -42,6 +43,7 @@ from oracles import (
     reference_kl_gradient,
     reference_kl_loss,
     reference_run_tsne,
+    reference_tiled_gradient,
     reference_tiled_kl,
     row_perplexities,
 )
@@ -577,6 +579,65 @@ class TestKlGradient:
         with pytest.raises(ValidationError, match="5 x 5"):
             kl_gradient(np.full((4, 4), 1 / 12), Y)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("kl", [False, True])
+    def test_fewer_than_two_points_rejected(self, n, kl):
+        # one point has no pair, so Z = 0 and the gradient would be nan
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            kl_gradient(np.zeros((n, n)), np.zeros((n, 2)), kl=kl)
+
+    @pytest.mark.parametrize("n", [4, 63, 64, 65, 128, 129, 511, 512, 513, 577, 1100])
+    def test_kernel_matches_frozen_tiled_oracle_bitwise(self, n):
+        # sizes on either side of the 64-row tiles and the 512-column panels;
+        # one kernel serves every call in turn, so a buffer left stale by an
+        # earlier call, with another Y, exaggeration or kl, shows here
+        rng = np.random.default_rng(n)
+        P = rng.random((n, n))
+        P += P.T
+        zeros = rng.random((n, n)) < 0.1
+        P[zeros | zeros.T] = 0.0  # about 19% zeros, which take the KL's PROB_FLOOR
+        np.fill_diagonal(P, 0.0)
+        P /= P.sum()
+        for dims in (2, 3):
+            Ya, Yb = rng.standard_normal((2, n, dims)) * 10.0 ** rng.uniform(-4, 2, (2, 1, 1))
+            kernel = _Kernel(P, dims)
+            for Y, factor, kl in [(Ya, 1.0, False), (Yb, 12.0, False), (Yb, 12.0, True),
+                                  (Ya, 1.0, True), (Ya, 12.0, False), (Yb, 1.0, True)]:
+                ref = reference_tiled_gradient(P, Y, factor, kl)
+                for out in (kernel(Y, factor, kl=kl), kl_gradient(P, Y, factor, kl=kl)):
+                    if kl:
+                        assert out[1] == ref[1], (dims, factor)
+                        out, ref_grad = out[0], ref[0]
+                    else:
+                        ref_grad = ref
+                    assert out.tobytes() == ref_grad.tobytes(), (dims, factor, kl)
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_built_kernel_allocates_nothing_tile_sized(self, dims):
+        # once built, a call allocates only the gradient it returns, the one
+        # temporary of that size it is formed from (2 * dims float64 per
+        # point) and numpy's 64 KiB ufunc buffer, which the steps over P's
+        # strided panels take.  A tile buffer (768 KiB), or an accumulator of
+        # 3 (dims + 1) float64 per point made per call, would not fit
+        n = 1000
+        rng = np.random.default_rng(31)
+        P = rng.random((n, n))
+        P += P.T
+        P /= P.sum()
+        Y = rng.standard_normal((n, dims))
+        tracemalloc.start()
+        try:
+            kernel = _Kernel(P, dims)
+            base = tracemalloc.get_traced_memory()[0]
+            kernel(Y, 12.0)
+            tracemalloc.reset_peak()
+            for kl in (False, True, False, True):
+                kernel(Y, 12.0, kl=kl)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * dims * 8 * n + 64 * 1024, peak
+
     def test_trace_kl_matches_reference(self, monkeypatch):
         # a trace step sums KL over the kernel's tiles as
         # sum p (log p - log w) + log Z sum p; the reference sums per-entry
@@ -626,12 +687,13 @@ class TestRunTsne:
         # a record's KL comes from the next iteration's kernel pass, so
         # tracing adds one pass, after the last iteration, and moves no byte
         calls = []
+        call = _Kernel.__call__
 
         def gradient(*args, **kwargs):
             calls.append(1)
-            return kl_gradient(*args, **kwargs)
+            return call(*args, **kwargs)
 
-        monkeypatch.setattr("bctsne.tsne.kl_gradient", gradient)
+        monkeypatch.setattr(_Kernel, "__call__", gradient)
         monkeypatch.setattr("bctsne.tsne._TRACE_EVERY", every)
         rng = np.random.default_rng(14)
         X = rng.standard_normal((30, 4))
@@ -704,16 +766,17 @@ class TestRunTsne:
     @pytest.mark.parametrize("k", [0, 3, 251])
     def test_non_finite_gradient_raises_with_iteration(self, monkeypatch, k):
         calls = []
+        call = _Kernel.__call__
 
-        def gradient(P, Y, exaggeration=1.0, **kwargs):
+        def gradient(kernel, Y, exaggeration=1.0, **kwargs):
             calls.append(1)
-            out = kl_gradient(P, Y, exaggeration, **kwargs)
+            out = call(kernel, Y, exaggeration, **kwargs)
             grad = out[0] if kwargs.get("kl") else out
             if len(calls) == k + 1:
                 grad[1, 0] = np.nan
             return out
 
-        monkeypatch.setattr("bctsne.tsne.kl_gradient", gradient)
+        monkeypatch.setattr(_Kernel, "__call__", gradient)
         monkeypatch.setattr("bctsne.tsne._TRACE_EVERY", 2)
         X = np.random.default_rng(25).standard_normal((20, 3))
         for traced in (False, True):

@@ -6,8 +6,8 @@ import dataclasses
 import hashlib
 import multiprocessing
 import os
-import signal
 import sys
+import threading
 import traceback
 import warnings
 from pathlib import Path
@@ -26,7 +26,6 @@ from .tsne import OptimizerConfig, run_tsne
 # bctsne again, which takes longer than a 200-cell run.  None is the
 # platform's default start method.
 _START_METHOD = "fork" if sys.platform.startswith("linux") else None
-_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 # The option tables below are the only definition of each setting: the
 # subcommands are built from them, `read_config` parses a pipeline config with
@@ -118,20 +117,13 @@ def _add_embed(sub):
     p.set_defaults(func=cmd_embed)
 
 
-def _tsne(scores, projector, opts, parent=None):
+def _tsne(scores, projector, opts):
     """(embedding, trace records) of the t-SNE of the PCA scores with the
     embed options and seed in opts, corrected for the projector's design when
-    one is given.  When parent is a pid, each trace record first ends this
-    process if that one is no longer its parent."""
+    one is given."""
     trace = []
-
-    def record(entry):
-        if parent is not None:
-            _exit_if_orphaned(parent)
-        trace.append(entry)
-
     state = run_tsne(scores, _config(OptimizerConfig, opts), projector=projector,
-                     on_trace=record)
+                     on_trace=trace.append)
     return state.Y, trace
 
 
@@ -145,13 +137,13 @@ def _write_embedding(Y, trace, ids, out, tag):
 def cmd_embed(args):
     if args.no_correction == (args.batch_vars is not None):
         raise UsageError("give exactly one of --batch-vars and --no-correction")
+    if args.batch_vars is not None and args.labels is None:
+        raise UsageError("--batch-vars needs a labels file")
     X, ids, _ = matrixio.read_matrix_csv(args.matrix)
     if args.normalize:
         X = normalize_log1p_cpm(X)
     projector = None
     if not args.no_correction:
-        if args.labels is None:
-            raise BctsneError("a labels file is required for batch correction")
         labels = matrixio.read_labels_csv(args.labels, ids, args.batch_vars)
         projector = build_design(labels)
     Y, trace = _tsne(pca_reduce(X, args.k).scores, projector, args)
@@ -276,37 +268,28 @@ class _ChildTraceback(Exception):
     """The traceback, as text, of an exception raised in a child process."""
 
 
-def _exit_if_orphaned(parent):
-    """End this process at once if the process with pid parent, which started
-    it, has died: its result would go nowhere."""
-    if os.getppid() != parent:
-        os._exit(1)
+def _exit_when_closed(conn):
+    """Thread target: end this process once conn has something to read.  The
+    parent never sends on its end, so that is when the parent has closed it:
+    it has finished, failed or died."""
+    try:
+        conn.poll(None)
+    finally:
+        os._exit(1)  # before any traceback: this thread writes nothing
 
 
-def _die_with_parent():
-    """Have Linux send this process SIGKILL when its parent dies, even by a
-    signal; 0 on success."""
-    import ctypes  # only a forked child needs it
-
-    prctl = ctypes.CDLL(None).prctl
-    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-    return prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-
-
-def _tsne_in_child(receiver, sender, counts_csv, scores, opts, parent, forked):
+def _tsne_in_child(receiver, sender, counts_csv, scores, opts):
     """Process target: write the counts CSV from counts_csv, a list of
     write_matrix_csv's arguments, then send the uncorrected run's (embedding,
     trace) or None, the warnings recorded, and the exception that ended
-    either step with its traceback, or None.  parent is the pid of the
-    process that started this one, and forked says whether that was by fork,
-    which only Linux uses."""
-    # with the read end open here too, a result larger than the pipe's buffer
-    # would wait forever for a parent that has died
+    either step with its traceback, or None.  The process ends at once when
+    the parent closes receiver's end, as it does when it no longer wants the
+    result."""
+    # with the parent's end open here too, a result larger than the pipe's
+    # buffer would wait forever for a parent that has died, and the watcher
+    # would never wake
     receiver.close()
-    # the child ends with its parent: Linux kills a forked child, and any other
-    # (or one whose prctl failed) checks at each trace record, every 50 iterations
-    watch = not forked or _die_with_parent() != 0
-    _exit_if_orphaned(parent)  # the parent may have died before prctl
+    threading.Thread(target=_exit_when_closed, args=(sender,), daemon=True).start()
     result = error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the parent's filters decide
@@ -315,7 +298,7 @@ def _tsne_in_child(receiver, sender, counts_csv, scores, opts, parent, forked):
             # the process object keeps its arguments: drop the counts here
             # rather than hold them through the run
             counts_csv.clear()
-            result = _tsne(scores, None, opts, parent if watch else None)
+            result = _tsne(scores, None, opts)
         except Exception as exc:
             error = exc, traceback.format_exc()
     sender.send((result, [w.message for w in caught], error))
@@ -367,13 +350,13 @@ def cmd_pipeline(args):
     # a child process writes counts.csv and computes the uncorrected embedding
     # while this one computes the corrected one; the child prints nothing, so
     # every line comes from here, in the order of running the two one after
-    # the other
+    # the other.  The pipe is duplex only so that the child can watch for
+    # the parent's end to close: this process never sends on it
     context = multiprocessing.get_context(_START_METHOD)
-    receiver, sender = context.Pipe(duplex=False)
-    forked = context.get_start_method() == "fork"
+    receiver, sender = context.Pipe()
     child = context.Process(target=_tsne_in_child, daemon=True,
                             args=(receiver, sender, [counts, ids, genes, counts_path],
-                                  scores, cfg, os.getpid(), forked))
+                                  scores, cfg))
     child.start()
     sender.close()
     del counts  # the child's now; start() let go of its arguments
@@ -384,13 +367,10 @@ def cmd_pipeline(args):
                                     ids, labels, cfg.seed)
         artifacts += _write_outputs(outdir, "uncorrected", *_receive(receiver, child),
                                     ids, labels, cfg.seed)
-    except BaseException:
-        child.terminate()  # its result is no longer wanted
-        raise
     finally:
-        receiver.close()
+        receiver.close()  # ends the child if it is still running
         child.join()
-        # a child terminated while writing counts.csv leaves its temporary file
+        # a child ended while writing counts.csv leaves its temporary file
         matrixio.temporary_path(counts_path, child.pid).unlink(missing_ok=True)
 
     manifest = outdir / "manifest.txt"

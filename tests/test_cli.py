@@ -29,24 +29,40 @@ def package_env():
     return dict(os.environ, PYTHONPATH=src)
 
 
+def running(pid):
+    """Whether process pid exists and is neither a zombie nor dead."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
 def ends_within(pid, seconds):
     """Whether process pid has ended, or is a zombie, within seconds; it is
     killed if not."""
-
-    def running():
-        try:
-            stat = Path(f"/proc/{pid}/stat").read_text()
-        except FileNotFoundError:
-            return False
-        return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
-
     deadline = time.monotonic() + seconds
-    while running() and time.monotonic() < deadline:
+    while running(pid) and time.monotonic() < deadline:
         time.sleep(0.1)
-    if running():
+    if running(pid):
         os.kill(pid, signal.SIGKILL)
         return False
     return True
+
+
+# The start of a script run in a fresh interpreter: a libc without prctl, as
+# on FreeBSD, where fork is the default start method too.
+NO_PRCTL = textwrap.dedent("""
+    import ctypes
+
+    class CDLL(ctypes.CDLL):
+        def __getattr__(self, name):
+            if name == "prctl":
+                raise AttributeError(name)
+            return super().__getattr__(name)
+
+    ctypes.CDLL = CDLL
+""")
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +147,20 @@ class TestEmbed:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "batch-vars" in err and "no-correction" in err
+        assert not out.exists()
+
+    def test_batch_vars_without_labels_usage_error(self, tmp_path, monkeypatch, capsys):
+        def read(path):
+            raise AssertionError(f"{path} was read before the usage check")
+
+        monkeypatch.setattr(matrixio, "read_matrix_csv", read)
+        out = tmp_path / "x.csv"
+        rc = main(["embed", str(tmp_path / "counts.csv"), "--batch-vars", "batch",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+        assert "batch-vars" in err and "labels" in err
         assert not out.exists()
 
     def test_unknown_batch_variable(self, dataset, tmp_path, capsys):
@@ -397,7 +427,7 @@ class TestPipelineInTwoProcesses:
 
     def test_child_terminated_mid_write_leaves_no_temporary_file(self, pipeline,
                                                                 monkeypatch, capsys):
-        # SIGTERM ends the child without running replacing's cleanup, so the
+        # the child ends at once, without running replacing's cleanup, so the
         # parent removes the child's temporary file
         cfg, outdir = pipeline
 
@@ -448,8 +478,7 @@ class TestPipelineInTwoProcesses:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     def test_child_of_a_vanished_parent_does_not_wait_forever(self, pipeline):
         # the parent exits without cleaning up while its child has a result
-        # larger than a pipe's buffer to send: the send must fail, not block.
-        # prctl is made to fail, or Linux would kill the child with its parent
+        # larger than a pipe's buffer to send: the child must end, not block
         cfg, _ = pipeline
         script = textwrap.dedent("""
             import multiprocessing, os, sys
@@ -464,7 +493,6 @@ class TestPipelineInTwoProcesses:
                 os._exit(0)
 
             cli.run_tsne = run_tsne
-            cli._die_with_parent = lambda: -1
             cli.main(["pipeline", sys.argv[1]])
         """)
         out = cfg.with_name("stdout.txt")
@@ -476,15 +504,22 @@ class TestPipelineInTwoProcesses:
         assert ends_within(pid, 60)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_child_ends_with_a_parent_killed_by_a_signal(self, tmp_path, method):
-        # SIGTERM gives the parent no chance to stop its child.  The forked
-        # child's run sleeps, so only the kernel's SIGKILL can end it; the
-        # spawned one runs a real embedding of ten million iterations and
-        # must notice at a trace record
+    @pytest.mark.parametrize("method, sig, libc", [
+        pytest.param("fork", signal.SIGTERM, "", id="fork"),
+        pytest.param("spawn", signal.SIGTERM, "", id="spawn"),
+        pytest.param("fork", signal.SIGKILL, "", id="fork-SIGKILL"),
+        pytest.param("spawn", signal.SIGKILL, "", id="spawn-SIGKILL"),
+        pytest.param("fork", signal.SIGTERM, NO_PRCTL, id="fork-no-prctl"),
+    ])
+    def test_child_ends_with_a_parent_killed_by_a_signal(self, tmp_path, method, sig,
+                                                          libc):
+        # neither signal gives the parent a chance to stop its child, and
+        # SIGKILL runs no handler at all.  The forked child's run sleeps; the
+        # spawned one runs a real embedding of ten million iterations.  Each
+        # must end when the kernel closes the dead parent's end of the pipe
         cfg = tmp_path / "pipeline.cfg"
         cfg.write_text(f"cells=60\ngenes=100\niters=10000000\noutdir={tmp_path}\n")
-        script = textwrap.dedent("""
+        script = libc + textwrap.dedent("""
             import multiprocessing, sys, time
             from bctsne import cli
 
@@ -504,12 +539,41 @@ class TestPipelineInTwoProcesses:
         try:
             lines = iter(parent.stdout.readline, "")
             pid = int(next(line for line in lines if line.startswith("child ")).split()[1])
-            time.sleep(0.5)  # the child is under way
+            time.sleep(0.5)
+            assert running(pid)  # the child is under way
         finally:
-            parent.send_signal(signal.SIGTERM)
+            parent.send_signal(sig)
             parent.stdout.close()
-            assert parent.wait(timeout=30) == -signal.SIGTERM
+            assert parent.wait(timeout=30) == -sig
         assert ends_within(pid, 5)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs fork")
+    def test_forked_child_without_prctl_writes_the_same_bytes(self, tmp_path,
+                                                              monkeypatch, capsys):
+        default, no_prctl = tmp_path / "default", tmp_path / "no-prctl"
+        for run in (default, no_prctl):
+            run.mkdir()
+            (run / "pipeline.cfg").write_text("cells=60\ngenes=100\niters=50\noutdir=out\n")
+        monkeypatch.chdir(default)
+        assert main(["pipeline", "pipeline.cfg"]) == 0
+        stdout = capsys.readouterr().out
+        script = NO_PRCTL + textwrap.dedent("""
+            import sys
+            from bctsne import cli
+
+            cli._START_METHOD = "fork"
+            sys.exit(cli.main(["pipeline", "pipeline.cfg"]))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], cwd=no_prctl,
+                              capture_output=True, text=True, timeout=300,
+                              env=package_env())
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == stdout
+        files = [{p.name: p.read_bytes() for p in (run / "out").iterdir()}
+                 for run in (default, no_prctl)]
+        assert len(files[1]) == 11
+        assert files[1] == files[0]
 
     def test_child_warnings_reach_the_caller(self, pipeline, monkeypatch):
         cfg, _ = pipeline

@@ -146,6 +146,9 @@ def _text_rows(M, row_ids):
 
 def write_matrix_csv(M, row_ids, col_names, path):
     M = np.asarray(M, dtype=np.float64)
+    if (len(row_ids), len(col_names)) != M.shape:
+        raise ValidationError(f"{path}: {len(row_ids)} ids and {len(col_names)} column "
+                              f"names for a matrix of shape {M.shape}")
     _write_table(path, ["id", *col_names], _text_rows(M, row_ids))
 
 
@@ -175,6 +178,10 @@ def read_labels_csv(path, ids, columns=None):
 
 def write_labels_csv(ids, table, path):
     names = list(table)
+    for name in names:
+        if len(table[name]) != len(ids):
+            raise ValidationError(f"{path}: {len(table[name])} {name!r} labels "
+                                  f"for {len(ids)} ids")
     _write_table(
         path,
         ["id", *names],

@@ -18,28 +18,19 @@ from .linalg import _BLOCK_ROWS, ensure_index, ensure_matrix, pairwise_sqdist
 from .tsne import calibrate_bandwidths, conditional_rows, ensure_perplexity
 
 
-def _precomputed(given, n, compute):
-    """A label-independent n x n matrix: the caller's, checked, or compute()."""
-    if given is None:
-        return compute()
-    given = np.asarray(given, dtype=np.float64)
-    if given.shape != (n, n):
-        raise ValidationError(
-            f"precomputed matrix has shape {given.shape}; Y has {n} rows"
-        )
-    return given
-
-
-def silhouette(Y, labels, *, sqdist=None):
+def silhouette(Y, labels):
     """Mean silhouette width (Euclidean) and its mixing-oriented rescaling.
 
     rescaled = 1 - |raw|: strong clustering by the labels (raw near +1)
     and strong anti-clustering (raw near -1) both map to 0, while a labeling
     spread uniformly through the embedding (raw near 0) maps to 1.
-    sqdist, when given, is pairwise_sqdist(Y).
     """
-    Y = ensure_matrix(Y, "Y")
-    n = len(Y)
+    return _silhouette(pairwise_sqdist(ensure_matrix(Y, "Y")), labels)
+
+
+def _silhouette(sqdist, labels):
+    """silhouette on the squared distances sqdist of the embedding."""
+    n = len(sqdist)
     levels, codes = encode_labels(labels, n)
     if len(levels) < 2:
         raise ValidationError("silhouette needs at least 2 label levels")
@@ -47,7 +38,6 @@ def silhouette(Y, labels, *, sqdist=None):
     if np.any(counts < 2):
         bad = levels[int(np.argmin(counts))]
         raise ValidationError(f"label level {bad!r} has fewer than 2 members")
-    sqdist = _precomputed(sqdist, n, lambda: pairwise_sqdist(Y))
     onehot = np.eye(len(levels))[codes]
     sums = np.empty((n, len(levels)))  # total distance to each level
     for i in range(0, n, _BLOCK_ROWS):
@@ -85,20 +75,21 @@ def _chi2_sf(df, x):
     return q
 
 
-def kbet_acceptance(
-    Y, batch, knn=None, n_test=None, alpha=0.05, seed=0, *, sqdist=None
-):
+def kbet_acceptance(Y, batch, knn=None, n_test=None, alpha=0.05, seed=0):
     """Fraction of sampled points whose knn-neighborhood batch composition is
     consistent (chi-squared) with the global batch proportions.
 
     A point is accepted when its p-value, the chi-squared upper tail of its
     statistic on levels - 1 degrees of freedom, is at least alpha; _chi2_sf
     gives it within a relative 1e-12 of scipy.special.chdtrc.  knn defaults
-    to max(10, 5% of n), capped at n - 1.  sqdist, when given, is
-    pairwise_sqdist(Y).
+    to max(10, 5% of n), capped at n - 1.
     """
-    Y = ensure_matrix(Y, "Y")
-    n = Y.shape[0]
+    return _kbet(pairwise_sqdist(ensure_matrix(Y, "Y")), batch, knn, n_test, alpha, seed)
+
+
+def _kbet(D, batch, knn, n_test, alpha, seed):
+    """kbet_acceptance on the squared distances D of the embedding."""
+    n = len(D)
     levels, codes = encode_labels(batch, n)
     if len(levels) < 2:
         raise ValidationError("kBET needs at least 2 batch levels")
@@ -121,7 +112,6 @@ def kbet_acceptance(
     test_idx = (
         np.arange(n) if n_test >= n else rng.choice(n, size=n_test, replace=False)
     )
-    D = _precomputed(sqdist, n, lambda: pairwise_sqdist(Y))
     observed = np.empty((len(test_idx), len(levels)), dtype=np.int64)
     for i in range(0, len(test_idx), _BLOCK_ROWS):
         block = test_idx[i : i + _BLOCK_ROWS]
@@ -143,18 +133,16 @@ def lisi_weights(sqdist, perplexity=30.0):
     return conditional_rows(sqdist, calibrate_bandwidths(sqdist, perplexity))
 
 
-def lisi(Y, labels, perplexity=30.0, *, weights=None):
+def lisi(Y, labels, perplexity=30.0):
     """Mean inverse Simpson index of labels under perplexity-calibrated
-    Gaussian neighbor weights; rescaled to [0, 1] by (mean - 1)/(L - 1).
+    Gaussian neighbor weights; rescaled to [0, 1] by (mean - 1)/(L - 1)."""
+    W = lisi_weights(pairwise_sqdist(ensure_matrix(Y, "Y")), perplexity)
+    return _lisi(W, labels)
 
-    weights, when given, is lisi_weights(pairwise_sqdist(Y), perplexity);
-    perplexity is then ignored, since the weights already fix it.
-    """
-    Y = ensure_matrix(Y, "Y")
-    levels, codes = encode_labels(labels, len(Y))
-    W = _precomputed(
-        weights, len(Y), lambda: lisi_weights(pairwise_sqdist(Y), perplexity)
-    )
+
+def _lisi(W, labels):
+    """lisi under the neighbour weights W = lisi_weights of the embedding."""
+    levels, codes = encode_labels(labels, len(W))
     onehot = np.eye(len(levels))[codes]
     per_level = W @ onehot
     simpson = np.sum(per_level**2, axis=1)
@@ -223,20 +211,19 @@ def evaluate(Y, labelings, cfg=MetricsConfig()):
     so they are computed once per embedding and shared by the labelings.
     """
     Y = ensure_matrix(Y, "Y")
+    if not labelings:
+        raise ValidationError("need at least one labeling")
     sqdist = pairwise_sqdist(Y)
     weights = None
     records = []
     for name, labels in labelings.items():
-        sil_raw, sil_resc = silhouette(Y, labels, sqdist=sqdist)
-        kbet = kbet_acceptance(
-            Y, labels, knn=cfg.knn, n_test=cfg.n_test, alpha=cfg.alpha, seed=cfg.seed,
-            sqdist=sqdist,
-        )
+        sil_raw, sil_resc = _silhouette(sqdist, labels)
+        kbet = _kbet(sqdist, labels, cfg.knn, cfg.n_test, cfg.alpha, cfg.seed)
         # computed after the first labeling's checks, so errors keep their order
         if weights is None:
             ensure_perplexity(cfg.lisi_perplexity, len(Y), "lisi_perplexity")
             weights = lisi_weights(sqdist, cfg.lisi_perplexity)
-        lisi_mean, lisi_resc = lisi(Y, labels, cfg.lisi_perplexity, weights=weights)
+        lisi_mean, lisi_resc = _lisi(weights, labels)
         pcr = pc_regression(Y, labels)
         records += [
             (name, "silhouette", sil_raw, sil_resc),

@@ -17,6 +17,7 @@ import pytest
 
 import bctsne
 from bctsne import CollinearityError, OptimizerError, matrixio
+from bctsne.metrics import kbet_acceptance, lisi, silhouette
 from bctsne.tsne import EmbeddingState, calibrate_bandwidths, run_tsne
 
 LIBRARY_USE = {"SimSpec", "simulate", "normalize_log1p_cpm", "build_design",
@@ -86,11 +87,17 @@ def test_pca_loads_scipy_linalg_only():
 
 def test_calibration_and_optimizer_keep_only_what_a_caller_sets():
     # the search's tolerance and step count and the trace cadence are module
-    # constants, the optimizer returns the embedding alone, and one reader
-    # returns labels in the order of the caller's ids
-    assert list(inspect.signature(calibrate_bandwidths).parameters) == ["D", "perplexity"]
-    assert list(inspect.signature(run_tsne).parameters) == ["X", "cfg", "projector",
-                                                           "on_trace"]
+    # constants, the optimizer returns the embedding alone, one reader returns
+    # labels in the order of the caller's ids, and each metric takes the
+    # embedding, never a matrix formed from it by the caller
+    def names(f):
+        return list(inspect.signature(f).parameters)
+
+    assert names(calibrate_bandwidths) == ["D", "perplexity"]
+    assert names(run_tsne) == ["X", "cfg", "projector", "on_trace"]
+    assert names(silhouette) == ["Y", "labels"]
+    assert names(kbet_acceptance) == ["Y", "batch", "knn", "n_test", "alpha", "seed"]
+    assert names(lisi) == ["Y", "labels", "perplexity"]
     assert [f.name for f in dataclasses.fields(EmbeddingState)] == ["Y"]
     assert not hasattr(matrixio, "align_labels")
 

@@ -151,6 +151,17 @@ class TestMatrixCsv:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["ids.csv"]
         assert csv.field_size_limit() == limit
 
+    @pytest.mark.parametrize("n_ids, n_names", [(2, 2), (5, 2), (4, 3), (4, 1)],
+                             ids=["fewer-ids", "more-ids", "more-names", "fewer-names"])
+    def test_counts_checked_before_the_target_is_touched(self, tmp_path, n_ids, n_names):
+        p = tmp_path / "m.csv"
+        p.write_text("old")
+        with pytest.raises(ValidationError, match=rf"m.csv: {n_ids} ids and {n_names} "
+                           r"column names for a matrix of shape \(4, 2\)$"):
+            write_matrix_csv(np.ones((4, 2)), _names("c", n_ids), _names("g", n_names), p)
+        assert p.read_text() == "old"
+        assert [f.name for f in tmp_path.iterdir()] == ["m.csv"]
+
     def test_tab_delimiter_autodetected(self, tmp_path):
         p = tmp_path / "m.tsv"
         p.write_text("id\tg1\tg2\nc1\t1\t2\n")
@@ -231,6 +242,17 @@ class TestLabelsCsv:
                            match=r"labels.csv: unknown .*\['nope'\].*\['batch'\]"):
             read_labels_csv(p, ["c1"], ["nope"])
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_label_column_length_checked(self, tmp_path, length):
+        p = tmp_path / "labels.csv"
+        p.write_text("old")
+        with pytest.raises(ValidationError,
+                           match=f"labels.csv: {length} 'sex' labels for 2 ids$"):
+            write_labels_csv(["c1", "c2"], {"batch": ["A", "B"],
+                                            "sex": ["F", "M", "F"][:length]}, p)
+        assert p.read_text() == "old"
+        assert [f.name for f in tmp_path.iterdir()] == ["labels.csv"]
+
 
 class TestEmbeddingAndTrace:
     def test_embedding_round_trip(self, tmp_path):
@@ -240,6 +262,13 @@ class TestEmbeddingAndTrace:
         assert p.read_text().splitlines()[0] == "id,y1,y2,y3"
         Y2, ids = read_embedding_csv(p)
         assert np.array_equal(Y, Y2)
+
+    @pytest.mark.parametrize("n_ids", [2, 6])
+    def test_embedding_ids_checked(self, tmp_path, n_ids):
+        p = tmp_path / "emb.csv"
+        with pytest.raises(ValidationError, match=f"emb.csv: {n_ids} ids and 2 column"):
+            write_embedding_csv(np.zeros((4, 2)), _names("c", n_ids), p)
+        assert not p.exists()
 
     def test_trace_columns(self, tmp_path):
         trace = [TraceRecord(0, 1.5, 1e-12), TraceRecord(50, 0.7, 2e-12)]

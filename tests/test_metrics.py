@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import bctsne.metrics
 from bctsne import (
     DomainError,
     MetricsConfig,
@@ -192,11 +193,6 @@ class TestKbet:
                 far = _chi2_sf(df, np.array([1e6]))
                 assert np.isfinite(far[0]) and far[0] >= 0.0
 
-    def test_precomputed_shape_checked(self):
-        layouts, batch = kbet_layouts()
-        with pytest.raises(ValidationError, match="shape"):
-            kbet_acceptance(layouts["tied"], batch, sqdist=np.zeros((10, 10)))
-
 
 class TestLisi:
     def test_single_label(self):
@@ -345,6 +341,15 @@ class TestEvaluate:
         Y = np.random.default_rng(14).standard_normal((40, 2))
         with pytest.raises(ValidationError, match="labels length"):
             metric(Y, (["a", "b"] * length)[:length])
+
+    def test_no_labeling_rejected_before_any_distance(self, monkeypatch):
+        def refuse(Y):
+            raise AssertionError("distances formed")
+
+        monkeypatch.setattr(bctsne.metrics, "pairwise_sqdist", refuse)
+        Y = np.random.default_rng(18).standard_normal((40, 2))
+        with pytest.raises(ValidationError, match="^need at least one labeling$"):
+            evaluate(Y, {})
 
     def test_lisi_perplexity_out_of_range_named(self):
         # the default lisi_perplexity, 30, needs at least 31 points

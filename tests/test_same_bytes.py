@@ -1,6 +1,7 @@
 """`tools/same_bytes.py` compares `bctsne pipeline`'s bytes between two source
 trees; here at one seed, one BLAS thread and a small pipeline, to keep the
-suite short."""
+suite short.  Its comparison of the acceptance suite's verdict lines is
+tested on canned output, without running that suite."""
 import shutil
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import bctsne.tsne
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from same_bytes import compare_trees  # noqa: E402
+from same_bytes import acceptance_lines, compare_acceptance, compare_trees  # noqa: E402
 
 SRC = Path(bctsne.__file__).resolve().parents[1]
 # 260 iterations pass iteration 250, where the late momentum takes over
@@ -52,3 +53,28 @@ def test_compare_trees_finds_a_copy_equal_and_names_what_one_ulp_moves(tmp_path)
     for name in ("counts.csv", "labels.csv", "stdout"):
         assert moved[name] == "same", moved
     assert moved["stderr"] == "empty", moved
+
+
+def test_acceptance_lines_kept_and_their_elapsed_times_masked():
+    # pytest -q prints each test's progress dot on the line its verdict follows
+    stdout = ("ACCEPTANCE 1: PASS (max relative error 6.46e-08, 0.4s)\n"
+              ".ACCEPTANCE 2: PASS (max |Z'Y| 2.43e-12)\n"
+              ".wrote run_a/manifest.txt\n"
+              "ACCEPTANCE 10: FAIL (3.0s and 104.5s, not 1.5e-3s)\n"
+              "16 passed in 27.73s\n")
+    assert acceptance_lines(stdout) == [
+        "ACCEPTANCE 1: PASS (max relative error 6.46e-08, _s)",
+        "ACCEPTANCE 2: PASS (max |Z'Y| 2.43e-12)",
+        "ACCEPTANCE 10: FAIL (_s and _s, not 1.5e-3s)",
+    ]
+
+
+def test_compare_acceptance_names_each_line():
+    a = ["ACCEPTANCE 1: PASS (x in _s)", "ACCEPTANCE 2: PASS (KL 1.25)"]
+    assert compare_acceptance(a, list(a)) == [(line, line, "same") for line in a]
+    moved = ["ACCEPTANCE 1: PASS (x in _s)", "ACCEPTANCE 2: PASS (KL 1.26)"]
+    assert [row[2] for row in compare_acceptance(a, moved)] == ["same", "differs"]
+    assert [row[2] for row in compare_acceptance(a, a[:1])] == ["same", "only in a"]
+    assert [row[2] for row in compare_acceptance(a[:1], a)] == ["same", "only in b"]
+    # a suite that printed nothing in either tree is not a match
+    assert compare_acceptance([], []) == [("", "", "missing")]

@@ -136,8 +136,9 @@ def lisi_weights(sqdist, perplexity=30.0):
 def lisi(Y, labels, perplexity=30.0):
     """Mean inverse Simpson index of labels under perplexity-calibrated
     Gaussian neighbor weights; rescaled to [0, 1] by (mean - 1)/(L - 1)."""
-    W = lisi_weights(pairwise_sqdist(ensure_matrix(Y, "Y")), perplexity)
-    return _lisi(W, labels)
+    Y = ensure_matrix(Y, "Y")
+    encode_labels(labels, len(Y))  # a wrong labeling fails before the calibration
+    return _lisi(lisi_weights(pairwise_sqdist(Y), perplexity), labels)
 
 
 def _lisi(W, labels):

@@ -221,6 +221,20 @@ class TestLisi:
         assert mean_raw == pytest.approx(1.0, abs=0.01)
         assert rescaled < 0.01
 
+    def test_labels_checked_before_the_weights(self, monkeypatch):
+        # so a wrong labeling is named before an out-of-range perplexity, and
+        # neither the distances nor the calibration are spent on it
+        Y = np.random.default_rng(19).standard_normal((40, 2))
+        with pytest.raises(ValidationError, match="labels length"):
+            lisi(Y, ["a", "b"] * 10, perplexity=100.0)
+
+        def refuse(Y):
+            raise AssertionError("distances formed")
+
+        monkeypatch.setattr(bctsne.metrics, "pairwise_sqdist", refuse)
+        with pytest.raises(ValidationError, match="labels length"):
+            lisi(Y, ["a", "b"] * 10)
+
 
 class TestPcRegression:
     def test_projected_embedding_gives_zero(self):

@@ -1,18 +1,18 @@
-"""Check that a change keeps `bctsne pipeline`'s bytes: compare the working
-tree with a git revision.
+"""Check that a change keeps `bctsne pipeline`'s bytes and the acceptance
+suite's verdicts: compare the working tree with a git revision.
 
-    python3 tools/same_bytes.py [--acceptance] REV
+    python3 tools/same_bytes.py REV
 
-exports REV's `src/`, `tests/` and `pyproject.toml` with `git archive` into a
-temporary directory and runs `bctsne pipeline` at cells=200 (README defaults
-otherwise), seeds 0-2, at OPENBLAS_NUM_THREADS 1 and 2, from both trees, each
-tree against the other at the same thread count.  It compares the 11 files
-each run writes and its stdout, with the output directory's path normalised,
-and checks that stderr is empty.  With --acceptance it also runs
-`pytest -s tests/test_acceptance.py` in each tree at one BLAS thread (about
-30 s a tree) and compares the `ACCEPTANCE n:` lines one by one, their elapsed
-times masked.  It prints one line per (seed, threads, file) and per
-acceptance line, and exits 1 on any difference.
+exports REV's `src/`, `tests/` and `pyproject.toml` (which holds the pytest
+settings) with `git archive` into a temporary directory and runs `bctsne
+pipeline` at cells=200 (README defaults otherwise), seeds 0-2, at
+OPENBLAS_NUM_THREADS 1 and 2, from both trees, each tree against the other at
+the same thread count.  It compares the 11 files each run writes and its
+stdout, with the output directory's path normalised, and checks that stderr
+is empty.  It then runs `pytest -s tests/test_acceptance.py` in each tree at
+one BLAS thread (about 30 s a tree) and compares the `ACCEPTANCE n:` lines one
+by one, their elapsed times masked.  It prints one line per (seed, threads,
+file) and per acceptance line, and exits 1 on any difference.
 """
 from __future__ import annotations
 
@@ -129,16 +129,13 @@ def export(rev, dest, paths):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the git revision to compare the working tree with")
-    parser.add_argument("--acceptance", action="store_true",
-                        help="also compare the ACCEPTANCE lines of tests/test_acceptance.py")
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     with tempfile.TemporaryDirectory() as tmp:
         old = Path(tmp)
         export(args.rev, old, ("src", "tests", "pyproject.toml"))
         rows = compare_trees(old / "src", ROOT / "src", Path(tmp) / "runs")
-        accepted = (compare_acceptance(run_acceptance(old), run_acceptance(ROOT))
-                    if args.acceptance else [])
+        accepted = compare_acceptance(run_acceptance(old), run_acceptance(ROOT))
     bad = 0
     for seed, threads, name, status in rows:
         bad += status not in ("same", "empty")

@@ -25,13 +25,14 @@ def silhouette(Y, labels):
     and strong anti-clustering (raw near -1) both map to 0, while a labeling
     spread uniformly through the embedding (raw near 0) maps to 1.
     """
-    return _silhouette(pairwise_sqdist(ensure_matrix(Y, "Y")), labels)
+    Y = ensure_matrix(Y, "Y")
+    levels, codes = encode_labels(labels, len(Y))
+    return _silhouette(pairwise_sqdist(Y), levels, codes)
 
 
-def _silhouette(sqdist, labels):
-    """silhouette on the squared distances sqdist of the embedding."""
-    n = len(sqdist)
-    levels, codes = encode_labels(labels, n)
+def _silhouette(sqdist, levels, codes):
+    """silhouette on the embedding's squared distances and encoded labels."""
+    n = len(codes)
     if len(levels) < 2:
         raise ValidationError("silhouette needs at least 2 label levels")
     counts = np.bincount(codes, minlength=len(levels))
@@ -84,13 +85,14 @@ def kbet_acceptance(Y, batch, knn=None, n_test=None, alpha=0.05, seed=0):
     gives it within a relative 1e-12 of scipy.special.chdtrc.  knn defaults
     to max(10, 5% of n), capped at n - 1.
     """
-    return _kbet(pairwise_sqdist(ensure_matrix(Y, "Y")), batch, knn, n_test, alpha, seed)
+    Y = ensure_matrix(Y, "Y")
+    levels, codes = encode_labels(batch, len(Y))
+    return _kbet(pairwise_sqdist(Y), levels, codes, knn, n_test, alpha, seed)
 
 
-def _kbet(D, batch, knn, n_test, alpha, seed):
-    """kbet_acceptance on the squared distances D of the embedding."""
-    n = len(D)
-    levels, codes = encode_labels(batch, n)
+def _kbet(D, levels, codes, knn, n_test, alpha, seed):
+    """kbet_acceptance on the embedding's squared distances and encoded batch."""
+    n = len(codes)
     if len(levels) < 2:
         raise ValidationError("kBET needs at least 2 batch levels")
     if knn is None:
@@ -137,13 +139,12 @@ def lisi(Y, labels, perplexity=30.0):
     """Mean inverse Simpson index of labels under perplexity-calibrated
     Gaussian neighbor weights; rescaled to [0, 1] by (mean - 1)/(L - 1)."""
     Y = ensure_matrix(Y, "Y")
-    encode_labels(labels, len(Y))  # a wrong labeling fails before the calibration
-    return _lisi(lisi_weights(pairwise_sqdist(Y), perplexity), labels)
+    levels, codes = encode_labels(labels, len(Y))
+    return _lisi(lisi_weights(pairwise_sqdist(Y), perplexity), levels, codes)
 
 
-def _lisi(W, labels):
-    """lisi under the neighbour weights W = lisi_weights of the embedding."""
-    levels, codes = encode_labels(labels, len(W))
+def _lisi(W, levels, codes):
+    """lisi under the embedding's weights W = lisi_weights and encoded labels."""
     onehot = np.eye(len(levels))[codes]
     per_level = W @ onehot
     simpson = np.sum(per_level**2, axis=1)
@@ -218,13 +219,14 @@ def evaluate(Y, labelings, cfg=MetricsConfig()):
     weights = None
     records = []
     for name, labels in labelings.items():
-        sil_raw, sil_resc = _silhouette(sqdist, labels)
-        kbet = _kbet(sqdist, labels, cfg.knn, cfg.n_test, cfg.alpha, cfg.seed)
+        levels, codes = encode_labels(labels, len(Y))
+        sil_raw, sil_resc = _silhouette(sqdist, levels, codes)
+        kbet = _kbet(sqdist, levels, codes, cfg.knn, cfg.n_test, cfg.alpha, cfg.seed)
         # computed after the first labeling's checks, so errors keep their order
         if weights is None:
             ensure_perplexity(cfg.lisi_perplexity, len(Y), "lisi_perplexity")
             weights = lisi_weights(sqdist, cfg.lisi_perplexity)
-        lisi_mean, lisi_resc = _lisi(weights, labels)
+        lisi_mean, lisi_resc = _lisi(weights, levels, codes)
         pcr = pc_regression(Y, labels)
         records += [
             (name, "silhouette", sil_raw, sil_resc),

@@ -26,6 +26,11 @@ PALETTE = (
     "#66a61e", "#e6ab02", "#a6761d", "#666666",
 )
 SHAPES = ("circle", "square", "triangle", "diamond", "cross")
+# the polygon markers' corners, in units of _R from the centre
+_CORNERS = {
+    "triangle": ((0.0, -1.2), (-1.1, 1.0), (1.1, 1.0)),
+    "diamond": ((0.0, -1.3), (1.3, 0.0), (0.0, 1.3), (-1.3, 0.0)),
+}
 
 
 def _fmt(v):
@@ -41,13 +46,8 @@ def _marker(shape, x, y, color):
             f'<rect x="{_fmt(x - s / 2)}" y="{_fmt(y - s / 2)}" '
             f'width="{_fmt(s)}" height="{_fmt(s)}" fill="{color}"/>'
         )
-    if shape == "triangle":
-        pts = [(x, y - _R * 1.2), (x - _R * 1.1, y + _R), (x + _R * 1.1, y + _R)]
-        p = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in pts)
-        return f'<polygon points="{p}" fill="{color}"/>'
-    if shape == "diamond":
-        pts = [(x, y - _R * 1.3), (x + _R * 1.3, y), (x, y + _R * 1.3), (x - _R * 1.3, y)]
-        p = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in pts)
+    if shape in _CORNERS:
+        p = " ".join(f"{_fmt(x + _R * a)},{_fmt(y + _R * b)}" for a, b in _CORNERS[shape])
         return f'<polygon points="{p}" fill="{color}"/>'
     if shape == "cross":
         r = _R * 1.2
@@ -104,23 +104,18 @@ def render_scatter(Y, color_labels=None, shape_labels=None, title=None):
     for x, y, shape, color in zip(px, py, shape_codes, color_codes):
         parts.append(_marker(SHAPES[shape], x, y, PALETTE[color]))
 
-    ly = 40
-    lx = _PLOT_W + 10
-    for j, lev in enumerate(color_levels):
-        parts.append(_marker("circle", lx + 6, ly - 4, PALETTE[j % len(PALETTE)]))
-        parts.append(
-            f'<text x="{lx + 18}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(str(lev), quote=False)}</text>'
-        )
-        ly += 20
-    ly += 10
-    for j, lev in enumerate(shape_levels):
-        parts.append(_marker(SHAPES[j % len(SHAPES)], lx + 6, ly - 4, "#333333"))
-        parts.append(
-            f'<text x="{lx + 18}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(str(lev), quote=False)}</text>'
-        )
-        ly += 20
+    # the legend: colour levels as circles, then shape levels in grey
+    lx, ly = _PLOT_W + 10, 40
+    for levels, shapes, fills in ((color_levels, ("circle",), PALETTE),
+                                  (shape_levels, SHAPES, ("#333333",))):
+        for j, lev in enumerate(levels):
+            parts.append(_marker(shapes[j % len(shapes)], lx + 6, ly - 4, fills[j % len(fills)]))
+            parts.append(
+                f'<text x="{lx + 18}" y="{ly}" font-family="sans-serif" '
+                f'font-size="12">{escape(str(lev), quote=False)}</text>'
+            )
+            ly += 20
+        ly += 10
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

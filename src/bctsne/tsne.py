@@ -147,6 +147,16 @@ def _row_perplexities(D, rows, sigma2):
     return perp
 
 
+def _bisect(x, lo, hi, wide, reach):
+    """One step of a bracketed search on x = log sigma^2, one per row: x
+    becomes the bracket's upper end (lo, hi) where the bandwidth was too
+    wide and its lower end elsewhere.  Returns the new (lo, hi) and the next
+    x: the bracket's midpoint once both ends are finite, else x -+ reach."""
+    lo, hi = np.where(wide, lo, x), np.where(wide, x, hi)
+    step = np.where(wide, x - reach, x + reach)
+    return lo, hi, np.where(np.isfinite(lo) & np.isfinite(hi), (lo + hi) / 2.0, step)
+
+
 def _locate(d, perplexity):
     """Log-bandwidths (low, high) per row of d, a block's distances without
     each row's own entry, between which the row reaches its target
@@ -207,22 +217,11 @@ def _locate(d, perplexity):
                 d, e = d[keep], e[: len(rows)]
             if not len(rows):
                 break
-            wide = f > 0
-            hi = np.where(wide, x, hi)
-            lo = np.where(wide, lo, x)
+            lo, hi, fallback = _bisect(x, lo, hi, f > 0, _NEWTON_REACH)
             # a Newton step outside the bracket, or more than _NEWTON_REACH
-            # from x, is replaced by a bisection step or a capped one
+            # from x, is replaced by the bisection's step
             inside = (step > lo) & (step < hi) & (np.abs(step - x) <= _NEWTON_REACH)
-            bracketed = np.isfinite(lo) & np.isfinite(hi)
-            x = np.where(
-                inside,
-                step,
-                np.where(
-                    bracketed,
-                    (lo + hi) / 2.0,
-                    np.where(wide, x - _NEWTON_REACH, x + _NEWTON_REACH),
-                ),
-            )
+            x = np.where(inside, step, fallback)
     return edges
 
 
@@ -290,14 +289,8 @@ def calibrate_bandwidths(D, perplexity):
         active, perp = active[searching], perp[searching]
         if not active.size:
             break
-        xa, lo_a, hi_a = x[active], lo[active], hi[active]
-        wide = perp > perplexity  # bandwidth too wide
-        hi[active] = np.where(wide, xa, hi_a)
-        lo[active] = np.where(wide, lo_a, xa)
-        x[active] = np.where(
-            wide,
-            np.where(np.isfinite(lo_a), (lo_a + xa) / 2.0, xa - 1.0),
-            np.where(np.isfinite(hi_a), (xa + hi_a) / 2.0, xa + 1.0),
+        lo[active], hi[active], x[active] = _bisect(
+            x[active], lo[active], hi[active], perp > perplexity, 1.0
         )
     sigma2 = np.exp(x)
     if active.size:
@@ -438,14 +431,16 @@ def kl_gradient(P, Y, exaggeration=1.0, *, kl=False):
     One pass over the tiles of `_Kernel` sums it as 4 (exaggeration A - R / Z),
     with A_i = sum_j p_ij w_ij (y_i - y_j), R_i = sum_j w_ij^2 (y_i - y_j) and
     Z = sum_{i != j} w_ij (van der Maaten 2014, JMLR 15), so no n x n array is
-    built.  P must be symmetric: the pass reads it only in the tiles at and
-    above the diagonal, and uses each p_ij for both row i and row j.  The
+    built.  P must be symmetric, as is checked: the pass reads it only in the
+    tiles at and above the diagonal, and uses each p_ij for rows i and j.  The
     same tiles give KL = sum p (log max(p, PROB_FLOOR) - log w) + log Z sum p.
     """
     P, Y = np.asarray(P, dtype=np.float64), ensure_matrix(Y, "Y")
     n = Y.shape[0]
     if P.shape != (n, n):
         raise ValidationError(f"P must be {n} x {n} to match Y; got {P.shape}")
+    if not np.array_equal(P, P.T):
+        raise ValidationError("P must be symmetric")
     return _Kernel(P, Y.shape[1])(Y, exaggeration, kl)
 
 

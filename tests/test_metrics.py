@@ -356,6 +356,16 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="labels length"):
             metric(Y, (["a", "b"] * length)[:length])
 
+    @pytest.mark.parametrize("metric", [silhouette, kbet_acceptance, lisi])
+    def test_labels_checked_before_any_distance(self, monkeypatch, metric):
+        def refuse(Y):
+            raise AssertionError("distances formed")
+
+        monkeypatch.setattr(bctsne.metrics, "pairwise_sqdist", refuse)
+        Y = np.random.default_rng(14).standard_normal((40, 2))
+        with pytest.raises(ValidationError, match="labels length"):
+            metric(Y, ["a", "b"] * 19 + ["a"])
+
     def test_no_labeling_rejected_before_any_distance(self, monkeypatch):
         def refuse(Y):
             raise AssertionError("distances formed")

@@ -87,11 +87,14 @@ def kbet_acceptance(Y, batch, knn=None, n_test=None, alpha=0.05, seed=0):
     """
     Y = ensure_matrix(Y, "Y")
     levels, codes = encode_labels(batch, len(Y))
-    return _kbet(pairwise_sqdist(Y), levels, codes, knn, n_test, alpha, seed)
+    knn, n_test, expected = _kbet_settings(levels, codes, knn, n_test, alpha, seed)
+    return _kbet(_kbet_neighbours(pairwise_sqdist(Y), knn, n_test, seed), codes, expected, alpha)
 
 
-def _kbet(D, levels, codes, knn, n_test, alpha, seed):
-    """kbet_acceptance on the embedding's squared distances and encoded batch."""
+def _kbet_settings(levels, codes, knn, n_test, alpha, seed):
+    """kbet_acceptance's checks of its encoded batch and settings; returns
+    knn and n_test, their defaults filled in, and each level's expected
+    count in a neighbourhood."""
     n = len(codes)
     if len(levels) < 2:
         raise ValidationError("kBET needs at least 2 batch levels")
@@ -104,29 +107,42 @@ def _kbet(D, levels, codes, knn, n_test, alpha, seed):
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} must lie in (0, 1)")
     ensure_index(seed, "seed", ValidationError, 0)
-    props = np.bincount(codes, minlength=len(levels)) / n
-    expected = props * knn
+    expected = np.bincount(codes, minlength=len(levels)) / n * knn
     if np.all(expected < 1):
         raise ValidationError(
             f"knn={knn} too small: every expected neighborhood count < 1"
         )
+    return knn, n_test, expected
+
+
+def _kbet_neighbours(D, knn, n_test, seed):
+    """The knn nearest neighbours of each of kBET's sampled points, whose
+    squared distances are D: one row per point, n_test x knn (n x knn when
+    n_test >= n).  It depends on no labels."""
+    n = len(D)
     rng = np.random.default_rng(seed)
     test_idx = (
         np.arange(n) if n_test >= n else rng.choice(n, size=n_test, replace=False)
     )
-    observed = np.empty((len(test_idx), len(levels)), dtype=np.int64)
+    neigh = np.empty((len(test_idx), knn), dtype=np.intp)
     for i in range(0, len(test_idx), _BLOCK_ROWS):
         block = test_idx[i : i + _BLOCK_ROWS]
         rows = D[block]
         rows[np.arange(len(block)), block] = np.inf
-        # a copy, so the whole len(block) x n index array is freed here
-        neigh = np.argpartition(rows, knn, axis=1)[:, :knn].copy()
-        observed[i : i + len(block)] = np.sum(
-            codes[neigh][:, :, None] == np.arange(len(levels)), axis=1
-        )
+        neigh[i : i + len(block)] = np.argpartition(rows, knn, axis=1)[:, :knn]
+    return neigh
+
+
+def _kbet(neigh, codes, expected, alpha):
+    """kbet_acceptance from the sampled points' neighbours, the encoded batch
+    and each level's expected count."""
+    n_test, levels = len(neigh), len(expected)
+    # row r's neighbours of level c count in bin r * levels + c
+    bins = codes[neigh] + levels * np.arange(n_test)[:, None]
+    observed = np.bincount(bins.ravel(), minlength=n_test * levels).reshape(n_test, levels)
     stat = np.sum((observed - expected) ** 2 / np.maximum(expected, 1e-12), axis=1)
-    accepted = int(np.count_nonzero(_chi2_sf(len(levels) - 1, stat) >= alpha))
-    return accepted / len(test_idx)
+    accepted = int(np.count_nonzero(_chi2_sf(levels - 1, stat) >= alpha))
+    return accepted / n_test
 
 
 def lisi_weights(sqdist, perplexity=30.0):
@@ -164,7 +180,11 @@ def pc_regression(M, labels):
     |fitted(M_c)|^2 / |M_c|^2, and no SVD is needed.
     """
     M = ensure_matrix(M, "M")
-    levels, codes = encode_labels(labels, M.shape[0])
+    return _pc_regression(M, *encode_labels(labels, M.shape[0]))
+
+
+def _pc_regression(M, levels, codes):
+    """pc_regression of the matrix M on encoded labels."""
     if len(levels) < 2:
         raise ValidationError("pc_regression needs at least 2 label levels")
     Mc = M - M.mean(axis=0)
@@ -209,25 +229,30 @@ class MetricsReport:
 def evaluate(Y, labelings, cfg=MetricsConfig()):
     """Run all four metrics for every named labeling.
 
-    The distances and LISI's neighbour weights do not depend on the labels,
-    so they are computed once per embedding and shared by the labelings.
+    The distances, kBET's neighbours and LISI's neighbour weights do not
+    depend on the labels, so they are computed once per embedding and shared
+    by the labelings.
     """
     Y = ensure_matrix(Y, "Y")
     if not labelings:
         raise ValidationError("need at least one labeling")
     sqdist = pairwise_sqdist(Y)
-    weights = None
+    neigh = weights = None
     records = []
     for name, labels in labelings.items():
         levels, codes = encode_labels(labels, len(Y))
         sil_raw, sil_resc = _silhouette(sqdist, levels, codes)
-        kbet = _kbet(sqdist, levels, codes, cfg.knn, cfg.n_test, cfg.alpha, cfg.seed)
-        # computed after the first labeling's checks, so errors keep their order
-        if weights is None:
+        knn, n_test, expected = _kbet_settings(
+            levels, codes, cfg.knn, cfg.n_test, cfg.alpha, cfg.seed
+        )
+        # formed after the first labeling's checks, so errors keep their order
+        if neigh is None:
+            neigh = _kbet_neighbours(sqdist, knn, n_test, cfg.seed)
             ensure_perplexity(cfg.lisi_perplexity, len(Y), "lisi_perplexity")
             weights = lisi_weights(sqdist, cfg.lisi_perplexity)
+        kbet = _kbet(neigh, codes, expected, cfg.alpha)
         lisi_mean, lisi_resc = _lisi(weights, levels, codes)
-        pcr = pc_regression(Y, labels)
+        pcr = _pc_regression(Y, levels, codes)
         records += [
             (name, "silhouette", sil_raw, sil_resc),
             (name, "kbet", kbet, kbet),

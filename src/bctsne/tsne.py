@@ -165,9 +165,18 @@ def _locate(d, perplexity):
     Newton's method on the log-perplexity H(x) = beta E_p[d] + log Z in
     x = log sigma^2, with beta = 1 / 2 sigma^2, the distances shifted by the
     row's minimum and the slope dH/dx = beta^2 Var_p(d), bracketed by the
-    steps it has taken, from the ceil(perplexity)-th nearest distance.  At
-    the root x*, perplexity moves by about perplexity * dH/dx per unit of x,
-    so it stays within _TOL of the target on x* -+ w with
+    steps it has taken.  It starts from sigma^2 = r^2 / 2e, r^2 being the
+    ceil(perplexity)-th nearest distance: around a point of 2-D data at even
+    density rho, a Gaussian of bandwidth sigma^2 has perplexity
+    P = 2 pi e sigma^2 rho, and the disk that holds the P nearest points has
+    pi r^2 rho = P.  The start is only a hint, as is the floor of -700 put
+    under each term -beta d before exp: below about -708 exp is many times
+    slower and its results are subnormal or 0, and e^-700 is 1e-304 of the
+    row's largest term, 1.  Neither moves sigma^2, which the certified
+    edges and the replay in calibrate_bandwidths decide.
+
+    At the root x*, perplexity moves by about perplexity * dH/dx per unit
+    of x, so it stays within _TOL of the target on x* -+ w with
     w = _TOL / (perplexity * dH/dx); the edges are x* -+ (1 + _MARGIN) w.
     A row whose ceil(perplexity) nearest distances tie has no root and is
     left unsolved, as is one whose solve does not converge.  So is a row
@@ -185,7 +194,7 @@ def _locate(d, perplexity):
     rows = np.flatnonzero(kth > 0)
     if len(rows) < len(d):
         d = d[rows]
-    x = np.log(kth[rows])
+    x = np.log(kth[rows]) - np.log(2.0 * np.e)
     lo, hi = np.full(len(rows), -np.inf), np.full(len(rows), np.inf)
     target = np.log(perplexity)
     e = np.empty_like(d)
@@ -193,6 +202,7 @@ def _locate(d, perplexity):
         for _ in range(_NEWTON_STEPS):
             beta = 0.5 * np.exp(-x)
             np.multiply(d, -beta[:, None], out=e)
+            np.maximum(e, -700.0, out=e)
             np.exp(e, out=e)
             z = e.sum(axis=1)
             e *= d

@@ -349,6 +349,35 @@ class TestEvaluate:
                          (name, "lisi", lisi_mean, lisi_resc), (name, "pcreg", pcr, pcr)]
         assert evaluate(Y, {"batch": batch, "group": group}, cfg).rows() == expected
 
+    def test_kbet_neighbours_searched_once_per_embedding(self, monkeypatch):
+        # the search depends on knn, n_test and seed alone; each labeling
+        # counts its batches from the one index
+        calls, search = [], bctsne.metrics._kbet_neighbours
+
+        def counted(*args):
+            calls.append(args[1:])
+            return search(*args)
+
+        monkeypatch.setattr(bctsne.metrics, "_kbet_neighbours", counted)
+        layouts, batch = kbet_layouts()
+        labelings = {"batch": batch, "group": (np.arange(150) % 4).tolist()}
+        for Y in layouts.values():
+            evaluate(Y, labelings, MetricsConfig(knn=12, n_test=80, seed=4))
+        assert calls == [(12, 80, 4)] * 2
+
+    def test_each_labeling_encoded_once(self, monkeypatch):
+        calls, encode = [], bctsne.metrics.encode_labels
+
+        def counted(labels, n):
+            calls.append(labels)
+            return encode(labels, n)
+
+        monkeypatch.setattr(bctsne.metrics, "encode_labels", counted)
+        layouts, batch = kbet_layouts()
+        group = (np.arange(150) % 4).tolist()
+        evaluate(layouts["tie_free"], {"batch": batch, "group": group}, MetricsConfig(knn=12))
+        assert calls == [batch, group]
+
     @pytest.mark.parametrize("metric", [silhouette, kbet_acceptance, lisi, pc_regression])
     @pytest.mark.parametrize("length", [39, 41, 80])
     def test_labels_length_checked(self, metric, length):

@@ -25,10 +25,11 @@ from bctsne import (
     run_tsne,
     simulate,
 )
-from bctsne.linalg import pairwise_sqdist
+from bctsne.linalg import _BLOCK_ROWS, pairwise_sqdist
 from bctsne.metrics import lisi_weights, silhouette
 from bctsne.tsne import (
     _Kernel,
+    _offdiag,
     calibrate_bandwidths,
     conditional_rows,
     input_affinities,
@@ -99,10 +100,10 @@ def calibration_cases(draw):
     return D, perplexity, draw(st.sampled_from([0, 1, 2, 5, 200]))
 
 
-def planted_layout(n=400):
-    """Four 2-D Gaussian clusters, 12 apart with spread 1.5."""
+def planted_layout(n=400, apart=12.0):
+    """Four 2-D Gaussian clusters, 12 (or apart) apart with spread 1.5."""
     rng = np.random.default_rng(36)
-    centers = 12.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    centers = apart * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     return centers[np.arange(n) % 4] + rng.normal(0.0, 1.5, size=(n, 2))
 
 
@@ -116,6 +117,28 @@ def count_evaluated_rows(monkeypatch):
 
     monkeypatch.setattr(bctsne.tsne, "_row_perplexities", counted)
     return count
+
+
+def locate_blocks(D, perplexity):
+    """_locate on D's blocks of 128 rows, as calibrate_bandwidths runs it."""
+    for i in range(0, len(D), _BLOCK_ROWS):
+        bctsne.tsne._locate(_offdiag(D, np.arange(i, min(i + _BLOCK_ROWS, len(D)))),
+                            perplexity)
+
+
+def newton_steps_per_row(monkeypatch, D, perplexity):
+    """Steps that _locate's Newton solve takes per row of D: each step of a
+    row moves its bracket once, through _bisect."""
+    count, bisect = [0], bctsne.tsne._bisect
+
+    def counted(x, *args):
+        count[0] += len(x)
+        return bisect(x, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bctsne.tsne, "_bisect", counted)
+        locate_blocks(D, perplexity)
+    return count[0] / len(D)
 
 
 def entropy_bisect_oracle(d, perplexity, lo=1e-12, hi=1e12, steps=200):
@@ -228,25 +251,29 @@ class TestCalibrateBandwidths:
 
     def test_certified_rows_skip_most_steps(self, monkeypatch):
         # two certification rows and the landing step per row, give or take;
-        # the plain search forms about 28 rows per row
+        # the plain search forms about 28 rows per row.  With the clusters
+        # 120 apart, each row's Newton terms for the other clusters lie far
+        # below the floor of -700 put under them before exp
         n = 400
-        D = pairwise_sqdist(planted_layout(n))
-        count = count_evaluated_rows(monkeypatch)
-        sigma2 = calibrate_bandwidths(D, 30.0)
-        assert count[0] <= 4 * n, count[0]
-        assert np.array_equal(sigma2, calibrate_bandwidths_loop(D, 30.0))
+        for apart in (12.0, 120.0):
+            D = pairwise_sqdist(planted_layout(n, apart))
+            count = count_evaluated_rows(monkeypatch)
+            sigma2 = calibrate_bandwidths(D, 30.0)
+            assert count[0] <= 4 * n, (apart, count[0])
+            assert np.array_equal(sigma2, calibrate_bandwidths_loop(D, 30.0)), apart
 
     @pytest.fixture(scope="class")
     def realistic(self):
         """Squared distances of 500-cell simulated PCA scores (the default
         simulation otherwise, seed 0), uncorrected and corrected for batch,
-        and of a 30-D Gaussian cloud of 400 points."""
+        of a 30-D Gaussian cloud of 400 points, and of planted_layout(400)."""
         sim = simulate(SimSpec(n_cells=500, seed=0))
         scores = pca_reduce(normalize_log1p_cpm(sim.counts), 30).scores
         corrected = build_design({"batch": sim.batch_labels.tolist()}).project(scores)
         cloud = np.random.default_rng(37).standard_normal((400, 30))
         return {name: pairwise_sqdist(X) for name, X in
-                (("uncorrected", scores), ("corrected", corrected), ("cloud", cloud))}
+                (("uncorrected", scores), ("corrected", corrected), ("cloud", cloud),
+                 ("planted", planted_layout()))}
 
     @pytest.mark.parametrize("name, perplexity", [
         ("uncorrected", 30.0), ("corrected", 30.0), ("cloud", 5.0), ("cloud", 50.0),
@@ -260,6 +287,24 @@ class TestCalibrateBandwidths:
         count = count_evaluated_rows(monkeypatch)
         calibrate_bandwidths(D, perplexity)
         assert count[0] <= 4 * len(D), count[0]
+
+    @pytest.mark.parametrize("name, perplexity", [
+        ("uncorrected", 30.0), ("corrected", 30.0), ("cloud", 5.0), ("cloud", 50.0),
+        ("planted", 30.0),
+    ])
+    def test_newton_starts_near_its_root(self, monkeypatch, realistic, name, perplexity):
+        # from sigma^2 = r^2 / 2e the solve takes 2.94 to 4.21 steps per row
+        # here; from r^2, a median 1.6 to 2.0 above the root in log sigma^2,
+        # it took 5.18 to 5.64
+        steps = newton_steps_per_row(monkeypatch, realistic[name], perplexity)
+        assert steps <= 4.5, steps
+
+    @pytest.mark.parametrize("name", ["planted", "uncorrected"])
+    def test_newton_solve_never_underflows(self, realistic, name):
+        # exp is many times slower on arguments below about -708, where its
+        # results are subnormal; each block of these inputs reached them
+        with np.errstate(under="raise"):
+            locate_blocks(realistic[name], 30.0)
 
     @pytest.mark.parametrize("shift", [None, 0.5, -0.5])
     def test_without_certified_rows_every_step_is_evaluated(self, monkeypatch, shift):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import matrixio, plot
 from .design import build_design
-from .errors import BctsneError, DomainError, ValidationError, _warn_caller
+from .errors import BctsneError, ValidationError, _warn_caller
 from .linalg import ensure_index
 from .metrics import MetricsConfig, evaluate
 from .reduce import pca_reduce
@@ -217,50 +217,49 @@ def _add_pipeline(sub):
 
 class _ConfigParser(argparse.ArgumentParser):
     """The generate and embed options, seed and outdir, parsed from a config
-    file's lines; a bad line raises BctsneError naming the file."""
+    file's lines; a bad line raises ValidationError."""
 
-    def __init__(self, path):
+    def __init__(self):
         super().__init__(
             parents=[_generate_options(), _embed_options(), _seed_option()],
             add_help=False,
             allow_abbrev=False,
         )
         self.add_argument("--outdir", default="out")
-        self.path = path
 
     def error(self, message):
-        raise BctsneError(f"{self.path}: {message}")
+        raise ValidationError(message)
 
 
 def read_config(path):
     """Typed pipeline settings from a flat key=value file whose keys are the
-    generate and embed option names with _ for -, seed and outdir."""
+    generate and embed option names with _ for -, seed and outdir.  Each
+    fault keeps its class and names the file."""
     argv, first = [], {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with matrixio.path_faults(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise BctsneError(f"{path}: line {lineno}: expected key=value")
+                raise ValidationError(f"{path}: line {lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
             flag = f"--{key.replace('_', '-')}"
             if flag in first:
-                raise BctsneError(f"{path}: line {lineno}: {key} was already set "
-                                  f"on line {first[flag]}")
+                raise ValidationError(f"{path}: line {lineno}: {key} was already set "
+                                      f"on line {first[flag]}")
             first[flag] = lineno
             argv.append(f"{flag}={value}")
-    parser = _ConfigParser(path)
-    cfg = parser.parse_args(argv)
     try:  # settings that clash fail here, before the pipeline writes anything
+        cfg = _ConfigParser().parse_args(argv)
         _config(SimSpec, cfg).validate()
         _config(OptimizerConfig, cfg).validate(cfg.n_cells)
-        ensure_index(cfg.k, "k", DomainError, 1, min(cfg.n_cells, cfg.n_genes))
+        ensure_index(cfg.k, "k", 1, min(cfg.n_cells, cfg.n_genes))
         # evaluate scores both labelings, and silhouette needs two levels
-        ensure_index(cfg.n_batches, "n_batches", ValidationError, 2)
-        ensure_index(cfg.n_groups, "n_groups", ValidationError, 2)
-    except (DomainError, ValidationError) as exc:
-        parser.error(str(exc))
+        ensure_index(cfg.n_batches, "n_batches", 2)
+        ensure_index(cfg.n_groups, "n_groups", 2)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return cfg
 
 
@@ -342,7 +341,8 @@ def _write_outputs(outdir, tag, Y, trace, ids, labels, seed):
 def cmd_pipeline(args):
     cfg = read_config(args.config)
     outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with matrixio.path_faults(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     counts_path, labels_path = outdir / "counts.csv", outdir / "labels.csv"
     counts, ids, genes, labels = _write_dataset(_config(SimSpec, cfg), labels_path)
     scores = pca_reduce(normalize_log1p_cpm(counts), cfg.k).scores

@@ -11,11 +11,12 @@ class BctsneError(Exception):
 
 
 class ValidationError(BctsneError):
-    """Malformed or inconsistent input data."""
+    """Malformed or inconsistent data, files or settings: the root of every
+    fault in what a caller passes."""
 
 
-class DomainError(BctsneError):
-    """Parameter outside its mathematically valid range."""
+class DomainError(ValidationError):
+    """A setting not an integer where one is needed, or out of its range."""
 
 
 class CollinearityError(ValidationError):

@@ -9,7 +9,7 @@ import operator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 # row-blocked loops take 128 rows at a time, so their scratch memory does not
 # grow with the number of rows: the simulated counts, the Gaussian rows
@@ -28,16 +28,16 @@ def ensure_matrix(A, name="matrix"):
     return A
 
 
-def ensure_index(value, name, error, low, high=None):
+def ensure_index(value, name, low, high=None):
     """value as an int in [low, high] (high None: no upper end); a non-integer
-    (even 3.0) or a value out of range raises error naming it."""
+    (even 3.0) or a value out of range raises DomainError naming it."""
     try:
         value = operator.index(value)
     except TypeError:
-        raise error(f"{name} must be an integer; got {value!r}") from None
+        raise DomainError(f"{name} must be an integer; got {value!r}") from None
     if value < low or (high is not None and value > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise error(f"{name} must be {bounds}; got {value}")
+        raise DomainError(f"{name} must be {bounds}; got {value}")
     return value
 
 

@@ -2,8 +2,10 @@
 loss traces.
 
 All text formats are UTF-8, accept LF or CRLF, and carry cell identifiers in
-the first column; errors name the offending file, line and column.  Ids,
-names and labels may hold commas, quotes, tabs and line breaks.
+the first column.  Ids, names and labels may hold commas, quotes, tabs and
+line breaks.  Every fault raises ValidationError naming the offending file,
+line and column: malformed or inconsistent data, and a path that cannot be
+read, written or decoded (never the temporary file a writer uses).
 """
 from __future__ import annotations
 
@@ -25,6 +27,16 @@ _FMT = "%.17g"
 _BLOCK_VALUES = 2**14
 
 
+@contextlib.contextmanager
+def path_faults(path):
+    """Turn an OSError or UnicodeDecodeError raised in the block into a
+    ValidationError naming path."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _read_table(path, convert=lambda lineno, cells: cells):
     """(header, ids, rows) of a table with unique ids in its first column;
     tab-delimited when the first header field holds a tab.  Each row holds
@@ -32,7 +44,7 @@ def _read_table(path, convert=lambda lineno, cells: cells):
     read, so that only the converted rows are kept."""
     path = Path(path)
     ids, rows = [], []
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path_faults(path), path.open("r", encoding="utf-8", newline="") as fh:
         first = fh.readline()
         if not first.strip():
             raise ValidationError(f"{path}: empty file")
@@ -76,12 +88,13 @@ def replacing(path):
     block completes; if the block raises, path keeps its old bytes.  A
     process killed by a signal leaves the temporary file behind."""
     tmp = temporary_path(path)
-    try:
-        with tmp.open("w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with path_faults(path):
+        try:
+            with tmp.open("w", encoding="utf-8", newline="") as fh:
+                yield fh
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def _write_table(path, header, rows):

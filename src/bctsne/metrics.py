@@ -102,11 +102,11 @@ def _kbet_settings(levels, codes, knn, n_test, alpha, seed):
         knn = min(max(10, int(0.05 * n)), n - 1)
     if n_test is None:
         n_test = min(500, n)
-    ensure_index(knn, "knn", ValidationError, 1, n - 1)
-    ensure_index(n_test, "n_test", ValidationError, 1)
+    ensure_index(knn, "knn", 1, n - 1)
+    ensure_index(n_test, "n_test", 1)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} must lie in (0, 1)")
-    ensure_index(seed, "seed", ValidationError, 0)
+    ensure_index(seed, "seed", 0)
     expected = np.bincount(codes, minlength=len(levels)) / n * knn
     if np.all(expected < 1):
         raise ValidationError(

@@ -49,14 +49,12 @@ def _marker(shape, x, y, color):
     if shape in _CORNERS:
         p = " ".join(f"{_fmt(x + _R * a)},{_fmt(y + _R * b)}" for a, b in _CORNERS[shape])
         return f'<polygon points="{p}" fill="{color}"/>'
-    if shape == "cross":
-        r = _R * 1.2
-        return (
-            f'<path d="M {_fmt(x - r)} {_fmt(y)} H {_fmt(x + r)} '
-            f'M {_fmt(x)} {_fmt(y - r)} V {_fmt(y + r)}" '
-            f'stroke="{color}" stroke-width="2" fill="none"/>'
-        )
-    raise ValueError(shape)
+    r = _R * 1.2  # the cross, SHAPES' last
+    return (
+        f'<path d="M {_fmt(x - r)} {_fmt(y)} H {_fmt(x + r)} '
+        f'M {_fmt(x)} {_fmt(y - r)} V {_fmt(y + r)}" '
+        f'stroke="{color}" stroke-width="2" fill="none"/>'
+    )
 
 
 def _option_codes(labels, n, options, kind):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .design import Projector
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .linalg import ensure_index, ensure_matrix
 
 
@@ -36,7 +36,7 @@ def pca_reduce(X, k):
     Xc = X - X.mean(axis=0)
     if not np.any(Xc):
         raise ValidationError("matrix is constant: no variance left after centering")
-    k = ensure_index(k, "k", DomainError, 1, min(X.shape))
+    k = ensure_index(k, "k", 1, min(X.shape))
     n, p = Xc.shape
     # A @ A.T is one syrk call, so the Gram matrix is exactly symmetric: its
     # transpose is the same matrix in the Fortran order that LAPACK

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .linalg import _BLOCK_ROWS, ensure_index, ensure_matrix
 
 _LIB_SIZE_LOCATION = np.log(20000.0)  # log-normal library size per cell
@@ -30,13 +30,13 @@ class SimSpec:
 
     def validate(self):
         for name in ("n_cells", "n_genes", "n_batches", "n_groups"):
-            ensure_index(getattr(self, name), name, ValidationError, 1)
+            ensure_index(getattr(self, name), name, 1)
         if not 0.0 <= self.de_prob <= 1.0:
-            raise ValidationError("de_prob must lie in [0, 1]")
+            raise DomainError("de_prob must lie in [0, 1]")
         for name in ("batch_effect_sd", "group_effect_sd"):
             if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValidationError(f"{name} must be finite and nonnegative")
-        ensure_index(self.seed, "seed", ValidationError, 0)
+                raise DomainError(f"{name} must be finite and nonnegative")
+        ensure_index(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

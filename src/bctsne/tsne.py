@@ -68,13 +68,13 @@ class OptimizerConfig:
     seed: int = 0
 
     def validate(self, n):
-        ensure_index(self.n_iter, "n_iter", DomainError, 1)
+        ensure_index(self.n_iter, "n_iter", 1)
         ensure_perplexity(self.perplexity, n)
         for name in ("eta", "exaggeration_factor"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise DomainError(f"{name} must be positive and finite")
-        ensure_index(self.dims, "dims", DomainError, 2, 3)
-        ensure_index(self.seed, "seed", DomainError, 0)
+        ensure_index(self.dims, "dims", 2, 3)
+        ensure_index(self.seed, "seed", 0)
 
 
 @dataclass

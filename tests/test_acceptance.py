@@ -31,7 +31,6 @@ from bctsne import (
 )
 from bctsne.cli import main
 from bctsne.metrics import kbet_acceptance, lisi, pc_regression, silhouette
-from bctsne.reduce import residualized_reduce
 from bctsne.tsne import input_affinities, kl_gradient
 
 
@@ -82,15 +81,12 @@ def simulation_runs():
             X = normalize_log1p_cpm(out.counts)
             cfg = OptimizerConfig(n_iter=1000, seed=seed)
 
+            scores = pca_reduce(X, 30).scores
             trace_u = []
-            state_u = run_tsne(
-                pca_reduce(X, 30).scores,
-                cfg,
-                on_trace=trace_u.append,
-            )
+            state_u = run_tsne(scores, cfg, on_trace=trace_u.append)
 
             projector = build_design({"batch": out.batch_labels.tolist()})
-            scores_c = residualized_reduce(X, projector, 30).scores
+            scores_c = projector.project(scores)
             trace_c = []
             state_c = run_tsne(
                 scores_c, cfg, projector=projector, on_trace=trace_c.append,

@@ -13,14 +13,20 @@ import pytest
 
 from bctsne import (
     CalibrationWarning,
+    DomainError,
+    MetricsConfig,
+    OptimizerConfig,
     OptimizerError,
+    SimSpec,
     ValidationError,
     cli,
+    evaluate,
     matrixio,
     tsne,
 )
 from bctsne.cli import main, read_config
 from bctsne.matrixio import read_embedding_csv, read_matrix_csv, write_embedding_csv
+from bctsne.metrics import kbet_acceptance
 
 
 def package_env():
@@ -304,6 +310,12 @@ class TestPipelineConfig:
         assert str(cfg) in err and line.split("=")[0] in err
         assert not outdir.exists()
 
+    def test_line_without_equals_sign_named(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# comment\ncells 50\n")
+        with pytest.raises(ValidationError, match="cfg.txt: line 2: expected key=value"):
+            read_config(cfg)
+
     def test_readme_defaults_match(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("Recognized keys and defaults:", 1)[1].split("```")[1]
@@ -313,6 +325,94 @@ class TestPipelineConfig:
         defaults = read_config(empty)
         assert len(block.split()) == len(vars(defaults))
         assert read_config(documented) == defaults
+
+
+Y30 = np.random.default_rng(0).standard_normal((30, 2))
+BATCH30 = ["a", "b"] * 15
+
+
+class TestOneClassPerFault:
+    """A setting out of range raises DomainError, a ValidationError, from the
+    library and from every subcommand, whichever module checks it."""
+
+    def test_domain_error_is_a_validation_error(self):
+        assert issubclass(DomainError, ValidationError)
+
+    @pytest.mark.parametrize("call", [
+        lambda cfg: SimSpec(seed=-1).validate(),
+        lambda cfg: OptimizerConfig(seed=-1).validate(100),
+        lambda cfg: kbet_acceptance(Y30, BATCH30, seed=-1),
+        lambda cfg: evaluate(Y30, {"batch": BATCH30}, MetricsConfig(seed=-1)),
+        lambda cfg: read_config(cfg),
+    ], ids=["SimSpec", "OptimizerConfig", "kbet_acceptance", "evaluate", "read_config"])
+    def test_negative_seed_raises_domain_error(self, tmp_path, call):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed=-1\n")
+        with pytest.raises(DomainError, match="seed must be >= 0; got -1") as info:
+            call(cfg)
+        assert type(info.value) is DomainError
+
+    @pytest.mark.parametrize("command", ["generate", "embed", "evaluate", "pipeline"])
+    def test_negative_seed_prints_domain_error(self, dataset, embedding, tmp_path, capsys,
+                                               command):
+        counts, labels = dataset
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"outdir={tmp_path / 'out'}\nseed=-1\n")
+        argv = {
+            "generate": ["generate", "--seed=-1", "--counts-out", str(tmp_path / "c.csv"),
+                         "--labels-out", str(tmp_path / "l.csv")],
+            "embed": ["embed", str(counts), str(labels), "--batch-vars", "batch",
+                      "--k", "10", "--iters", "5", "--perplexity", "15", "--seed=-1",
+                      "--out", str(tmp_path / "e.csv")],
+            "evaluate": ["evaluate", str(embedding), str(labels), "--seed=-1",
+                         "--out", str(tmp_path / "r.csv")],
+            "pipeline": ["pipeline", str(cfg)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+        assert err.endswith("seed must be >= 0; got -1\n")
+
+
+class TestPathFaults:
+    """A path the user names that cannot be read, written or decoded ends the
+    subcommand with one error line that names it, never the temporary file
+    written for it, and leaves no temporary file."""
+
+    # case: (files made first, bytes or None for a directory; the arguments,
+    # with {labels} and {embedding} filled in; the path the error names)
+    CASES = {
+        "missing-embedding": ({}, "evaluate missing.csv {labels} --out m.csv",
+                              "missing.csv"),
+        "missing-config": ({}, "pipeline missing.cfg", "missing.cfg"),
+        "labels-out-in-missing-dir": (
+            {}, "generate --cells 20 --genes 10 --counts-out c.csv --labels-out nodir/l.csv",
+            "nodir/l.csv"),
+        "plot-out-is-a-directory": ({"dir": None}, "plot {embedding} {labels} --out dir/",
+                                    "dir/"),
+        "outdir-is-a-file": ({"file": b"", "run.cfg": b"outdir=file\ncells=40\n"},
+                             "pipeline run.cfg", "file"),
+        "latin1-matrix": ({"latin1.csv": b"id,y1,y2\ncaf\xe9,1,2\n"},
+                          "evaluate latin1.csv {labels} --out m.csv", "latin1.csv"),
+        "latin1-config": ({"run.cfg": b"# caf\xe9\n"}, "pipeline run.cfg", "run.cfg"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_error_line_names_the_path(self, dataset, embedding, tmp_path,
+                                           monkeypatch, capsys, case):
+        files, argv, named = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        for name, data in files.items():
+            if data is None:
+                Path(name).mkdir()
+            else:
+                Path(name).write_bytes(data)
+        argv = [arg.format(labels=dataset[1], embedding=embedding) for arg in argv.split()]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValidationError: {named}: ")
+        assert err.count("\n") == 1 and ".tmp" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestPipelineMatchesSubcommands:

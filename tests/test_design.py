@@ -56,6 +56,14 @@ class TestBuildDesign:
             build_design(labels)
         assert exc.value.columns == ["sex[M]", "date[jul02]", "date[jul25]"]
 
+    @pytest.mark.parametrize("labels, message", [
+        ({}, "need at least one categorical column"),
+        ({"batch": ["a"]}, "need at least 2 rows"),
+    ])
+    def test_degenerate_labels_rejected(self, labels, message):
+        with pytest.raises(ValidationError, match=message):
+            build_design(labels)
+
     def test_single_level_with_intercept_degenerate_ok(self):
         d = build_design({"b": ["A", "A", "A"]})
         assert np.array_equal(d.Z, np.ones((3, 1))) and d.rank == 1

@@ -124,6 +124,23 @@ class TestMatrixCsv:
         with pytest.raises(ValidationError, match="empty"):
             read_matrix_csv(p)
 
+    @pytest.mark.parametrize("text, message", [
+        ("id\nc1\n", "header needs an id column and one more"),
+        ("id,g1\n", "no data rows"),
+        ("id,g1\nc1,1\nc2,nan\n", "non-finite values present"),
+    ], ids=["one-field-header", "header-only", "nan"])
+    def test_refused_tables_named(self, tmp_path, text, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=f"bad.csv: {message}"):
+            read_matrix_csv(p)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("id,g1\n\nc1,1\n\nc2,2\n\n")
+        M, ids, _ = read_matrix_csv(p)
+        assert ids == ["c1", "c2"] and np.array_equal(M, [[1.0], [2.0]])
+
     def test_malformed_csv_named(self, tmp_path):
         p = tmp_path / "huge.csv"
         p.write_text("id,g1\nc1,1\n" + "c2," + "1" * 200_000 + "\n")
@@ -269,6 +286,13 @@ class TestEmbeddingAndTrace:
         with pytest.raises(ValidationError, match=f"emb.csv: {n_ids} ids and 2 column"):
             write_embedding_csv(np.zeros((4, 2)), _names("c", n_ids), p)
         assert not p.exists()
+
+    def test_counts_file_is_not_an_embedding(self, tmp_path):
+        p = tmp_path / "counts.csv"
+        write_matrix_csv(np.ones((2, 2)), ["c1", "c2"], ["g1", "y2"], p)
+        with pytest.raises(ValidationError,
+                           match=r"counts.csv: not an embedding file \(columns \['g1', 'y2'\]\)"):
+            read_embedding_csv(p)
 
     def test_trace_columns(self, tmp_path):
         trace = [TraceRecord(0, 1.5, 1e-12), TraceRecord(50, 0.7, 2e-12)]

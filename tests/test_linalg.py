@@ -106,6 +106,10 @@ class TestPairwiseSqdist:
         assert D[0, 1] == pytest.approx(25.0)
         assert D[1, 0] == pytest.approx(25.0)
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValidationError, match=r"A must be 2-dimensional, got shape \(3,\)"):
+            pairwise_sqdist(np.ones(3))
+
     def test_identical_rows_zero(self):
         D = pairwise_sqdist(np.ones((4, 3)))
         assert np.all(D == 0)
@@ -191,8 +195,8 @@ class TestIntegerSettings:
     ])
     def test_out_of_range_named_with_its_bounds(self, value, low, high, message):
         with pytest.raises(DomainError, match=message):
-            ensure_index(value, "k", DomainError, low, high)
+            ensure_index(value, "k", low, high)
 
     @pytest.mark.parametrize("value, low, high", [(1, 1, None), (2, 2, 3), (3, 2, 3)])
     def test_ends_of_the_range_accepted(self, value, low, high):
-        assert ensure_index(np.int64(value), "k", DomainError, low, high) == value
+        assert ensure_index(np.int64(value), "k", low, high) == value

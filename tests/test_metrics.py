@@ -300,6 +300,11 @@ class TestPcRegression:
         with pytest.raises(ValidationError, match="no variance"):
             pc_regression(Y, ["a", "b"] * 20)
 
+    def test_single_level_rejected(self):
+        Y = np.random.default_rng(0).standard_normal((10, 2))
+        with pytest.raises(ValidationError, match="pc_regression needs at least 2 label levels"):
+            pc_regression(Y, ["a"] * 10)
+
 
 class TestEvaluate:
     def test_report_structure_and_ranges(self):

@@ -39,6 +39,16 @@ def test_labels_length_checked(keyword, length):
         render_scatter(Y, **{keyword: labels})
 
 
+def test_five_shape_levels_draw_every_marker():
+    Y = np.random.default_rng(5).standard_normal((10, 2))
+    root = ET.fromstring(render_scatter(Y, shape_labels=[f"s{i % 5}" for i in range(10)]))
+    ns = "{http://www.w3.org/2000/svg}"
+    children = list(root)
+    legend = [el.tag for el, after in zip(children, children[1:]) if after.tag == ns + "text"]
+    assert legend == [ns + tag for tag in ("circle", "rect", "polygon", "polygon", "path")]
+    assert [el.tag for el in children].count(ns + "path") == 3  # two points and the legend
+
+
 def test_failed_write_keeps_existing_file(tmp_path, monkeypatch):
     path = tmp_path / "old.svg"
     write_scatter_svg(path, np.random.default_rng(3).standard_normal((5, 2)))

@@ -162,6 +162,10 @@ class TestPcaReduce:
         with pytest.raises(ValidationError):
             pca_reduce(np.full((6, 3), 2.5), 2)
 
+    def test_single_row_rejected(self):
+        with pytest.raises(ValidationError, match="need at least 2 rows"):
+            pca_reduce(np.ones((1, 3)), 1)
+
     def test_k_out_of_range(self):
         with pytest.raises(DomainError):
             pca_reduce(np.random.default_rng(0).standard_normal((5, 3)), 4)

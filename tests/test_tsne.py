@@ -198,6 +198,10 @@ class TestCalibrateBandwidths:
             h = -np.sum(p * np.log(p))
             assert np.exp(h) >= 0.99 * 11
 
+    def test_non_square_distances_rejected(self):
+        with pytest.raises(ValidationError, match="distance matrix must be square"):
+            calibrate_bandwidths(np.zeros((4, 5)), 2.0)
+
     def test_duplicate_rows_rejected(self):
         D = np.zeros((4, 4))
         with pytest.raises(ValidationError, match="row 0"):

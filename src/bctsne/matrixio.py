@@ -86,7 +86,10 @@ def temporary_path(path, pid=None):
 def replacing(path):
     """A UTF-8 text handle on a temporary file that replaces path when the
     block completes; if the block raises, path keeps its old bytes.  A
-    process killed by a signal leaves the temporary file behind."""
+    process killed by a signal leaves the temporary file behind.  A path
+    that is a directory is refused by name before anything is written."""
+    if os.path.isdir(path):
+        raise ValidationError(f"{path}: is a directory")
     tmp = temporary_path(path)
     with path_faults(path):
         try:

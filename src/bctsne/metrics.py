@@ -15,7 +15,7 @@ import numpy as np
 from .design import Projector, encode_labels
 from .errors import DomainError, ValidationError
 from .linalg import _BLOCK_ROWS, ensure_index, ensure_matrix, pairwise_sqdist
-from .tsne import calibrate_bandwidths, conditional_rows, ensure_perplexity
+from .tsne import _calibrate, ensure_perplexity
 
 
 def silhouette(Y, labels):
@@ -147,8 +147,9 @@ def _kbet(neigh, codes, expected, alpha):
 
 def lisi_weights(sqdist, perplexity=30.0):
     """LISI's neighbour weights: Gaussian conditional probabilities with
-    bandwidths calibrated to the perplexity on squared distances sqdist."""
-    return conditional_rows(sqdist, calibrate_bandwidths(sqdist, perplexity))
+    bandwidths calibrated to the perplexity on squared distances sqdist, as
+    calibrate_bandwidths' search leaves them."""
+    return _calibrate(sqdist, perplexity, True)[1]
 
 
 def lisi(Y, labels, perplexity=30.0):

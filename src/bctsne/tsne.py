@@ -26,11 +26,13 @@ _MAX_ITER = 200
 # _ROUNDING * perplexity * (1 + beta d_min), beta d_min being the size of the
 # row's largest logit, and a row where that could reach the margin is not
 # certified.  The Newton solve that places the windows takes at most
-# _NEWTON_STEPS steps, each of at most _NEWTON_REACH in log(sigma^2).
+# _NEWTON_STEPS steps, each of at most _NEWTON_REACH in log(sigma^2), and
+# stops at a step of at most _NEWTON_STOP.
 _MARGIN = 1e-3
 _ROUNDING = 64 * np.finfo(np.float64).eps
 _NEWTON_STEPS = 50
 _NEWTON_REACH = 4.0
+_NEWTON_STOP = 1e-7
 # the exact kernel works through tiles of at most 64 rows x 512 columns, so
 # its scratch memory does not grow with the number of rows; each BLAS product
 # in a tile is then at most 64 x 512 x 4 multiply-adds, below the size at
@@ -103,47 +105,50 @@ def _offdiag(D, rows):
     return D[rows][np.arange(len(D)) != rows[:, None]].reshape(len(rows), -1)
 
 
-def _gaussian_rows(D, rows, sigma2, out=None):
-    """Rows `rows` of D (a slice or index array) as Gaussian conditional
+def _gaussian_rows(D, rows, sigma2, nearest, out):
+    """Rows `rows` of D (an index array) as Gaussian conditional
     probabilities p_j|i = exp(-d_ij / 2 sigma2_i) / sum_{k != i} exp(-d_ik /
-    2 sigma2_i), with p_i|i = 0 and sigma2 one per row; written into out, a
-    len(sigma2) x n array, when given.
+    2 sigma2_i), with p_i|i = 0, sigma2 and nearest (the row's least distance
+    to another point) one per row; written into out, a len(rows) x n array.
 
-    The package's one Gaussian softmax: the bandwidth search, the input
-    affinities and LISI's weights all take their rows from it.  Each row keeps
-    all n entries, its own logit set to -inf, so no row is copied to drop it.
+    The package's one Gaussian softmax: the bandwidth search forms every row
+    it evaluates here, and the input affinities and LISI's weights keep its
+    last row per point.  Each row keeps all n entries, its own logit set to
+    -inf, so no row is copied to drop it.  The row's largest logit is
+    (-0.5 nearest) / sigma2, with no pass over the row: rounding is
+    monotone, so the least distance gives the largest logit to the bit.
     """
-    own = np.arange(D.shape[1])[rows]
-    logits = np.multiply(D[rows], -0.5, out=out)
+    # with mode "clip", take writes into out without a buffer of its own; the
+    # rows are in range, so the mode changes no value
+    logits = np.take(D, rows, axis=0, out=out, mode="clip")
+    logits *= -0.5
     logits /= sigma2[:, None]
-    logits[np.arange(len(own)), own] = -np.inf
-    logits -= logits.max(axis=1, keepdims=True)
+    logits[np.arange(len(rows)), rows] = -np.inf
+    logits -= ((-0.5 * nearest) / sigma2)[:, None]
     p = np.exp(logits, out=logits)
     p /= p.sum(axis=1, keepdims=True)
     return p
 
 
-def conditional_rows(D, sigma2):
-    """Row-stochastic conditional neighbor probabilities for given bandwidths,
-    formed block by block in the one n x n array returned."""
-    P = np.empty(D.shape)
-    for i in range(0, D.shape[0], _BLOCK_ROWS):
-        block = slice(i, i + _BLOCK_ROWS)
-        _gaussian_rows(D, block, sigma2[block], out=P[block])
-    return P
-
-
-def _row_perplexities(D, rows, sigma2):
+def _row_perplexities(D, rows, sigma2, nearest, out=None):
     """Perplexity of the given rows of D (self excluded) under Gaussian
-    bandwidths sigma2, one per row."""
+    bandwidths sigma2 and least distances nearest, one per row; with out, an
+    n x n array, each Gaussian row is also written to its row of out.  The
+    rows and their log terms are formed _BLOCK_ROWS / 2 at a time in two
+    reused buffers, one block of rows in all."""
+    half = _BLOCK_ROWS // 2
     perp = np.empty(len(rows))
-    for i in range(0, len(rows), _BLOCK_ROWS):
-        block = slice(i, i + _BLOCK_ROWS)
-        p = _gaussian_rows(D, rows[block], sigma2[block])
-        logp = np.maximum(p, PROB_FLOOR)
+    p_buf, logp_buf = np.empty((2, min(len(rows), half), D.shape[1]))
+    for i in range(0, len(rows), half):
+        block = slice(i, i + half)
+        m = len(rows[block])
+        p = _gaussian_rows(D, rows[block], sigma2[block], nearest[block], p_buf[:m])
+        logp = np.maximum(p, PROB_FLOOR, out=logp_buf[:m])
         np.log(logp, out=logp)
         logp *= p
         perp[block] = np.exp(-np.sum(logp, axis=1))
+        if out is not None:
+            out[rows[block]] = p
     return perp
 
 
@@ -210,8 +215,11 @@ def _locate(d, perplexity):
             m2 = np.einsum("ij,ij->i", e, d) / z
             f = beta * m1 + np.log(z) - target
             slope = beta * beta * (m2 - m1 * m1)
-            # converged within a tenth of the margin, in units of H
-            done = (np.abs(f) <= 0.1 * _MARGIN * _TOL / perplexity) & (slope > 0)
+            # converged within a tenth of the margin, in units of H, or with
+            # a Newton step of at most _NEWTON_STOP, which leaves the root off
+            # by about its square
+            done = ((np.abs(f) <= 0.1 * _MARGIN * _TOL / perplexity)
+                    | (np.abs(f) <= _NEWTON_STOP * slope)) & (slope > 0)
             step = x - f / slope
             if done.any():
                 root, solved = step[done], rows[done]
@@ -252,14 +260,28 @@ def calibrate_bandwidths(D, perplexity):
     too wide without forming its Gaussian row.  Every other step is formed
     and evaluated, so sigma^2 is that of the plain search to the last bit as
     long as the evaluated perplexity rises with the bandwidth, which it does
-    to far within the certification margin.
+    to far within the certification margin.  The search goes in rounds: each
+    row walks through the steps decided in advance to the next one that is
+    not, or to its last, and one call evaluates every row so reached.
+    """
+    return _calibrate(D, perplexity, False)[0]
+
+
+def _calibrate(D, perplexity, conditional):
+    """calibrate_bandwidths' sigma^2 and, with conditional, the n x n
+    Gaussian conditional rows at that sigma^2 (else None).
+
+    A row's last evaluated step is at its returned sigma^2: the step where it
+    lands within _TOL, or the check of a row out of steps.  So the rows come
+    from the search itself, with no row formed again.  Their array is made
+    once the replay starts, after the Newton solve's scratch is freed.
     """
     D = ensure_matrix(D, "D")
     n = D.shape[0]
     if D.shape[1] != n:
         raise ValidationError("distance matrix must be square")
     ensure_perplexity(perplexity, n)
-    start = np.empty(n)
+    start, nearest = np.empty((2, n))
     edges = np.empty((2, n))
     for i in range(0, n, _BLOCK_ROWS):
         block = np.arange(i, min(i + _BLOCK_ROWS, n))
@@ -274,10 +296,12 @@ def calibrate_bandwidths(D, perplexity):
         start[block] = d.mean(axis=1)
         for j in np.flatnonzero(~positive.all(axis=1)):
             start[block[j]] = d[j][positive[j]].mean()
+        nearest[block] = d.min(axis=1)
         edges[:, block] = _locate(d, perplexity)
+    del d, positive  # freed before the rows' array is made
     located = np.flatnonzero(np.isfinite(edges).all(axis=0))
-    low = _row_perplexities(D, located, np.exp(edges[0, located]))
-    high = _row_perplexities(D, located, np.exp(edges[1, located]))
+    low, high = (_row_perplexities(D, located, np.exp(edge[located]), nearest[located])
+                 for edge in edges)
     certified = np.zeros(n, dtype=bool)
     certified[located] = (low <= perplexity - (1.0 + _MARGIN / 2) * _TOL) & (
         high >= perplexity + (1.0 + _MARGIN / 2) * _TOL
@@ -287,33 +311,39 @@ def calibrate_bandwidths(D, perplexity):
     x = np.log(start)
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
-    active = np.arange(n)
-    for _ in range(_MAX_ITER):
-        xa = x[active]
-        # -inf and inf stand for the perplexities of steps known to be too
-        # narrow and too wide
-        perp = np.where(xa < edges[0, active], -np.inf, np.inf)
-        unknown = (edges[0, active] <= xa) & (xa <= edges[1, active])
-        perp[unknown] = _row_perplexities(D, active[unknown], np.exp(xa[unknown]))
+    steps = np.zeros(n, dtype=int)
+    cond = np.empty_like(D) if conditional else None
+    active, missed = np.arange(n), []
+    while active.size:
+        # walk each row through the steps known to be too narrow or too wide
+        walking = active
+        while walking.size:
+            xw = x[walking]
+            wide = edges[1, walking] < xw
+            ahead = (wide | (xw < edges[0, walking])) & (steps[walking] < _MAX_ITER)
+            walking = walking[ahead]
+            lo[walking], hi[walking], x[walking] = _bisect(
+                xw[ahead], lo[walking], hi[walking], wide[ahead], 1.0
+            )
+            steps[walking] += 1
+        perp = _row_perplexities(D, active, np.exp(x[active]), nearest[active], cond)
         searching = ~(np.abs(perp - perplexity) < _TOL)
-        active, perp = active[searching], perp[searching]
-        if not active.size:
-            break
+        spent = steps[active] == _MAX_ITER
+        missed.append(perp[searching & spent])
+        active, perp = active[searching & ~spent], perp[searching & ~spent]
         lo[active], hi[active], x[active] = _bisect(
             x[active], lo[active], hi[active], perp > perplexity, 1.0
         )
-    sigma2 = np.exp(x)
-    if active.size:
-        miss = np.abs(_row_perplexities(D, active, sigma2[active]) - perplexity)
-        off = ~(miss < _TOL)
-        if off.any():
-            _warn_caller(
-                f"{int(off.sum())} of {n} rows missed perplexity {perplexity} by "
-                f"tol={_TOL} or more after {_MAX_ITER} bisection steps; worst "
-                f"|perplexity - target| = {miss[off].max():.3g}",
-                CalibrationWarning,
-            )
-    return sigma2
+        steps[active] += 1
+    miss = np.abs(np.concatenate(missed) - perplexity)
+    if miss.size:
+        _warn_caller(
+            f"{miss.size} of {n} rows missed perplexity {perplexity} by "
+            f"tol={_TOL} or more after {_MAX_ITER} bisection steps; worst "
+            f"|perplexity - target| = {miss.max():.3g}",
+            CalibrationWarning,
+        )
+    return np.exp(x), cond
 
 
 def input_affinities(X, perplexity):
@@ -328,8 +358,7 @@ def input_affinities(X, perplexity):
     if n < 4:
         raise ValidationError("need at least 4 points")
     D = pairwise_sqdist(X)
-    sigma2 = calibrate_bandwidths(D, perplexity)
-    cond = conditional_rows(D, sigma2)
+    sigma2, cond = _calibrate(D, perplexity, True)
     del D  # at most two n x n arrays are alive at any time
     P = cond + cond.T
     del cond

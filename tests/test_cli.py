@@ -414,6 +414,16 @@ class TestPathFaults:
         assert err.count("\n") == 1 and ".tmp" not in err
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("out", ["outd/", "outd"])
+    def test_output_directory_refused_by_name(self, dataset, embedding, tmp_path,
+                                              monkeypatch, capsys, out):
+        # refused before anything is written, with or without the slash
+        monkeypatch.chdir(tmp_path)
+        Path("outd").mkdir()
+        assert main(["plot", str(embedding), str(dataset[1]), "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: ValidationError: {out}: is a directory\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
 
 class TestPipelineMatchesSubcommands:
     def test_embeddings_and_manifest(self, tmp_path):

@@ -31,7 +31,6 @@ from bctsne.tsne import (
     _Kernel,
     _offdiag,
     calibrate_bandwidths,
-    conditional_rows,
     input_affinities,
     kl_gradient,
 )
@@ -54,8 +53,8 @@ from oracles import (
 )
 
 
-def calibration_inputs():
-    """Squared-distance matrices that exercise every branch of the search."""
+def calibration_points():
+    """Points whose squared distances exercise every branch of the search."""
     rng = np.random.default_rng(20)
     clustered = np.vstack([
         rng.standard_normal((40, 5)),
@@ -66,14 +65,15 @@ def calibration_inputs():
     duplicated[10:15] = duplicated[:5]  # rows with zero distances
     duplicated[20:23] = duplicated[5]
     return {
-        "random": pairwise_sqdist(rng.standard_normal((50, 4))),
-        "clustered_outliers": pairwise_sqdist(clustered),
-        "collinear": pairwise_sqdist(np.arange(12.0)[:, None] * [1.0, 2.0]),
-        "duplicates": pairwise_sqdist(duplicated),
+        "random": rng.standard_normal((50, 4)),
+        "clustered_outliers": clustered,
+        "collinear": np.arange(12.0)[:, None] * [1.0, 2.0],
+        "duplicates": duplicated,
     }
 
 
-CALIBRATION_INPUTS = calibration_inputs()
+CALIBRATION_POINTS = calibration_points()
+CALIBRATION_INPUTS = {name: pairwise_sqdist(X) for name, X in CALIBRATION_POINTS.items()}
 
 
 @st.composite
@@ -111,11 +111,23 @@ def count_evaluated_rows(monkeypatch):
     """A one-element list that counts the rows _row_perplexities forms."""
     count, evaluate = [0], bctsne.tsne._row_perplexities
 
-    def counted(D, rows, sigma2):
+    def counted(D, rows, *args):
         count[0] += len(rows)
-        return evaluate(D, rows, sigma2)
+        return evaluate(D, rows, *args)
 
     monkeypatch.setattr(bctsne.tsne, "_row_perplexities", counted)
+    return count
+
+
+def count_gaussian_rows(monkeypatch):
+    """A one-element list that counts the rows _gaussian_rows forms."""
+    count, form = [0], bctsne.tsne._gaussian_rows
+
+    def counted(D, rows, *args):
+        count[0] += len(rows)
+        return form(D, rows, *args)
+
+    monkeypatch.setattr(bctsne.tsne, "_gaussian_rows", counted)
     return count
 
 
@@ -267,17 +279,21 @@ class TestCalibrateBandwidths:
             assert np.array_equal(sigma2, calibrate_bandwidths_loop(D, 30.0)), apart
 
     @pytest.fixture(scope="class")
-    def realistic(self):
-        """Squared distances of 500-cell simulated PCA scores (the default
-        simulation otherwise, seed 0), uncorrected and corrected for batch,
-        of a 30-D Gaussian cloud of 400 points, and of planted_layout(400)."""
+    def realistic_points(self):
+        """500-cell simulated PCA scores (the default simulation otherwise,
+        seed 0), uncorrected and corrected for batch, a 30-D Gaussian cloud
+        of 400 points, and planted_layout(400)."""
         sim = simulate(SimSpec(n_cells=500, seed=0))
         scores = pca_reduce(normalize_log1p_cpm(sim.counts), 30).scores
         corrected = build_design({"batch": sim.batch_labels.tolist()}).project(scores)
         cloud = np.random.default_rng(37).standard_normal((400, 30))
-        return {name: pairwise_sqdist(X) for name, X in
-                (("uncorrected", scores), ("corrected", corrected), ("cloud", cloud),
-                 ("planted", planted_layout()))}
+        return {"uncorrected": scores, "corrected": corrected, "cloud": cloud,
+                "planted": planted_layout()}
+
+    @pytest.fixture(scope="class")
+    def realistic(self, realistic_points):
+        """The squared distances of realistic_points."""
+        return {name: pairwise_sqdist(X) for name, X in realistic_points.items()}
 
     @pytest.mark.parametrize("name, perplexity", [
         ("uncorrected", 30.0), ("corrected", 30.0), ("cloud", 5.0), ("cloud", 50.0),
@@ -296,12 +312,31 @@ class TestCalibrateBandwidths:
         ("uncorrected", 30.0), ("corrected", 30.0), ("cloud", 5.0), ("cloud", 50.0),
         ("planted", 30.0),
     ])
+    def test_conditional_rows_come_from_the_search(
+        self, monkeypatch, realistic_points, realistic, name, perplexity
+    ):
+        # 3.000 to 3.002 Gaussian rows per row, all formed by the search,
+        # which keeps each point's last; one more row per point would fail
+        X, D = realistic_points[name], realistic[name]
+        for call in (lambda: lisi_weights(D, perplexity),
+                     lambda: input_affinities(X, perplexity)):
+            with monkeypatch.context() as patch:
+                count = count_gaussian_rows(patch)
+                call()
+            assert count[0] <= 3.05 * len(X), count[0]
+
+    @pytest.mark.parametrize("name, perplexity", [
+        ("uncorrected", 30.0), ("corrected", 30.0), ("cloud", 5.0), ("cloud", 50.0),
+        ("planted", 30.0),
+    ])
     def test_newton_starts_near_its_root(self, monkeypatch, realistic, name, perplexity):
-        # from sigma^2 = r^2 / 2e the solve takes 2.94 to 4.21 steps per row
-        # here; from r^2, a median 1.6 to 2.0 above the root in log sigma^2,
-        # it took 5.18 to 5.64
+        # from sigma^2 = r^2 / 2e, and stopping at a Newton step of at most
+        # 1e-7, the solve takes 2.48 to 3.57 steps per row here (3.8 leaves a
+        # margin of 0.23); it took 2.94 to 4.21 when it stopped only on the
+        # perplexity's own error, and from r^2, a median 1.6 to 2.0 above the
+        # root in log sigma^2, 5.18 to 5.64
         steps = newton_steps_per_row(monkeypatch, realistic[name], perplexity)
-        assert steps <= 4.5, steps
+        assert steps <= 3.8, steps
 
     @pytest.mark.parametrize("name", ["planted", "uncorrected"])
     def test_newton_solve_never_underflows(self, realistic, name):
@@ -406,23 +441,37 @@ class TestCalibrateBandwidths:
 
 
 class TestConditionalRows:
-    # the rows come block by block from the one routine that the bandwidth
-    # search also uses, and must match the whole-array expression bit for bit
+    # the rows are those the bandwidth search formed last, block by block in
+    # its one Gaussian-row routine, and must match the whole-array expression
+    # bit for bit
     @staticmethod
-    def inputs():
+    def points():
         X = np.random.default_rng(32).standard_normal((1000, 10))
-        return {**CALIBRATION_INPUTS, "n1000": pairwise_sqdist(X)}
+        return {**CALIBRATION_POINTS, "n1000": X}
+
+    @classmethod
+    def inputs(cls):
+        return {name: pairwise_sqdist(X) for name, X in cls.points().items()}
 
     @pytest.mark.parametrize("perplexity", [2.5, 8.0])
     def test_match_reference_bitwise(self, monkeypatch, perplexity):
-        for name, D in self.inputs().items():
+        # at 2 and 0 steps most rows run out of steps, and their rows come
+        # from the search's last check alone
+        for name, X in self.points().items():
+            D = pairwise_sqdist(X)
             for max_iter in (200, 2, 0):
                 monkeypatch.setattr(bctsne.tsne, "_MAX_ITER", max_iter)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", CalibrationWarning)
                     sigma2 = calibrate_bandwidths(D, perplexity)
-                P = conditional_rows(D, sigma2)
-                assert np.array_equal(P, reference_conditional_rows(D, sigma2)), name
+                    W = lisi_weights(D, perplexity)
+                    t = input_affinities(X, perplexity)
+                cond = reference_conditional_rows(D, sigma2)
+                P = (cond + cond.T) / (2.0 * len(X))
+                P[P < np.finfo(np.float64).tiny] = 0.0
+                assert np.array_equal(W, cond), (name, max_iter)
+                assert np.array_equal(t.sigma2, sigma2), (name, max_iter)
+                assert np.array_equal(t.P, P), (name, max_iter)
 
     @pytest.mark.parametrize("perplexity", [2.5, 8.0])
     def test_lisi_weights_match_reference_bitwise(self, perplexity):

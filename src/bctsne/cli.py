@@ -52,7 +52,7 @@ def _embed_options():
     p.add_argument("--eta", type=float, default=OptimizerConfig.eta)
     p.add_argument("--exaggeration", dest="exaggeration_factor", type=float,
                    default=OptimizerConfig.exaggeration_factor)
-    p.add_argument("--dims", type=int, default=OptimizerConfig.dims, choices=(2, 3))
+    p.add_argument("--dims", type=int, default=OptimizerConfig.dims)
     return p
 
 

@@ -100,18 +100,26 @@ def replacing(path):
             tmp.unlink(missing_ok=True)
 
 
-def _write_table(path, header, rows):
+def _write_table(path, header, rows, tails=None):
+    """Write header and rows, lists of fields, to path as CSV.  With tails,
+    each row ends in the next of tails unless it is empty: further fields,
+    joined by commas already, none of which needs quoting."""
     # csv.writer quotes a field holding a bare CR only when CR is part of the
     # line terminator, so it writes CRLF, one whole record per call, and each
     # record reaches the file with LF
     limit = csv.field_size_limit()
+    records = []
+    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
+    tails = itertools.repeat("") if tails is None else tails
     with replacing(path) as fh:
-        lf = SimpleNamespace(write=lambda record: fh.write(record[:-2] + "\n"))
-        writer = csv.writer(lf, lineterminator="\r\n")
-        for row in itertools.chain([header], rows):
+        for row, tail in itertools.chain([(header, "")], zip(rows, tails)):
+            # an empty last field ends the record in the comma before its tail
+            writer.writerow([*row, ""] if tail else row)
+            record = records.pop()
             # the reader refuses a longer field; a record within the limit has none
-            if writer.writerow(row) > limit and max(len(str(f)) for f in row) > limit:
+            if len(record) > limit and max(len(str(f)) for f in row) > limit:
                 raise ValidationError(f"{path}: field longer than the csv limit ({limit})")
+            fh.write(record[:-2] + tail + "\n")
 
 
 def read_matrix_csv(path):
@@ -142,22 +150,19 @@ def read_matrix_csv(path):
     return M, ids, header[1:]
 
 
-def _text_rows(M, row_ids):
-    """[id, the text of each value] for each row of M, a block of rows at a
-    time: the block's distinct values are formatted once each, as Python
-    floats (faster than numpy's scalars, same text).  Values are told apart
-    by their bits, so 0.0 and -0.0 keep their own text."""
-    ids = iter(row_ids)
-    width = M.shape[1]
-    step = max(1, _BLOCK_VALUES // max(width, 1))
+def _joined_rows(M):
+    """The text of each row of M: its values joined by commas.  Rows go a
+    block at a time, and the block's distinct values are formatted once
+    each, as Python floats (faster than numpy's scalars, same text), then
+    taken into the block's shape as an object array.  Values are told apart
+    by their bits, so 0.0 and -0.0 keep their own text.  The text of _FMT
+    (digits, sign, ".", "e", "inf", "nan") never needs quoting."""
+    step = max(1, _BLOCK_VALUES // max(M.shape[1], 1))
     for start in range(0, M.shape[0], step):
         block = M[start:start + step]
         bits, codes = np.unique(block.ravel().view(np.int64), return_inverse=True)
-        text = [_FMT % v for v in bits.view(np.float64).tolist()]
-        cells = list(map(text.__getitem__, codes.tolist()))
-        # the block's rows first, so that zip takes no id past them
-        for i, rid in zip(range(len(block)), ids):
-            yield [rid, *cells[i * width:(i + 1) * width]]
+        text = np.array([_FMT % v for v in bits.view(np.float64).tolist()], dtype=object)
+        yield from map(",".join, text[codes.reshape(block.shape)].tolist())
 
 
 def write_matrix_csv(M, row_ids, col_names, path):
@@ -165,7 +170,9 @@ def write_matrix_csv(M, row_ids, col_names, path):
     if (len(row_ids), len(col_names)) != M.shape:
         raise ValidationError(f"{path}: {len(row_ids)} ids and {len(col_names)} column "
                               f"names for a matrix of shape {M.shape}")
-    _write_table(path, ["id", *col_names], _text_rows(M, row_ids))
+    # the ids go through csv.writer, which quotes them as needed, and each
+    # row's values follow as one joined text
+    _write_table(path, ["id", *col_names], ([rid] for rid in row_ids), _joined_rows(M))
 
 
 def read_labels_csv(path, ids, columns=None):

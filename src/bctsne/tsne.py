@@ -5,6 +5,7 @@ onto a linear constraint set.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,12 +375,20 @@ class _Kernel:
 
     The plan pairs every row tile I with the panels J of the columns from I's
     first row on, so each pair i != j is seen once or, inside the tile's own
-    rows, twice.  A tile is 3 x len(I) x len(J), a view of one buffer: its
-    last plane holds the Student-t weights w_ij = 1 / (1 + |y_i - y_j|^2),
-    zero where i == j, and the first two hold P o w and w o w, then the KL's
-    terms.  The first k columns are I's own rows (k = 0 when J starts past
-    I), so the pairs in [:, :k] appear in both orders and those in [:, k:]
-    once.  Every product goes to one shared buffer before it is added in.
+    rows, twice.  The kernel copies those panels of P, one after another in
+    plan order, into an array of its own, and keeps no view of the P it was
+    built from.  Consecutive tiles form a group while their panels hold at
+    most _TILE_ROWS x _TILE_COLS entries in all.  A group's scratch is three
+    planes of one buffer, each holding its tiles' len(I) x len(J) blocks one
+    after another, as the packed P does: the last holds the Student-t
+    weights w_ij = 1 / (1 + |y_i - y_j|^2), zero where i == j, and the first
+    two hold P o w and w o w, then the KL's terms.  Each elementwise step
+    runs once over a whole group; each BLAS product, diagonal fill and sum
+    runs per tile, so that no result depends on how the tiles are grouped.
+    A tile's first k columns are I's own rows (k = 0 when J starts
+    past I), so the pairs in [:, :k] appear in both orders and those in
+    [:, k:] once.  Every product goes to one shared buffer before it is
+    added in.
     """
 
     def __init__(self, P, dims):
@@ -398,28 +407,44 @@ class _Kernel:
         # the row sums, and the w rows' last column sums to Z
         self.Y1 = np.ones((n, dims + 1))
         self.acc = np.empty((3, n, dims + 1))
-        # contiguous, so that numpy's loops need no buffers of their own
-        buf = np.empty(3 * min(n, _TILE_ROWS) * min(n, _TILE_COLS))
         prod = np.empty((3, min(n, _TILE_COLS), dims + 1))
+        tiles = [(slice(i0, min(i0 + _TILE_ROWS, n)), slice(j0, min(j0 + _TILE_COLS, n)))
+                 for i0 in range(0, n, _TILE_ROWS) for j0 in range(i0, n, _TILE_COLS)]
+        ends = list(itertools.accumulate((I.stop - I.start) * (J.stop - J.start)
+                                         for I, J in tiles))
+        starts = [0, *ends[:-1]]
+        groups = [[]]
+        for t in range(len(tiles)):
+            if groups[-1] and ends[t] - starts[groups[-1][0]] > _TILE_ROWS * _TILE_COLS:
+                groups.append([])
+            groups[-1].append(t)
+        self.panels = np.empty(ends[-1])
+        # contiguous, so that numpy's loops need no buffers of their own
+        buf = np.empty(3 * max(ends[g[-1]] - starts[g[0]] for g in groups))
         self.plan = []
-        for i0 in range(0, n, _TILE_ROWS):
-            I = slice(i0, min(i0 + _TILE_ROWS, n))
-            m = I.stop - i0
-            row_side = (left[I], self.Y2[I], self.Y1[I], prod[:, :m], self.acc[:, I])
-            for j0 in range(i0, n, _TILE_COLS):
-                J = slice(j0, min(j0 + _TILE_COLS, n))
-                tile = buf[: 3 * m * (J.stop - j0)].reshape(3, m, -1)
-                term, _, w = planes = tuple(tile)
-                k, diag = 0, None
-                if j0 == i0:
-                    k, diag = m, w.reshape(-1)[:: w.shape[1] + 1]  # w[i, i]; m <= len(J)
+        for group in groups:
+            first = starts[group[0]]
+            planes = buf[: 3 * (ends[group[-1]] - first)].reshape(3, -1)
+            steps, diags = [], []
+            for t in group:
+                I, J = tiles[t]
+                m, k = I.stop - I.start, 0
+                block = self.panels[starts[t] : ends[t]].reshape(m, -1)
+                np.copyto(block, P[I, J])
+                tile = planes[:, starts[t] - first : ends[t] - first].reshape(3, *block.shape)
+                term, _, w = tile
+                if J.start == I.start:
+                    k = m
+                    diags.append(w.reshape(-1)[:: w.shape[1] + 1])  # w[i, i]; m <= len(J)
                 # the pairs seen once also count for their column's row
                 once = None
-                if j0 + k < J.stop:
-                    once = (tile[:, :, k:].transpose(0, 2, 1), prod[:, : J.stop - j0 - k],
-                            self.acc[:, j0 + k : J.stop])
-                self.plan.append((P[I, J], right[J].T, self.Y[J].T, self.Y1[J], row_side,
-                                  tile, planes, diag, once, w[:, k:], term[:, k:]))
+                if J.start + k < J.stop:
+                    once = (tile[:, :, k:].transpose(0, 2, 1), self.Y1[I],
+                            prod[:, : J.stop - J.start - k], self.acc[:, J.start + k : J.stop])
+                steps.append(((left[I], right[J].T, w, self.Y2[I], self.Y[J].T, term),
+                              (tile, self.Y1[J], prod[:, :m], self.acc[:, I], once),
+                              (w, w[:, k:], term, term[:, k:])))
+            self.plan.append((self.panels[first : ends[group[-1]]], planes, diags, steps))
 
     def __call__(self, Y, exaggeration=1.0, kl=False):
         np.copyto(self.Y, Y)
@@ -430,30 +455,33 @@ class _Kernel:
         np.copyto(self.Y1[:, :-1], Y)
         self.acc.fill(0.0)
         Z = plogpw = 0.0
-        for p, right, y, y1, row_side, tile, planes, diag, once, w_once, term_once in self.plan:
-            left, y2, y1_rows, prod, acc = row_side
-            term, ww, w = planes
-            np.matmul(left, right, out=w)
-            w -= np.matmul(y2, y, out=term)
+        for p, (term, ww, w), diags, steps in self.plan:
+            for (left, right, w_tile, y2, y, term_tile), _, _ in steps:
+                np.matmul(left, right, out=w_tile)
+                np.matmul(y2, y, out=term_tile)
+            w -= term
             np.maximum(w, 1.0, out=w)  # clamp distances below 0 from cancellation
             np.divide(1.0, w, out=w)
-            if diag is not None:
+            for diag in diags:
                 diag.fill(0.0)
             np.multiply(p, w, out=term)  # P o w, and then the KL's terms
             np.multiply(w, w, out=ww)
-            acc += np.matmul(tile, y1, out=prod)
-            if once is not None:
-                tile_t, prod_once, acc_once = once
-                acc_once += np.matmul(tile_t, y1_rows, out=prod_once)
+            for _, (tile, y1, prod, acc, once), _ in steps:
+                acc += np.matmul(tile, y1, out=prod)
+                if once is not None:
+                    tile_t, y1_rows, prod_once, acc_once = once
+                    acc_once += np.matmul(tile_t, y1_rows, out=prod_once)
             if kl:
-                Z += w.sum() + w_once.sum()
-                if diag is not None:
+                for _, _, (w_tile, w_once, _, _) in steps:
+                    Z += w_tile.sum() + w_once.sum()
+                for diag in diags:
                     diag.fill(1.0)  # log 1 = 0 where p_ii = 0
                 np.maximum(p, PROB_FLOOR, out=term)
                 np.log(term, out=term)
                 term -= np.log(w, out=w)
                 term *= p
-                plogpw += term.sum() + term_once.sum()
+                for _, _, (_, _, term_tile, term_once) in steps:
+                    plogpw += term_tile.sum() + term_once.sum()
         attract, repulse, weights = self.acc
         attract *= 4.0 * exaggeration
         repulse /= weights[:, -1].sum() / 4.0
@@ -489,7 +517,9 @@ def run_tsne(X, cfg, projector=None, on_trace=None):
     The embedding starts as Normal(0, 1e-4) with cfg.seed and follows the
     schedule that OptimizerConfig describes.  The projector (for plain t-SNE,
     the empty design's, an exact copy) projects X before the affinities are
-    calibrated, and every iterate.  Trace records are emitted through
+    calibrated, the initial embedding, and every iterate when its design has
+    a column.  The kernel keeps its own packed copy of P, so the dense P is
+    freed before the first iteration.  Trace records are emitted through
     on_trace every _TRACE_EVERY iterations and at the last, each with the KL
     of its post-step iterate; tracing adds one pass, after the last iteration.
     """
@@ -528,8 +558,10 @@ def run_tsne(X, cfg, projector=None, on_trace=None):
         alpha = _MOMENTUM_EARLY if early else _MOMENTUM_LATE
         Y, Y_prev = Y - cfg.eta * gains * grad + alpha * velocity, Y
         # no explicit re-centering: the gradient rows sum to zero, so the
-        # embedding mean stays at its initial value
-        Y = projector.project(Y)
+        # embedding mean stays at its initial value.  An empty basis would
+        # subtract zeros, which gives Y to the bit
+        if projector.rank:
+            Y = projector.project(Y)
     if on_trace is not None:  # one more pass, for the last iterate's KL
         _, kl = kernel(Y, kl=True)
         on_trace(TraceRecord(cfg.n_iter - 1, kl, projector.orthogonality(Y)))

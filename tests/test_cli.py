@@ -373,6 +373,28 @@ class TestOneClassPerFault:
         assert err.startswith("error: DomainError: ") and err.count("\n") == 1
         assert err.endswith("seed must be >= 0; got -1\n")
 
+    @pytest.mark.parametrize("dims", [1, 4])
+    @pytest.mark.parametrize("command", ["embed", "pipeline"])
+    def test_dims_out_of_range_prints_domain_error(self, dataset, tmp_path, capsys,
+                                                   command, dims):
+        # argparse has no range of its own for --dims: the command line and a
+        # config get the library's check, its class and its message
+        counts, labels = dataset
+        out, outdir = tmp_path / "e.csv", tmp_path / "out"
+        cfg = tmp_path / "dims.cfg"
+        cfg.write_text(f"outdir={outdir}\ndims={dims}\n")
+        argv = {
+            "embed": ["embed", str(counts), str(labels), "--batch-vars", "batch",
+                      "--k", "10", "--iters", "5", "--perplexity", "15",
+                      "--dims", str(dims), "--out", str(out)],
+            "pipeline": ["pipeline", str(cfg)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        prefix = "error: DomainError: " + (f"{cfg}: " if command == "pipeline" else "")
+        assert err == f"{prefix}dims must be in [2, 3]; got {dims}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dims.cfg"]
+
 
 class TestPathFaults:
     """A path the user names that cannot be read, written or decoded ends the

@@ -725,11 +725,14 @@ class TestKlGradient:
         with pytest.raises(ValidationError, match="at least 2 points"):
             kl_gradient(np.zeros((n, n)), np.zeros((n, 2)), kl=kl)
 
-    @pytest.mark.parametrize("n", [4, 63, 64, 65, 128, 129, 511, 512, 513, 577, 1100])
+    @pytest.mark.parametrize("n", [4, 63, 64, 65, 128, 129, 200, 300, 511, 512, 513, 577,
+                                   1100])
     def test_kernel_matches_frozen_tiled_oracle_bitwise(self, n):
-        # sizes on either side of the 64-row tiles and the 512-column panels;
-        # one kernel serves every call in turn, so a buffer left stale by an
-        # earlier call, with another Y, exaggeration or kl, shows here
+        # sizes on either side of the 64-row tiles and the 512-column panels,
+        # and groups of tiles of unequal widths (200: one group of 4 tiles;
+        # 300: a group of a 64 x 108 and a 44 x 44 tile); one kernel serves
+        # every call in turn, so a buffer left stale by an earlier call, with
+        # another Y, exaggeration or kl, shows here
         rng = np.random.default_rng(n)
         P = rng.random((n, n))
         P += P.T
@@ -751,13 +754,29 @@ class TestKlGradient:
                         ref_grad = ref
                     assert out.tobytes() == ref_grad.tobytes(), (dims, factor, kl)
 
+    @pytest.mark.parametrize("n", [200, 600])
+    def test_kernel_keeps_no_view_of_p(self, n):
+        # the kernel reads its own packed copy of P's panels, so zeroing the
+        # P it was built from moves no byte of its gradient or KL
+        rng = np.random.default_rng(n + 1)
+        P = rng.random((n, n))
+        P += P.T
+        np.fill_diagonal(P, 0.0)
+        P /= P.sum()
+        Y = rng.standard_normal((n, 2))
+        kernel = _Kernel(P, 2)
+        grad, kl = kernel(Y, 12.0, kl=True)
+        P.fill(0.0)
+        again, kl_again = kernel(Y, 12.0, kl=True)
+        assert again.tobytes() == grad.tobytes() and kl_again == kl
+
     @pytest.mark.parametrize("dims", [2, 3])
     def test_built_kernel_allocates_nothing_tile_sized(self, dims):
         # once built, a call allocates only the gradient it returns, the one
         # temporary of that size it is formed from (2 * dims float64 per
-        # point) and numpy's 64 KiB ufunc buffer, which the steps over P's
-        # strided panels take.  A tile buffer (768 KiB), or an accumulator of
-        # 3 (dims + 1) float64 per point made per call, would not fit
+        # point) and at most numpy's 64 KiB ufunc buffer.  A tile buffer
+        # (768 KiB), or an accumulator of 3 (dims + 1) float64 per point made
+        # per call, would not fit
         n = 1000
         rng = np.random.default_rng(31)
         P = rng.random((n, n))
@@ -931,25 +950,42 @@ class TestRunTsne:
             assert [r.iteration for r in trace] == expected
 
     @staticmethod
-    def _loop_peak(monkeypatch, X, cfg, on_trace):
-        """Peak bytes traced while run_tsne runs, above what it holds once
-        input_affinities has returned."""
-        base = []
+    def _memory(monkeypatch, X, cfg, on_trace):
+        """Bytes traced while run_tsne runs: "affinities", the peak inside
+        input_affinities; "returned", what the run holds once it returns;
+        "build", the peak from then to the kernel's first pass, which spans
+        the kernel's build; "built", what the run holds at that pass; and
+        "loop", the peak from then on, above "built".  "built" is read at the
+        first pass and not when the build returns, since the call that builds
+        the kernel holds the dense P until it has returned."""
+        marks = {}
+        call = _Kernel.__call__
 
         def affinities(*args, **kwargs):
-            table = input_affinities(*args, **kwargs)
             tracemalloc.reset_peak()
-            base.append(tracemalloc.get_traced_memory()[0])
+            table = input_affinities(*args, **kwargs)
+            marks["affinities"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            marks["returned"] = tracemalloc.get_traced_memory()[0]
             return table
 
+        def first_pass(kernel, *args, **kwargs):
+            if "built" not in marks:
+                marks["build"] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                marks["built"] = tracemalloc.get_traced_memory()[0]
+            return call(kernel, *args, **kwargs)
+
         monkeypatch.setattr("bctsne.tsne.input_affinities", affinities)
+        monkeypatch.setattr(_Kernel, "__call__", first_pass)
         monkeypatch.setattr("bctsne.tsne._TRACE_EVERY", 1)
         tracemalloc.start()
         try:
             run_tsne(X, cfg, on_trace=on_trace)
-            return tracemalloc.get_traced_memory()[1] - base[0]
+            marks["loop"] = tracemalloc.get_traced_memory()[1] - marks["built"]
         finally:
             tracemalloc.stop()
+        return marks
 
     # a pass over the kernel's tiles keeps three arrays of at most 64 x 512
     # float64s; an n x n array at n = 1000 is 8 MB
@@ -960,18 +996,34 @@ class TestRunTsne:
         # the trace's KL is summed in the gradient pass's own tile scratch
         X = np.random.default_rng(26).standard_normal((self.N_MEMORY, 5))
         cfg = OptimizerConfig(n_iter=3, perplexity=20)
-        peaks = [self._loop_peak(monkeypatch, X, cfg, on_trace)
+        peaks = [self._memory(monkeypatch, X, cfg, on_trace)["loop"]
                  for on_trace in (None, lambda rec: None)]
         assert peaks[1] - peaks[0] <= 256 * 1024, peaks
 
     def test_loop_holds_no_square_array_besides_p(self, monkeypatch):
-        # besides the tiles, the loop and the kernel hold arrays of a few
-        # dozen float64s per point (iterates, gains, gradient, accumulators)
+        # from the first pass on, the run holds the kernel's packed P and, besides
+        # the tiles, arrays of a few dozen float64s per point (iterates, gains,
+        # gradient, accumulators)
         X = np.random.default_rng(29).standard_normal((self.N_MEMORY, 5))
         cfg = OptimizerConfig(n_iter=3, perplexity=20)
-        peak = self._loop_peak(monkeypatch, X, cfg, lambda rec: None)
+        peak = self._memory(monkeypatch, X, cfg, lambda rec: None)["loop"]
         per_point = 64 * 8 * self.N_MEMORY
         assert peak <= self.TILE_SCRATCH + 256 * 1024 + per_point, peak
+
+    def test_kernel_build_frees_the_dense_p(self, monkeypatch):
+        # the kernel packs P's panels at and above the diagonal (0.53 n x n at
+        # n = 1000) and the run lets go of the dense P before its first pass,
+        # so it then holds at least 0.4 n x n less than input_affinities
+        # returned, besides the kernel's scratch (tiles and a few dozen
+        # float64s per point, as the loop's bound allows).  While both P exist
+        # (about 1.53 n x n), the run stays below input_affinities' 2 n x n
+        n = self.N_MEMORY
+        X = np.random.default_rng(32).standard_normal((n, 5))
+        cfg = OptimizerConfig(n_iter=3, perplexity=20)
+        marks = self._memory(monkeypatch, X, cfg, None)
+        scratch = self.TILE_SCRATCH + 64 * 8 * n
+        assert marks["built"] <= marks["returned"] - 0.4 * n * n * 8 + scratch, marks
+        assert marks["build"] < marks["affinities"], marks
 
     def test_same_bytes_at_one_and_two_blas_threads(self):
         # the kernel keeps every BLAS product below OpenBLAS's threading

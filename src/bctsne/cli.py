@@ -14,11 +14,11 @@ from pathlib import Path
 
 from . import matrixio, plot
 from .design import build_design
-from .errors import BctsneError, ValidationError, _warn_caller
+from .errors import BctsneError, DomainError, ValidationError, _warn_caller
 from .linalg import ensure_index
-from .metrics import MetricsConfig, evaluate
+from .metrics import MetricsConfig, _evaluate_settings, evaluate
 from .reduce import pca_reduce
-from .simulate import SimSpec, normalize_log1p_cpm, simulate
+from .simulate import SimSpec, _assignment, normalize_log1p_cpm, simulate
 from .tsne import OptimizerConfig, run_tsne
 
 # pipeline's uncorrected embedding runs in a child process.  A forked child
@@ -234,7 +234,8 @@ class _ConfigParser(argparse.ArgumentParser):
 def read_config(path):
     """Typed pipeline settings from a flat key=value file whose keys are the
     generate and embed option names with _ for -, seed and outdir.  Each
-    fault keeps its class and names the file."""
+    fault names the file and keeps its class, except that labelings which
+    evaluate would refuse in the reports raise DomainError."""
     argv, first = [], {}
     with matrixio.path_faults(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -252,12 +253,17 @@ def read_config(path):
             argv.append(f"{flag}={value}")
     try:  # settings that clash fail here, before the pipeline writes anything
         cfg = _ConfigParser().parse_args(argv)
-        _config(SimSpec, cfg).validate()
+        spec = _config(SimSpec, cfg)
+        spec.validate()
         _config(OptimizerConfig, cfg).validate(cfg.n_cells)
         ensure_index(cfg.k, "k", 1, min(cfg.n_cells, cfg.n_genes))
-        # evaluate scores both labelings, and silhouette needs two levels
-        ensure_index(cfg.n_batches, "n_batches", 2)
-        ensure_index(cfg.n_groups, "n_groups", 2)
+        _, (batch, group) = _assignment(spec)
+        try:  # the reports' labelings, under evaluate's own checks
+            _evaluate_settings({"batch": batch, "group": group}, cfg.n_cells,
+                               MetricsConfig(seed=cfg.seed))
+        except ValidationError as exc:
+            raise DomainError(f"evaluate cannot score cells={cfg.n_cells}, batches="
+                              f"{cfg.n_batches}, groups={cfg.n_groups}: {exc}") from None
     except ValidationError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     return cfg
@@ -294,13 +300,16 @@ def _tsne_in_child(receiver, sender, counts_csv, scores, opts):
         warnings.simplefilter("always")  # the parent's filters decide
         try:
             matrixio.write_matrix_csv(*counts_csv)
-            # the process object keeps its arguments: drop the counts here
-            # rather than hold them through the run
+            # the list is the counts' only reference, which the process
+            # object keeps: clear it rather than hold them through the run
             counts_csv.clear()
             result = _tsne(scores, None, opts)
         except Exception as exc:
             error = exc, traceback.format_exc()
-    sender.send((result, [w.message for w in caught], error))
+    try:
+        sender.send((result, [w.message for w in caught], error))
+    except ConnectionError:  # the parent has closed its end: end silently
+        return
     sender.close()
 
 
@@ -357,9 +366,11 @@ def cmd_pipeline(args):
     child = context.Process(target=_tsne_in_child, daemon=True,
                             args=(receiver, sender, [counts, ids, genes, counts_path],
                                   scores, cfg))
+    # before start(), so that a forked child holds the counts only through
+    # the list it clears; start() then lets go of this process's copy
+    del counts
     child.start()
     sender.close()
-    del counts  # the child's now; start() let go of its arguments
     try:
         projector = build_design({"batch": labels["batch"]})
         artifacts = [counts_path, labels_path]

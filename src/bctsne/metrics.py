@@ -30,15 +30,22 @@ def silhouette(Y, labels):
     return _silhouette(pairwise_sqdist(Y), levels, codes)
 
 
-def _silhouette(sqdist, levels, codes):
-    """silhouette on the embedding's squared distances and encoded labels."""
-    n = len(codes)
+def _level_counts(levels, codes):
+    """The members of each level of encoded labels, after silhouette's
+    check: at least 2 levels, each of at least 2 members."""
     if len(levels) < 2:
         raise ValidationError("silhouette needs at least 2 label levels")
     counts = np.bincount(codes, minlength=len(levels))
     if np.any(counts < 2):
         bad = levels[int(np.argmin(counts))]
         raise ValidationError(f"label level {bad!r} has fewer than 2 members")
+    return counts
+
+
+def _silhouette(sqdist, levels, codes):
+    """silhouette on the embedding's squared distances and encoded labels."""
+    n = len(codes)
+    counts = _level_counts(levels, codes)
     onehot = np.eye(len(levels))[codes]
     sums = np.empty((n, len(levels)))  # total distance to each level
     for i in range(0, n, _BLOCK_ROWS):
@@ -227,30 +234,41 @@ class MetricsReport:
         return "\n".join(lines)
 
 
+def _evaluate_settings(labelings, n, cfg):
+    """evaluate's checks of its labelings of n points and of cfg, which need
+    no embedding.  Returns kBET's knn and n_test, and per labeling its
+    levels, codes and kBET's expected counts."""
+    if not labelings:
+        raise ValidationError("need at least one labeling")
+    encoded = {}
+    for name, labels in labelings.items():
+        levels, codes = encode_labels(labels, n)
+        _level_counts(levels, codes)
+        knn, n_test, expected = _kbet_settings(
+            levels, codes, cfg.knn, cfg.n_test, cfg.alpha, cfg.seed
+        )
+        encoded[name] = levels, codes, expected
+        # after the first labeling's checks, before the second's
+        ensure_perplexity(cfg.lisi_perplexity, n, "lisi_perplexity")
+    return knn, n_test, encoded
+
+
 def evaluate(Y, labelings, cfg=MetricsConfig()):
     """Run all four metrics for every named labeling.
 
+    Every labeling and setting is checked before any distance is formed.
     The distances, kBET's neighbours and LISI's neighbour weights do not
     depend on the labels, so they are computed once per embedding and shared
     by the labelings.
     """
     Y = ensure_matrix(Y, "Y")
-    if not labelings:
-        raise ValidationError("need at least one labeling")
+    knn, n_test, encoded = _evaluate_settings(labelings, len(Y), cfg)
     sqdist = pairwise_sqdist(Y)
-    neigh = weights = None
+    neigh = _kbet_neighbours(sqdist, knn, n_test, cfg.seed)
+    weights = lisi_weights(sqdist, cfg.lisi_perplexity)
     records = []
-    for name, labels in labelings.items():
-        levels, codes = encode_labels(labels, len(Y))
+    for name, (levels, codes, expected) in encoded.items():
         sil_raw, sil_resc = _silhouette(sqdist, levels, codes)
-        knn, n_test, expected = _kbet_settings(
-            levels, codes, cfg.knn, cfg.n_test, cfg.alpha, cfg.seed
-        )
-        # formed after the first labeling's checks, so errors keep their order
-        if neigh is None:
-            neigh = _kbet_neighbours(sqdist, knn, n_test, cfg.seed)
-            ensure_perplexity(cfg.lisi_perplexity, len(Y), "lisi_perplexity")
-            weights = lisi_weights(sqdist, cfg.lisi_perplexity)
         kbet = _kbet(neigh, codes, expected, cfg.alpha)
         lisi_mean, lisi_resc = _lisi(weights, levels, codes)
         pcr = _pc_regression(Y, levels, codes)

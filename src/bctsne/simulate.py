@@ -73,9 +73,7 @@ def simulate(spec):
     )
     lib = rng.lognormal(_LIB_SIZE_LOCATION, _LIB_SIZE_SCALE, size=n)
 
-    # balanced crossed assignment: exact marginals for both labelings
-    batch_idx = np.arange(n) % spec.n_batches
-    group_idx = (np.arange(n) // spec.n_batches) % spec.n_groups
+    (batch_idx, group_idx), (batch_labels, group_labels) = _assignment(spec)
 
     counts = np.empty((n, p))
     for i in range(0, n, _BLOCK_ROWS):
@@ -86,11 +84,16 @@ def simulate(spec):
         lam *= lib[rows, None]
         counts[rows] = rng.poisson(lam)
 
-    return SimOutput(
-        counts=counts,
-        batch_labels=np.array([f"b{i + 1}" for i in batch_idx]),
-        group_labels=np.array([f"g{i + 1}" for i in group_idx]),
-    )
+    return SimOutput(counts=counts, batch_labels=batch_labels, group_labels=group_labels)
+
+
+def _assignment(spec):
+    """simulate(spec)'s batch and group index of each cell, a balanced
+    crossed assignment with exact marginals for both labelings, and the
+    labels b1, b2, ... and g1, g2, ... that name them."""
+    cells = np.arange(spec.n_cells)
+    index = cells % spec.n_batches, (cells // spec.n_batches) % spec.n_groups
+    return index, [np.array([f"{c}{i + 1}" for i in ix]) for c, ix in zip("bg", index)]
 
 
 def normalize_log1p_cpm(counts):

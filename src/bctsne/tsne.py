@@ -261,9 +261,8 @@ def calibrate_bandwidths(D, perplexity):
     too wide without forming its Gaussian row.  Every other step is formed
     and evaluated, so sigma^2 is that of the plain search to the last bit as
     long as the evaluated perplexity rises with the bandwidth, which it does
-    to far within the certification margin.  The search goes in rounds: each
-    row walks through the steps decided in advance to the next one that is
-    not, or to its last, and one call evaluates every row so reached.
+    to far within the certification margin.  Decided steps are taken first,
+    and one call then evaluates every row where it stands.
     """
     return _calibrate(D, perplexity, False)[0]
 
@@ -293,13 +292,12 @@ def _calibrate(D, perplexity, conditional):
                 f"row {duplicates[0]} has zero distance to every other point "
                 "(duplicates)"
             )
-        positive = d > 0
         start[block] = d.mean(axis=1)
-        for j in np.flatnonzero(~positive.all(axis=1)):
-            start[block[j]] = d[j][positive[j]].mean()
         nearest[block] = d.min(axis=1)
+        for j in np.flatnonzero(nearest[block] <= 0):
+            start[block[j]] = d[j][d[j] > 0].mean()
         edges[:, block] = _locate(d, perplexity)
-    del d, positive  # freed before the rows' array is made
+    del d  # freed before the rows' array is made
     located = np.flatnonzero(np.isfinite(edges).all(axis=0))
     low, high = (_row_perplexities(D, located, np.exp(edge[located]), nearest[located])
                  for edge in edges)
@@ -316,26 +314,24 @@ def _calibrate(D, perplexity, conditional):
     cond = np.empty_like(D) if conditional else None
     active, missed = np.arange(n), []
     while active.size:
-        # walk each row through the steps known to be too narrow or too wide
-        walking = active
-        while walking.size:
-            xw = x[walking]
-            wide = edges[1, walking] < xw
-            ahead = (wide | (xw < edges[0, walking])) & (steps[walking] < _MAX_ITER)
-            walking = walking[ahead]
-            lo[walking], hi[walking], x[walking] = _bisect(
-                xw[ahead], lo[walking], hi[walking], wide[ahead], 1.0
-            )
-            steps[walking] += 1
-        perp = _row_perplexities(D, active, np.exp(x[active]), nearest[active], cond)
-        searching = ~(np.abs(perp - perplexity) < _TOL)
-        spent = steps[active] == _MAX_ITER
-        missed.append(perp[searching & spent])
-        active, perp = active[searching & ~spent], perp[searching & ~spent]
-        lo[active], hi[active], x[active] = _bisect(
-            x[active], lo[active], hi[active], perp > perplexity, 1.0
+        # each pass takes the next step of every row whose window decides it;
+        # when no row has one, one call evaluates every active row where it is
+        xa = x[active]
+        wide = edges[1, active] < xa
+        decided = (wide | (xa < edges[0, active])) & (steps[active] < _MAX_ITER)
+        if decided.any():
+            stepping, wide = active[decided], wide[decided]
+        else:
+            perp = _row_perplexities(D, active, np.exp(xa), nearest[active], cond)
+            searching = ~(np.abs(perp - perplexity) < _TOL)
+            spent = steps[active] == _MAX_ITER
+            missed.append(perp[searching & spent])
+            active = stepping = active[searching & ~spent]
+            wide = perp[searching & ~spent] > perplexity
+        lo[stepping], hi[stepping], x[stepping] = _bisect(
+            x[stepping], lo[stepping], hi[stepping], wide, 1.0
         )
-        steps[active] += 1
+        steps[stepping] += 1
     miss = np.abs(np.concatenate(missed) - perplexity)
     if miss.size:
         _warn_caller(

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -299,7 +300,13 @@ class TestPipelineConfig:
                                       "k=900", "exaggeration=0", "perplexity=800",
                                       "de_prob=1.5", "batch_effect_sd=nan", "eta=inf",
                                       "seed=-1", "batches=1", "groups=1",
-                                      "seed=1\nseed=2"])
+                                      "seed=1\nseed=2",
+                                      # configs that only evaluate's checks refuse
+                                      "cells=20\ngenes=100\nperplexity=5\nk=10\niters=50",
+                                      "cells=31\ngenes=100\nbatches=15\ngroups=3\n"
+                                      "perplexity=5\nk=10\niters=30",
+                                      "cells=9\ngenes=50\nbatches=4\ngroups=3\n"
+                                      "perplexity=3\nk=5\niters=30"])
     def test_bad_line_fails_before_any_output(self, tmp_path, capsys, line):
         outdir = tmp_path / "out"
         cfg = tmp_path / "cfg.txt"
@@ -394,6 +401,27 @@ class TestOneClassPerFault:
         prefix = "error: DomainError: " + (f"{cfg}: " if command == "pipeline" else "")
         assert err == f"{prefix}dims must be in [2, 3]; got {dims}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dims.cfg"]
+
+    @pytest.mark.parametrize("command", ["generate", "pipeline"])
+    def test_text_that_does_not_parse(self, tmp_path, capsys, command):
+        # in a config, a ValidationError that names the file; on the command
+        # line, argparse's usage error
+        cfg = tmp_path / "cells.cfg"
+        cfg.write_text(f"outdir={tmp_path / 'out'}\ncells=abc\n")
+        if command == "pipeline":
+            assert main(["pipeline", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: ValidationError: {cfg}: ")
+            assert err.count("\n") == 1
+        else:
+            with pytest.raises(SystemExit) as info:
+                main(["generate", "--cells", "abc", "--counts-out", str(tmp_path / "c.csv"),
+                      "--labels-out", str(tmp_path / "l.csv")])
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: bctsne generate")
+        assert "invalid int value: 'abc'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cells.cfg"]
 
 
 class TestPathFaults:
@@ -583,6 +611,64 @@ class TestPipelineInTwoProcesses:
         assert capsys.readouterr().err == "error: OptimizerError: non-finite gradient\n"
         assert sorted(p.name for p in outdir.iterdir()) == ["labels.csv"]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs fork")
+    def test_forked_child_frees_the_counts_once_written(self, pipeline, monkeypatch):
+        # a forked child inherits this process's names: the counts must be
+        # held only by the argument list that the child clears
+        cfg, _ = pipeline
+        monkeypatch.setattr(cli, "_START_METHOD", "fork")
+        write_dataset, counts = cli._write_dataset, []
+
+        def patched(spec, labels_out):
+            dataset = write_dataset(spec, labels_out)
+            counts.append(weakref.ref(dataset[0]))
+            return dataset
+
+        def freed():
+            if counts[0]() is not None:
+                raise ValidationError("the counts are still held")
+
+        monkeypatch.setattr(cli, "_write_dataset", patched)
+        self.patch_runs(monkeypatch, corrected=freed, uncorrected=freed)
+        assert main(["pipeline", str(cfg)]) == 0
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs fork")
+    def test_child_that_finds_the_pipe_closed_prints_nothing(self, pipeline):
+        # the parent fails while the child's run goes on, so the child's send
+        # finds the parent's end closed.  The watcher, which would end the
+        # child then, only reports the close here, so the send always runs
+        cfg, _ = pipeline
+        script = textwrap.dedent("""
+            import sys, threading
+            from bctsne import OptimizerError, cli
+
+            closed = threading.Event()
+
+            def watch(conn):
+                conn.poll(None)
+                closed.set()
+
+            run_tsne = cli.run_tsne
+
+            def patched(X, cfg, projector=None, **kwargs):
+                if projector is not None:
+                    raise OptimizerError("non-finite gradient", iteration=7)
+                closed.wait()
+                return run_tsne(X, cfg, **kwargs)
+
+            cli._START_METHOD = "fork"
+            cli._exit_when_closed = watch
+            cli.run_tsne = patched
+            sys.exit(cli.main(["pipeline", sys.argv[1]]))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
+                              capture_output=True, text=True, timeout=120,
+                              env=package_env())
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: OptimizerError: non-finite gradient\n")
 
     def test_other_errors_carry_the_childs_traceback(self, pipeline, monkeypatch):
         cfg, _ = pipeline

@@ -13,6 +13,10 @@ is empty.  It then runs `pytest -s tests/test_acceptance.py` in each tree at
 one BLAS thread (about 30 s a tree) and compares the `ACCEPTANCE n:` lines one
 by one, their elapsed times masked.  It prints one line per (seed, threads,
 file) and per acceptance line, and exits 1 on any difference.
+
+Both trees run on one host, so the check sees a change's effect on the bytes
+at that host's numpy build, SIMD dispatch, BLAS library and core type.  It
+cannot tell whether the bytes hold on another CPU class: they need not.
 """
 from __future__ import annotations
 

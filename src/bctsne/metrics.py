@@ -23,11 +23,14 @@ def silhouette(Y, labels):
 
     rescaled = 1 - |raw|: strong clustering by the labels (raw near +1)
     and strong anti-clustering (raw near -1) both map to 0, while a labeling
-    spread uniformly through the embedding (raw near 0) maps to 1.
+    spread uniformly through the embedding (raw near 0) maps to 1.  A point
+    whose mean distances to its own level and to the nearest other level are
+    both 0 has s_i = 0, the value of (b - a) / max(a, b) wherever a = b.
     """
     Y = ensure_matrix(Y, "Y")
     levels, codes = encode_labels(labels, len(Y))
-    return _silhouette(pairwise_sqdist(Y), levels, codes)
+    counts = _level_counts(levels, codes)
+    return _silhouette(pairwise_sqdist(Y), codes, counts)
 
 
 def _level_counts(levels, codes):
@@ -42,19 +45,20 @@ def _level_counts(levels, codes):
     return counts
 
 
-def _silhouette(sqdist, levels, codes):
-    """silhouette on the embedding's squared distances and encoded labels."""
+def _silhouette(sqdist, codes, counts):
+    """silhouette on the embedding's squared distances, the label codes and
+    each level's count, as _level_counts gives them."""
     n = len(codes)
-    counts = _level_counts(levels, codes)
-    onehot = np.eye(len(levels))[codes]
-    sums = np.empty((n, len(levels)))  # total distance to each level
+    onehot = np.eye(len(counts))[codes]
+    sums = np.empty((n, len(counts)))  # total distance to each level
     for i in range(0, n, _BLOCK_ROWS):
         sums[i : i + _BLOCK_ROWS] = np.sqrt(sqdist[i : i + _BLOCK_ROWS]) @ onehot
     a = sums[np.arange(n), codes] / (counts[codes] - 1)
     means = sums / counts[None, :]
     means[np.arange(n), codes] = np.inf
     b = means.min(axis=1)
-    s = (b - a) / np.maximum(a, b)
+    top = np.maximum(a, b)
+    s = np.divide(b - a, top, out=np.zeros(n), where=top > 0)
     raw = float(s.mean())
     return raw, 1.0 - abs(raw)
 
@@ -164,6 +168,7 @@ def lisi(Y, labels, perplexity=30.0):
     Gaussian neighbor weights; rescaled to [0, 1] by (mean - 1)/(L - 1)."""
     Y = ensure_matrix(Y, "Y")
     levels, codes = encode_labels(labels, len(Y))
+    ensure_perplexity(perplexity, len(Y))
     return _lisi(lisi_weights(pairwise_sqdist(Y), perplexity), levels, codes)
 
 
@@ -237,17 +242,17 @@ class MetricsReport:
 def _evaluate_settings(labelings, n, cfg):
     """evaluate's checks of its labelings of n points and of cfg, which need
     no embedding.  Returns kBET's knn and n_test, and per labeling its
-    levels, codes and kBET's expected counts."""
+    levels, codes, level counts and kBET's expected counts."""
     if not labelings:
         raise ValidationError("need at least one labeling")
     encoded = {}
     for name, labels in labelings.items():
         levels, codes = encode_labels(labels, n)
-        _level_counts(levels, codes)
+        counts = _level_counts(levels, codes)
         knn, n_test, expected = _kbet_settings(
             levels, codes, cfg.knn, cfg.n_test, cfg.alpha, cfg.seed
         )
-        encoded[name] = levels, codes, expected
+        encoded[name] = levels, codes, counts, expected
         # after the first labeling's checks, before the second's
         ensure_perplexity(cfg.lisi_perplexity, n, "lisi_perplexity")
     return knn, n_test, encoded
@@ -267,8 +272,8 @@ def evaluate(Y, labelings, cfg=MetricsConfig()):
     neigh = _kbet_neighbours(sqdist, knn, n_test, cfg.seed)
     weights = lisi_weights(sqdist, cfg.lisi_perplexity)
     records = []
-    for name, (levels, codes, expected) in encoded.items():
-        sil_raw, sil_resc = _silhouette(sqdist, levels, codes)
+    for name, (levels, codes, counts, expected) in encoded.items():
+        sil_raw, sil_resc = _silhouette(sqdist, codes, counts)
         kbet = _kbet(neigh, codes, expected, cfg.alpha)
         lisi_mean, lisi_resc = _lisi(weights, levels, codes)
         pcr = _pc_regression(Y, levels, codes)

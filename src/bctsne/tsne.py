@@ -163,23 +163,24 @@ def _bisect(x, lo, hi, wide, reach):
     return lo, hi, np.where(np.isfinite(lo) & np.isfinite(hi), (lo + hi) / 2.0, step)
 
 
-def _locate(d, perplexity):
-    """Log-bandwidths (low, high) per row of d, a block's distances without
-    each row's own entry, between which the row reaches its target
-    perplexity; nan for a row left unsolved.
+def _locate(d, nearest, perplexity):
+    """Log-bandwidths (low, high) per row of d, between which the row reaches
+    its target perplexity; nan, the one mark of no window, for a row left
+    unsolved.  d holds a block's distances without each row's own entry,
+    each row already shifted by its least distance, nearest.
 
     Newton's method on the log-perplexity H(x) = beta E_p[d] + log Z in
-    x = log sigma^2, with beta = 1 / 2 sigma^2, the distances shifted by the
-    row's minimum and the slope dH/dx = beta^2 Var_p(d), bracketed by the
-    steps it has taken.  It starts from sigma^2 = r^2 / 2e, r^2 being the
-    ceil(perplexity)-th nearest distance: around a point of 2-D data at even
-    density rho, a Gaussian of bandwidth sigma^2 has perplexity
-    P = 2 pi e sigma^2 rho, and the disk that holds the P nearest points has
-    pi r^2 rho = P.  The start is only a hint, as is the floor of -700 put
-    under each term -beta d before exp: below about -708 exp is many times
-    slower and its results are subnormal or 0, and e^-700 is 1e-304 of the
-    row's largest term, 1.  Neither moves sigma^2, which the certified
-    edges and the replay in calibrate_bandwidths decide.
+    x = log sigma^2, with beta = 1 / 2 sigma^2 and the slope
+    dH/dx = beta^2 Var_p(d), bracketed by the steps it has taken.  It starts
+    from sigma^2 = r^2 / 2e, r^2 being the ceil(perplexity)-th nearest
+    distance: around a point of 2-D data at even density rho, a Gaussian of
+    bandwidth sigma^2 has perplexity P = 2 pi e sigma^2 rho, and the disk
+    that holds the P nearest points has pi r^2 rho = P.  The start is only a
+    hint, as is the floor of -700 put under each term -beta d before exp:
+    below about -708 exp is many times slower and its results are subnormal
+    or 0, and e^-700 is 1e-304 of the row's largest term, 1.  Neither moves
+    sigma^2, which the certified edges and the replay in calibrate_bandwidths
+    decide.
 
     At the root x*, perplexity moves by about perplexity * dH/dx per unit
     of x, so it stays within _TOL of the target on x* -+ w with
@@ -193,8 +194,6 @@ def _locate(d, perplexity):
     by rounding error alone.
     """
     edges = np.full((2, len(d)), np.nan)
-    nearest = d.min(axis=1)
-    d = d - nearest[:, None]
     k = int(np.ceil(perplexity))
     kth = np.partition(d, k - 1, axis=1)[:, k - 1]
     rows = np.flatnonzero(kth > 0)
@@ -275,6 +274,9 @@ def _calibrate(D, perplexity, conditional):
     lands within _TOL, or the check of a row out of steps.  So the rows come
     from the search itself, with no row formed again.  Their array is made
     once the replay starts, after the Newton solve's scratch is freed.
+
+    A nan window, left by _locate or by a failed certification, is the one
+    "no window": no comparison with nan is true, so it decides no step.
     """
     D = ensure_matrix(D, "D")
     n = D.shape[0]
@@ -286,27 +288,25 @@ def _calibrate(D, perplexity, conditional):
     for i in range(0, n, _BLOCK_ROWS):
         block = np.arange(i, min(i + _BLOCK_ROWS, n))
         d = _offdiag(D, block)
-        duplicates = block[np.all(d == 0, axis=1)]
-        if duplicates.size:
-            raise ValidationError(
-                f"row {duplicates[0]} has zero distance to every other point "
-                "(duplicates)"
-            )
         start[block] = d.mean(axis=1)
         nearest[block] = d.min(axis=1)
         for j in np.flatnonzero(nearest[block] <= 0):
-            start[block[j]] = d[j][d[j] > 0].mean()
-        edges[:, block] = _locate(d, perplexity)
+            if nearest[block[j]] < 0:
+                raise ValidationError(f"row {block[j]} has a negative distance to another point")
+            positive = d[j][d[j] > 0]
+            if not positive.size:
+                raise ValidationError(
+                    f"row {block[j]} has zero distance to every other point (duplicates)"
+                )
+            start[block[j]] = positive.mean()
+        d -= nearest[block, None]
+        edges[:, block] = _locate(d, nearest[block], perplexity)
     del d  # freed before the rows' array is made
-    located = np.flatnonzero(np.isfinite(edges).all(axis=0))
+    located = np.flatnonzero(~np.isnan(edges[0]))
     low, high = (_row_perplexities(D, located, np.exp(edge[located]), nearest[located])
                  for edge in edges)
-    certified = np.zeros(n, dtype=bool)
-    certified[located] = (low <= perplexity - (1.0 + _MARGIN / 2) * _TOL) & (
-        high >= perplexity + (1.0 + _MARGIN / 2) * _TOL
-    )
-    # an uncertified row has every step evaluated
-    edges[:, ~certified] = [[-np.inf], [np.inf]]
+    margin = (1.0 + _MARGIN / 2) * _TOL
+    edges[:, located[~((low <= perplexity - margin) & (high >= perplexity + margin))]] = np.nan
     x = np.log(start)
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
@@ -354,6 +354,7 @@ def input_affinities(X, perplexity):
     n = X.shape[0]
     if n < 4:
         raise ValidationError("need at least 4 points")
+    ensure_perplexity(perplexity, n)
     D = pairwise_sqdist(X)
     sigma2, cond = _calibrate(D, perplexity, True)
     del D  # at most two n x n arrays are alive at any time
@@ -494,14 +495,17 @@ def kl_gradient(P, Y, exaggeration=1.0, *, kl=False):
     One pass over the tiles of `_Kernel` sums it as 4 (exaggeration A - R / Z),
     with A_i = sum_j p_ij w_ij (y_i - y_j), R_i = sum_j w_ij^2 (y_i - y_j) and
     Z = sum_{i != j} w_ij (van der Maaten 2014, JMLR 15), so no n x n array is
-    built.  P must be symmetric, as is checked: the pass reads it only in the
-    tiles at and above the diagonal, and uses each p_ij for rows i and j.  The
-    same tiles give KL = sum p (log max(p, PROB_FLOOR) - log w) + log Z sum p.
+    built.  P must be finite, non-negative and symmetric, as is checked: the
+    pass reads it only in the tiles at and above the diagonal, and uses each
+    p_ij for rows i and j.  The same tiles give
+    KL = sum p (log max(p, PROB_FLOOR) - log w) + log Z sum p.
     """
-    P, Y = np.asarray(P, dtype=np.float64), ensure_matrix(Y, "Y")
+    P, Y = ensure_matrix(P, "P"), ensure_matrix(Y, "Y")
     n = Y.shape[0]
     if P.shape != (n, n):
         raise ValidationError(f"P must be {n} x {n} to match Y; got {P.shape}")
+    if (P < 0).any():
+        raise ValidationError("P has negative entries")
     if not np.array_equal(P, P.T):
         raise ValidationError("P must be symmetric")
     return _Kernel(P, Y.shape[1])(Y, exaggeration, kl)

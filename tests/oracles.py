@@ -76,7 +76,8 @@ def silhouette_oracle(Y, codes):
             for c in set(codes)
             if c != codes[i]
         )
-        s[i] = (b - a) / max(a, b)
+        # 0 where a = b = 0, the value of (b - a) / max(a, b) wherever a = b
+        s[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
     return s.mean()
 
 

@@ -264,6 +264,20 @@ class TestEvaluateAndPlot:
         assert "lisi_perplexity" in err and "n=20" in err
         assert not report.exists()
 
+    def test_embedding_of_equal_rows_fails_cleanly(self, dataset, embedding,
+                                                   tmp_path, capsys):
+        # every point at one place: LISI's calibration refuses the duplicates
+        _, labels = dataset
+        Y, ids = read_embedding_csv(embedding)
+        equal, report = tmp_path / "equal.csv", tmp_path / "report.csv"
+        write_embedding_csv(np.ones_like(Y), ids, equal)
+        rc = main(["evaluate", str(equal), str(labels), "--out", str(report)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValidationError: ") and err.count("\n") == 1
+        assert "duplicates" in err
+        assert not report.exists()
+
     def test_plot_legend_and_determinism(self, dataset, embedding, tmp_path):
         _, labels = dataset
         svgs = []

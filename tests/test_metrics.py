@@ -7,6 +7,7 @@ import pytest
 
 import bctsne.metrics
 from bctsne import (
+    CalibrationWarning,
     DomainError,
     MetricsConfig,
     ValidationError,
@@ -31,6 +32,26 @@ def kbet_layouts():
     smooth = rng.standard_normal((150, 2)) + 1.5 * batch[:, None]
     grid = np.round(smooth)  # many equal distances, also at the k-th neighbour
     return {"tie_free": smooth, "tied": grid}, [f"b{b}" for b in batch]
+
+
+def collapsed_layout():
+    """60 points labelled a, b, c in turn: a and b at the origin, c drawn
+    from N(5, 1) in 2-D."""
+    labels = ["abc"[i % 3] for i in range(60)]
+    Y = np.zeros((60, 2))
+    Y[2::3] = np.random.default_rng(42).normal(5.0, 1.0, (20, 2))
+    return Y, labels
+
+
+def peak_before_refusal(call, error, match):
+    """The tracemalloc peak, in bytes, of call up to its expected error."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSilhouette:
@@ -75,6 +96,14 @@ class TestSilhouette:
         Y = np.zeros((4, 2)) + np.arange(4)[:, None]
         with pytest.raises(ValidationError):
             silhouette(Y, ["a", "a", "a", "b"])
+
+    def test_collapsed_levels_give_zero_width(self):
+        # a and b share the origin, so a_i = b_i = 0 for their points, whose
+        # width is 0 (it was 0 / 0 = nan); c's points keep theirs
+        Y, labels = collapsed_layout()
+        raw, rescaled = silhouette(Y, labels)
+        assert raw == pytest.approx(silhouette_oracle(Y, labels), abs=1e-12)
+        assert 0.0 < raw < 1.0 and rescaled == 1.0 - raw
 
 
 class TestKbet:
@@ -220,6 +249,13 @@ class TestLisi:
         mean_raw, rescaled = lisi(Y, labels, perplexity=20)
         assert mean_raw == pytest.approx(1.0, abs=0.01)
         assert rescaled < 0.01
+
+    def test_perplexity_checked_before_the_distances(self):
+        # the n x n distances of 2000 points take 32 MB
+        Y = np.random.default_rng(43).standard_normal((2000, 2))
+        peak = peak_before_refusal(lambda: lisi(Y, (np.arange(2000) % 3).tolist(), 5000.0),
+                                   DomainError, "perplexity")
+        assert peak < 1024 * 1024, peak
 
     def test_labels_checked_before_the_weights(self, monkeypatch):
         # so a wrong labeling is named before an out-of-range perplexity, and
@@ -399,6 +435,23 @@ class TestEvaluate:
         Y = np.random.default_rng(14).standard_normal((40, 2))
         with pytest.raises(ValidationError, match="labels length"):
             metric(Y, ["a", "b"] * 19 + ["a"])
+
+    def test_silhouette_levels_checked_before_any_distance(self):
+        # the n x n distances of 2000 points take 32 MB
+        Y = np.random.default_rng(44).standard_normal((2000, 2))
+        peak = peak_before_refusal(lambda: silhouette(Y, ["a"] * 2000), ValidationError,
+                                   "^silhouette needs at least 2 label levels$")
+        assert peak < 1024 * 1024, peak
+
+    def test_collapsed_levels_report_a_finite_silhouette(self):
+        # a and b at one point gave SIL nan, with only numpy's RuntimeWarning
+        # to show it; the calibration of their 40 rows cannot reach
+        # perplexity 5, and says so
+        Y, labels = collapsed_layout()
+        with pytest.warns(CalibrationWarning):
+            report = evaluate(Y, {"abc": labels}, MetricsConfig(lisi_perplexity=5))
+        assert report.rows()[0] == ("abc", "silhouette", *silhouette(Y, labels))
+        assert "nan" not in report.format_table()
 
     def test_no_labeling_rejected_before_any_distance(self, monkeypatch):
         def refuse(Y):

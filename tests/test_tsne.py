@@ -134,8 +134,9 @@ def count_gaussian_rows(monkeypatch):
 def locate_blocks(D, perplexity):
     """_locate on D's blocks of 128 rows, as calibrate_bandwidths runs it."""
     for i in range(0, len(D), _BLOCK_ROWS):
-        bctsne.tsne._locate(_offdiag(D, np.arange(i, min(i + _BLOCK_ROWS, len(D)))),
-                            perplexity)
+        d = _offdiag(D, np.arange(i, min(i + _BLOCK_ROWS, len(D))))
+        nearest = d.min(axis=1)
+        bctsne.tsne._locate(d - nearest[:, None], nearest, perplexity)
 
 
 def newton_steps_per_row(monkeypatch, D, perplexity):
@@ -215,9 +216,28 @@ class TestCalibrateBandwidths:
             calibrate_bandwidths(np.zeros((4, 5)), 2.0)
 
     def test_duplicate_rows_rejected(self):
-        D = np.zeros((4, 4))
-        with pytest.raises(ValidationError, match="row 0"):
-            calibrate_bandwidths(D, 2.0)
+        duplicates = r"^row 0 has zero distance to every other point \(duplicates\)$"
+        for call in (lambda: calibrate_bandwidths(np.zeros((4, 4)), 2.0),
+                     lambda: calibrate_bandwidths(pairwise_sqdist(np.full((6, 3), 2.5)), 2.0),
+                     lambda: input_affinities(np.zeros((10, 2)), 3.0)):
+            with pytest.raises(ValidationError, match=duplicates):
+                call()
+
+    def test_negative_distances_rejected(self):
+        # the least distance of each row names the first with a negative
+        # entry; -D gave all-nan bandwidths with numpy's warnings alone, and
+        # D - 1 or D - 5 gave numbers
+        D = pairwise_sqdist(np.random.default_rng(40).standard_normal((50, 3)))
+        one = D.copy()
+        one[7, 3] = one[3, 7] = -1e-3
+        for call, row in ((lambda: calibrate_bandwidths(-D, 10.0), 0),
+                          (lambda: calibrate_bandwidths(one, 10.0), 3),
+                          (lambda: lisi_weights(one, 10.0), 3)):
+            with pytest.raises(ValidationError,
+                               match=f"^row {row} has a negative distance to another point$"):
+                call()
+        with pytest.raises(ValidationError, match="negative distance"):
+            lisi_weights(D - 5.0, 10.0)
 
     @pytest.mark.parametrize("perplexity, name", [
         *((p, name) for p in (2.5, 8.0) for name in sorted(CALIBRATION_INPUTS)),
@@ -352,8 +372,8 @@ class TestCalibrateBandwidths:
         # plain search, and the result is the oracle's
         locate = bctsne.tsne._locate
 
-        def misplaced(d, perplexity):
-            edges = locate(d, perplexity)
+        def misplaced(d, nearest, perplexity):
+            edges = locate(d, nearest, perplexity)
             return np.full_like(edges, np.nan) if shift is None else edges + shift
 
         monkeypatch.setattr(bctsne.tsne, "_locate", misplaced)
@@ -522,6 +542,18 @@ class TestInputAffinities:
     def test_too_few_points(self):
         with pytest.raises(ValidationError):
             input_affinities(np.eye(3), 2.0)
+
+    def test_perplexity_checked_before_the_distances(self):
+        # the n x n distances of 2000 points take 32 MB
+        X = np.random.default_rng(41).standard_normal((2000, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="perplexity"):
+                input_affinities(X, 5000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024, peak
 
     def test_no_subnormal_entries(self):
         # two blobs far enough apart that exp underflows into subnormals for
@@ -717,6 +749,18 @@ class TestKlGradient:
         for p in (P, P.T):
             with pytest.raises(ValidationError, match="^P must be symmetric$"):
                 kl_gradient(p, Y)
+
+    @pytest.mark.parametrize("fill, message", [
+        (np.nan, "^P contains non-finite entries$"),
+        (np.inf, "^P contains non-finite entries$"),
+        (-1.0, "^P has negative entries$"),
+    ])
+    def test_non_finite_or_negative_p_rejected(self, fill, message):
+        # each of these P is symmetric: a nan P was refused as asymmetric, and
+        # a negative one gave a gradient
+        Y = np.random.default_rng(39).standard_normal((50, 2))
+        with pytest.raises(ValidationError, match=message):
+            kl_gradient(np.full((50, 50), fill), Y)
 
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("kl", [False, True])

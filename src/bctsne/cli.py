@@ -174,7 +174,7 @@ def _add_evaluate(sub):
 
 def cmd_evaluate(args):
     Y, ids = matrixio.read_embedding_csv(args.embedding)
-    table = matrixio.read_labels_csv(args.labels, ids, args.labelings or None)
+    table = matrixio.read_labels_csv(args.labels, ids, args.labelings)
     report = evaluate(Y, table, _config(MetricsConfig, args))
     matrixio.write_report_csv(report, args.out)
     print(report.format_table())

@@ -42,14 +42,19 @@ def ensure_index(value, name, low, high=None):
 
 
 def pairwise_sqdist(A):
-    """Symmetric matrix of squared Euclidean distances between rows of A."""
+    """Symmetric matrix of squared Euclidean distances between rows of A;
+    rows so far apart that a distance overflows float64 raise
+    ValidationError."""
     A = ensure_matrix(A, "A")
     # numpy hands A @ A.T to BLAS syrk, whose result is exactly symmetric,
     # only when A has a unit stride; D then needs no symmetrisation
     if A.itemsize not in A.strides:
         A = A.copy()
-    sq = np.einsum("ij,ij->i", A, A)
-    D = sq[:, None] + sq[None, :] - 2.0 * (A @ A.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", A, A)
+        D = sq[:, None] + sq[None, :] - 2.0 * (A @ A.T)
+    if not np.isfinite(D).all():
+        raise ValidationError("squared distances overflow float64")
     np.maximum(D, 0.0, out=D)  # clamp negatives from cancellation
     np.fill_diagonal(D, 0.0)
     return D

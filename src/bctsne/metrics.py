@@ -156,24 +156,18 @@ def _kbet(neigh, codes, expected, alpha):
     return accepted / n_test
 
 
-def lisi_weights(sqdist, perplexity=30.0):
-    """LISI's neighbour weights: Gaussian conditional probabilities with
-    bandwidths calibrated to the perplexity on squared distances sqdist, as
-    calibrate_bandwidths' search leaves them."""
-    return _calibrate(sqdist, perplexity, True)[1]
-
-
 def lisi(Y, labels, perplexity=30.0):
     """Mean inverse Simpson index of labels under perplexity-calibrated
-    Gaussian neighbor weights; rescaled to [0, 1] by (mean - 1)/(L - 1)."""
+    Gaussian neighbor weights, the conditional rows that the bandwidth
+    search leaves; rescaled to [0, 1] by (mean - 1)/(L - 1)."""
     Y = ensure_matrix(Y, "Y")
     levels, codes = encode_labels(labels, len(Y))
     ensure_perplexity(perplexity, len(Y))
-    return _lisi(lisi_weights(pairwise_sqdist(Y), perplexity), levels, codes)
+    return _lisi(_calibrate(pairwise_sqdist(Y), perplexity, True)[1], levels, codes)
 
 
 def _lisi(W, levels, codes):
-    """lisi under the embedding's weights W = lisi_weights and encoded labels."""
+    """lisi under the embedding's neighbour weights W and encoded labels."""
     onehot = np.eye(len(levels))[codes]
     per_level = W @ onehot
     simpson = np.sum(per_level**2, axis=1)
@@ -270,7 +264,7 @@ def evaluate(Y, labelings, cfg=MetricsConfig()):
     knn, n_test, encoded = _evaluate_settings(labelings, len(Y), cfg)
     sqdist = pairwise_sqdist(Y)
     neigh = _kbet_neighbours(sqdist, knn, n_test, cfg.seed)
-    weights = lisi_weights(sqdist, cfg.lisi_perplexity)
+    weights = _calibrate(sqdist, cfg.lisi_perplexity, True)[1]
     records = []
     for name, (levels, codes, counts, expected) in encoded.items():
         sil_raw, sil_resc = _silhouette(sqdist, codes, counts)

@@ -16,11 +16,11 @@ from .errors import (CalibrationWarning, DomainError, OptimizerError,
 from .linalg import _BLOCK_ROWS, ensure_index, ensure_matrix, pairwise_sqdist
 
 PROB_FLOOR = 1e-12
-# calibrate_bandwidths' search ends for a row when its perplexity is within
+# _calibrate's search ends for a row when its perplexity is within
 # _TOL of the target, and for all rows after _MAX_ITER steps
 _TOL = 1e-5
 _MAX_ITER = 200
-# calibrate_bandwidths certifies a window per row: its edges lie _MARGIN of
+# _calibrate certifies a window per row: its edges lie _MARGIN of
 # its half width beyond where the perplexity leaves target -+ _TOL, and the
 # perplexities evaluated there must lie at least _MARGIN / 2 of _TOL beyond
 # target -+ _TOL.  An evaluated perplexity is taken to be off by at most
@@ -179,8 +179,7 @@ def _locate(d, nearest, perplexity):
     hint, as is the floor of -700 put under each term -beta d before exp:
     below about -708 exp is many times slower and its results are subnormal
     or 0, and e^-700 is 1e-304 of the row's largest term, 1.  Neither moves
-    sigma^2, which the certified edges and the replay in calibrate_bandwidths
-    decide.
+    sigma^2, which the certified edges and the replay in _calibrate decide.
 
     At the root x*, perplexity moves by about perplexity * dH/dx per unit
     of x, so it stays within _TOL of the target on x* -+ w with
@@ -243,8 +242,10 @@ def _locate(d, nearest, perplexity):
     return edges
 
 
-def calibrate_bandwidths(D, perplexity):
-    """Per-point bandwidth sigma^2 matching the target perplexity.
+def _calibrate(D, perplexity, conditional):
+    """Per-point bandwidth sigma^2 matching the target perplexity on the
+    squared distances D and, with conditional, the n x n Gaussian
+    conditional rows at that sigma^2 (else None).
 
     Binary search over log(sigma^2) with expanding brackets, run on all rows
     at once; a row leaves the search when its achieved perplexity is within
@@ -261,27 +262,16 @@ def calibrate_bandwidths(D, perplexity):
     and evaluated, so sigma^2 is that of the plain search to the last bit as
     long as the evaluated perplexity rises with the bandwidth, which it does
     to far within the certification margin.  Decided steps are taken first,
-    and one call then evaluates every row where it stands.
-    """
-    return _calibrate(D, perplexity, False)[0]
-
-
-def _calibrate(D, perplexity, conditional):
-    """calibrate_bandwidths' sigma^2 and, with conditional, the n x n
-    Gaussian conditional rows at that sigma^2 (else None).
+    and one call then evaluates every row where it stands.  A nan window,
+    left by _locate or by a failed certification, is the one "no window": no
+    comparison with nan is true, so it decides no step.
 
     A row's last evaluated step is at its returned sigma^2: the step where it
     lands within _TOL, or the check of a row out of steps.  So the rows come
     from the search itself, with no row formed again.  Their array is made
     once the replay starts, after the Newton solve's scratch is freed.
-
-    A nan window, left by _locate or by a failed certification, is the one
-    "no window": no comparison with nan is true, so it decides no step.
     """
-    D = ensure_matrix(D, "D")
-    n = D.shape[0]
-    if D.shape[1] != n:
-        raise ValidationError("distance matrix must be square")
+    n = len(D)
     ensure_perplexity(perplexity, n)
     start, nearest = np.empty((2, n))
     edges = np.empty((2, n))
@@ -290,9 +280,7 @@ def _calibrate(D, perplexity, conditional):
         d = _offdiag(D, block)
         start[block] = d.mean(axis=1)
         nearest[block] = d.min(axis=1)
-        for j in np.flatnonzero(nearest[block] <= 0):
-            if nearest[block[j]] < 0:
-                raise ValidationError(f"row {block[j]} has a negative distance to another point")
+        for j in np.flatnonzero(nearest[block] == 0):
             positive = d[j][d[j] > 0]
             if not positive.size:
                 raise ValidationError(
@@ -366,9 +354,18 @@ def input_affinities(X, perplexity):
 
 
 class _Kernel:
-    """The exact pass of `kl_gradient` for one P and one embedding width,
-    with its scratch and its walk over the tiles built once: each call copies
-    Y in, refills the scratch in place and walks the plan.
+    """The t-SNE gradient 4 sum_j (exaggeration * p_ij - q_ij) w_ij (y_i - y_j),
+    at exaggeration 1 that of KL(P || Q) in Y, and with kl the pair
+    (gradient, KL), for one P and one embedding width.  The scratch and the
+    walk over the tiles are built once; each call copies Y in, refills the
+    scratch in place and walks the plan.
+
+    One pass sums the gradient as 4 (exaggeration A - R / Z), with
+    A_i = sum_j p_ij w_ij (y_i - y_j), R_i = sum_j w_ij^2 (y_i - y_j) and
+    Z = sum_{i != j} w_ij (van der Maaten 2014, JMLR 15), and the KL as
+    sum p (log max(p, PROB_FLOOR) - log w) + log Z sum p, with no n x n
+    array.  P is the package's symmetric input affinities: the pass reads it
+    only at and above the diagonal, and uses each p_ij for rows i and j.
 
     The plan pairs every row tile I with the panels J of the columns from I's
     first row on, so each pair i != j is seen once or, inside the tile's own
@@ -390,8 +387,6 @@ class _Kernel:
 
     def __init__(self, P, dims):
         n = len(P)
-        if n < 2:
-            raise ValidationError("need at least 2 points")
         self.p_sum = P.sum()
         self.Y = np.empty((n, dims))
         # BLAS forms 1 + |y_i|^2 + |y_j|^2 exactly as the sum (1 + |y_i|^2) + |y_j|^2
@@ -485,30 +480,6 @@ class _Kernel:
         coef = np.subtract(attract, repulse, out=attract)
         grad = coef[:, -1:] * Y - coef[:, :-1]
         return (grad, max(float(plogpw + self.p_sum * np.log(Z)), 0.0)) if kl else grad
-
-
-def kl_gradient(P, Y, exaggeration=1.0, *, kl=False):
-    """t-SNE gradient 4 sum_j (exaggeration * p_ij - q_ij) w_ij (y_i - y_j),
-    which at exaggeration 1 is the gradient of KL(P || Q) in Y; with kl, the
-    pair (gradient, KL).
-
-    One pass over the tiles of `_Kernel` sums it as 4 (exaggeration A - R / Z),
-    with A_i = sum_j p_ij w_ij (y_i - y_j), R_i = sum_j w_ij^2 (y_i - y_j) and
-    Z = sum_{i != j} w_ij (van der Maaten 2014, JMLR 15), so no n x n array is
-    built.  P must be finite, non-negative and symmetric, as is checked: the
-    pass reads it only in the tiles at and above the diagonal, and uses each
-    p_ij for rows i and j.  The same tiles give
-    KL = sum p (log max(p, PROB_FLOOR) - log w) + log Z sum p.
-    """
-    P, Y = ensure_matrix(P, "P"), ensure_matrix(Y, "Y")
-    n = Y.shape[0]
-    if P.shape != (n, n):
-        raise ValidationError(f"P must be {n} x {n} to match Y; got {P.shape}")
-    if (P < 0).any():
-        raise ValidationError("P has negative entries")
-    if not np.array_equal(P, P.T):
-        raise ValidationError("P must be symmetric")
-    return _Kernel(P, Y.shape[1])(Y, exaggeration, kl)
 
 
 def run_tsne(X, cfg, projector=None, on_trace=None):

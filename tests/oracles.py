@@ -19,7 +19,7 @@ from bctsne.simulate import (
     _LIB_SIZE_LOCATION,
     _LIB_SIZE_SCALE,
 )
-from bctsne.tsne import PROB_FLOOR, input_affinities, kl_gradient
+from bctsne.tsne import PROB_FLOOR, _Kernel, input_affinities
 
 
 def literal_input_affinities(X, sigma2):
@@ -287,7 +287,7 @@ def reference_tiles(Y):
 
 def reference_tiled_gradient(P, Y, exaggeration=1.0, kl=False):
     """The gradient, or with kl the pair (gradient, KL), as the package's
-    kl_gradient summed it over `reference_tiles` with scratch allocated per
+    kernel summed it over `reference_tiles` with scratch allocated per
     call; the kernel built once per run must match it bit for bit."""
     P, Y = np.asarray(P, dtype=np.float64), np.asarray(Y, dtype=np.float64)
     n, dims = Y.shape
@@ -385,7 +385,7 @@ def reference_run_tsne(X, cfg, projector=None, trace_every=50):
     trace = []
     for t in range(cfg.n_iter):
         factor = cfg.exaggeration_factor if t < EXAGGERATION_ITERS else 1.0
-        grad = kl_gradient(P, Y, factor)
+        grad = _Kernel(P, cfg.dims)(Y, factor)
         Y, Y_prev, gains = reference_step(Y, Y_prev, gains, grad, t, cfg.eta)
         if projector is not None:
             Y = projector.project(Y)

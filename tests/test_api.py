@@ -16,9 +16,9 @@ import types
 import pytest
 
 import bctsne
-from bctsne import CollinearityError, OptimizerError, matrixio
+from bctsne import CollinearityError, OptimizerError, linalg, matrixio, metrics, tsne
 from bctsne.metrics import kbet_acceptance, lisi, silhouette
-from bctsne.tsne import EmbeddingState, calibrate_bandwidths, run_tsne
+from bctsne.tsne import EmbeddingState, run_tsne
 
 LIBRARY_USE = {"SimSpec", "simulate", "normalize_log1p_cpm", "build_design",
                "pca_reduce", "OptimizerConfig", "run_tsne", "evaluate",
@@ -93,13 +93,27 @@ def test_calibration_and_optimizer_keep_only_what_a_caller_sets():
     def names(f):
         return list(inspect.signature(f).parameters)
 
-    assert names(calibrate_bandwidths) == ["D", "perplexity"]
     assert names(run_tsne) == ["X", "cfg", "projector", "on_trace"]
     assert names(silhouette) == ["Y", "labels"]
     assert names(kbet_acceptance) == ["Y", "batch", "knn", "n_test", "alpha", "seed"]
     assert names(lisi) == ["Y", "labels", "perplexity"]
     assert [f.name for f in dataclasses.fields(EmbeddingState)] == ["Y"]
     assert not hasattr(matrixio, "align_labels")
+
+
+def test_no_public_function_takes_a_matrix_the_package_forms():
+    # squared distances, LISI's weights and the affinities P are formed by
+    # the package alone, so no public function takes one from a caller
+    assert not hasattr(tsne, "calibrate_bandwidths")
+    assert not hasattr(tsne, "kl_gradient")
+    assert not hasattr(metrics, "lisi_weights")
+    for module in (tsne, metrics, linalg):
+        for name, f in vars(module).items():
+            if (name.startswith("_") or not inspect.isfunction(f)
+                    or f.__module__ != module.__name__):
+                continue
+            params = set(inspect.signature(f).parameters)
+            assert not params & {"D", "P", "sqdist", "W"}, (module.__name__, name)
 
 
 @pytest.mark.parametrize("error, attribute", [

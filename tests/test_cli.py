@@ -278,6 +278,19 @@ class TestEvaluateAndPlot:
         assert "duplicates" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("names", ["", ","])
+    def test_empty_labelings_fail_cleanly(self, dataset, embedding, tmp_path, capsys,
+                                          names):
+        # a list of no names is not "every column", which --labelings' absence asks
+        _, labels = dataset
+        report = tmp_path / "report.csv"
+        rc = main(["evaluate", str(embedding), str(labels), "--labelings", names,
+                   "--out", str(report)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValidationError: need at least one labeling\n"
+        assert not report.exists()
+
     def test_plot_legend_and_determinism(self, dataset, embedding, tmp_path):
         _, labels = dataset
         svgs = []

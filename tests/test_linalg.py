@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from bctsne import (
     simulate,
 )
 from bctsne.linalg import ensure_index, pairwise_sqdist
-from bctsne.metrics import kbet_acceptance
+from bctsne.metrics import kbet_acceptance, lisi, silhouette
+from bctsne.tsne import input_affinities
 
 
 def jacobi_svd(A, sweeps=60, tol=1e-14):
@@ -151,6 +154,23 @@ class TestPairwiseSqdist:
         D = pairwise_sqdist(A)
         assert np.array_equal(D, D.T)
         assert np.allclose(D, reference_pairwise_sqdist(A), rtol=1e-12, atol=1e-12)
+
+    def test_overflowing_distances_rejected_by_name(self):
+        # silhouette and kBET scored such points as perfectly mixed, with
+        # numpy's overflow warnings alone, and LISI and the affinities named
+        # a matrix D that no caller passed; at 1e150 nothing overflows
+        Y = np.random.default_rng(42).standard_normal((40, 2))
+        labels = ["a", "b"] * 20
+        calls = (lambda Y: silhouette(Y, labels), lambda Y: kbet_acceptance(Y, labels),
+                 lambda Y: lisi(Y, labels, 10.0), lambda Y: input_affinities(Y, 10.0),
+                 lambda Y: evaluate(Y, {"batch": labels}, MetricsConfig(lisi_perplexity=10.0)))
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError,
+                                   match="^squared distances overflow float64$"):
+                    call(1e160 * Y)
+                call(1e150 * Y)
 
 
 X = np.random.default_rng(10).standard_normal((30, 4))

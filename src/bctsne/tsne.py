@@ -123,7 +123,10 @@ def _gaussian_rows(D, rows, sigma2, nearest, out):
     # rows are in range, so the mode changes no value
     logits = np.take(D, rows, axis=0, out=out, mode="clip")
     logits *= -0.5
-    logits /= sigma2[:, None]
+    # at a row whose least distance is 0, sigma2 may be so small that
+    # -d / 2 sigma2 overflows: -inf is the logit's limit, and its exp is 0
+    with np.errstate(over="ignore"):
+        logits /= sigma2[:, None]
     logits[np.arange(len(rows)), rows] = -np.inf
     logits -= ((-0.5 * nearest) / sigma2)[:, None]
     p = np.exp(logits, out=logits)
@@ -190,7 +193,10 @@ def _locate(d, nearest, perplexity):
     -d / 2 sigma^2, each by a few ulps of beta * d, could move its evaluated
     perplexity by the certification margin: there the evaluated perplexity
     need not rise with the bandwidth, as when the nearest distances differ
-    by rounding error alone.
+    by rounding error alone.  So, last, is a row whose window reaches past
+    x = -+700, where sigma^2 = e^x nears the ends of float64's range; such a
+    window spans a plateau, as for a point with copies when the target
+    perplexity lies just above the count of its copies.
     """
     edges = np.full((2, len(d)), np.nan)
     k = int(np.ceil(perplexity))
@@ -225,7 +231,7 @@ def _locate(d, nearest, perplexity):
                 w = (1.0 + _MARGIN) * _TOL / (perplexity * slope[done])
                 beta_low = 0.5 * np.exp(w - root)
                 rounding = _ROUNDING * perplexity * (1.0 + beta_low * nearest[solved])
-                fine = rounding <= 0.5 * _MARGIN * _TOL
+                fine = (rounding <= 0.5 * _MARGIN * _TOL) & (np.abs(root) + w <= 700.0)
                 edges[:, solved[fine]] = (root - w)[fine], (root + w)[fine]
             # a non-finite sum or a flat row drops out, unsolved
             keep = ~done & np.isfinite(f) & (slope > 0)

@@ -251,6 +251,22 @@ class TestCalibrateBandwidths:
         oracle = calibrate_bandwidths_loop(D, perplexity, max_iter=max_iter)
         assert sigma2.tobytes() == oracle.tobytes()
 
+    def test_coincident_points_just_above_perplexity_two(self):
+        # points 0, 6 and 7 coincide, so their perplexity falls to 2 as
+        # sigma^2 goes to 0 and is flat just above 2: their window would
+        # reach from x = log sigma^2 of about -707 to 706, where -d / 2 sigma^2
+        # overflows or, 10 times as far apart, e^x does
+        X = np.random.default_rng(49).standard_normal((8, 3))
+        X[6:] = X[0]
+        perplexity = np.nextafter(2.0, 3.0)
+        for scale in (1.0, 10.0):
+            D = pairwise_sqdist(scale * X)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CalibrationWarning)
+                sigma2 = bandwidths(D, perplexity)
+            oracle = calibrate_bandwidths_loop(D, perplexity)
+            assert sigma2.tobytes() == oracle.tobytes(), scale
+
     def test_rounding_duplicates_left_to_the_plain_search(self):
         # each of 10 points has a copy off by rounding error: at the bandwidth
         # that separates the two, the evaluated perplexity jumps up and down

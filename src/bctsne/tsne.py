@@ -20,15 +20,15 @@ PROB_FLOOR = 1e-12
 # _TOL of the target, and for all rows after _MAX_ITER steps
 _TOL = 1e-5
 _MAX_ITER = 200
-# _calibrate certifies a window per row: its edges lie _MARGIN of
-# its half width beyond where the perplexity leaves target -+ _TOL, and the
-# perplexities evaluated there must lie at least _MARGIN / 2 of _TOL beyond
-# target -+ _TOL.  An evaluated perplexity is taken to be off by at most
-# _ROUNDING * perplexity * (1 + beta d_min), beta d_min being the size of the
-# row's largest logit, and a row where that could reach the margin is not
-# certified.  The Newton solve that places the windows takes at most
-# _NEWTON_STEPS steps, each of at most _NEWTON_REACH in log(sigma^2), and
-# stops at a step of at most _NEWTON_STOP.
+# _locate proves a window per row: its edges lie _MARGIN of its half width
+# beyond where the perplexity leaves target -+ _TOL, and the proof must put
+# the perplexities evaluated there at least _MARGIN / 2 of _TOL beyond
+# target -+ _TOL.  Each log-perplexity the proof rests on, the Newton
+# solve's and the one _row_perplexities evaluates, is taken to be off by at
+# most _ROUNDING * (1 + beta d_min), beta d_min being the size of the row's
+# largest logit (0 in the solve's shifted distances).  The Newton solve that
+# places the windows takes at most _NEWTON_STEPS steps, each of at most
+# _NEWTON_REACH in log(sigma^2), and stops at a step of at most _NEWTON_STOP.
 _MARGIN = 1e-3
 _ROUNDING = 64 * np.finfo(np.float64).eps
 _NEWTON_STEPS = 50
@@ -166,11 +166,49 @@ def _bisect(x, lo, hi, wide, reach):
     return lo, hi, np.where(np.isfinite(lo) & np.isfinite(hi), (lo + hi) / 2.0, step)
 
 
+def _prove(x, f, slope, kappa3, far, nearest, n, perplexity):
+    """The proof of _locate's windows, for rows whose Newton solve stopped at
+    x with sums f, slope and kappa3 there, far and nearest being each row's
+    largest shifted and least distance and n the number of points: the
+    edges (low, high) per row, or nan where an edge's bound does not clear
+    target -+ (1 + _MARGIN / 2) _TOL.
+
+    The raw moments behind f, slope and kappa3 lose at most a few ulps times
+    n to cancellation, since the nearest term, at u = 0, holds 1 / n of the
+    row or more; that lies far inside the allowance.  Also unproved is a row
+    whose terms under the floor, which the solve sums as e^-700 in place of
+    e^-u, could move its sums by an ulp, (n - 1) e^-700 (1 + beta far)^3 >
+    eps, and one whose window reaches past x = -+700, where sigma^2 = e^x
+    nears the ends of float64's range; such a window spans a plateau, as
+    for a point with copies when the target lies just above their count.
+    """
+    beta = 0.5 * np.exp(-x)
+    w = (1.0 + _MARGIN) * _TOL / (perplexity * slope)
+    bias = (n - 1) * PROB_FLOOR / np.e
+    edges = x - f / slope + np.array([-w, w + bias / slope])
+    t = edges - x
+    a = kappa3 / slope - 2.0
+    u = np.minimum(beta * far * np.exp(np.abs(t)), 700.0)
+    curve = u * (1.0 + 2.0 * u) * t * t
+    q = np.abs(a * t) + curve / 2.0
+    error = slope * np.abs(t) * (curve / 6.0 + q * q * np.exp(q) / 2.0)
+    error += _ROUNDING * (2.0 + 0.5 * np.exp(-edges[0]) * nearest)
+    # the greatest log-perplexity less the target at low, the least at high
+    low, high = f + slope * t * (1.0 + a * t / 2.0) + np.array([[1.0], [-1.0]]) * error
+    margin = (1.0 + _MARGIN / 2) * _TOL
+    proved = ((low <= np.log1p(-margin / perplexity))
+              & (high - bias >= np.log1p(margin / perplexity))
+              & ((n - 1) * np.exp(-700.0) * (1.0 + beta * far) ** 3 <= np.finfo(float).eps)
+              & (np.abs(edges).max(axis=0) <= 700.0))
+    return np.where(proved, edges, np.nan)
+
+
 def _locate(d, nearest, perplexity):
-    """Log-bandwidths (low, high) per row of d, between which the row reaches
-    its target perplexity; nan, the one mark of no window, for a row left
-    unsolved.  d holds a block's distances without each row's own entry,
-    each row already shifted by its least distance, nearest.
+    """Proved log-bandwidths (low, high) per row of d, between which the row
+    reaches its target perplexity; nan, the one mark of no window, for a row
+    left unsolved or unproved.  d holds a block's distances without each
+    row's own entry, each row already shifted by its least distance,
+    nearest.
 
     Newton's method on the log-perplexity H(x) = beta E_p[d] + log Z in
     x = log sigma^2, with beta = 1 / 2 sigma^2 and the slope
@@ -182,31 +220,54 @@ def _locate(d, nearest, perplexity):
     hint, as is the floor of -700 put under each term -beta d before exp:
     below about -708 exp is many times slower and its results are subnormal
     or 0, and e^-700 is 1e-304 of the row's largest term, 1.  Neither moves
-    sigma^2, which the certified edges and the replay in _calibrate decide.
+    sigma^2, which the replay in _calibrate decides.  A row whose
+    ceil(perplexity) nearest distances tie has no root and is left
+    unsolved, as is one whose solve does not converge.
 
-    At the root x*, perplexity moves by about perplexity * dH/dx per unit
-    of x, so it stays within _TOL of the target on x* -+ w with
-    w = _TOL / (perplexity * dH/dx); the edges are x* -+ (1 + _MARGIN) w.
-    A row whose ceil(perplexity) nearest distances tie has no root and is
-    left unsolved, as is one whose solve does not converge.  So is a row
-    whose root needs so narrow a bandwidth that rounding its logits
-    -d / 2 sigma^2, each by a few ulps of beta * d, could move its evaluated
-    perplexity by the certification margin: there the evaluated perplexity
-    need not rise with the bandwidth, as when the nearest distances differ
-    by rounding error alone.  So, last, is a row whose window reaches past
-    x = -+700, where sigma^2 = e^x nears the ends of float64's range; such a
-    window spans a plateau, as for a point with copies when the target
-    perplexity lies just above the count of its copies.
+    Each row is proved (by _prove) from the sums of the step where its solve
+    stops, at x: f = H(x) - log(perplexity), the slope s = H'(x) and kappa_3,
+    the third central moment of u = beta d, formed at a step only when a row
+    stops there.  In u, H' = Var_p(u), and g = log H' has
+
+        g' = -2 + kappa_3 / Var_p(u) =: a,
+        g'' = (kappa_4 - kappa_3) / Var_p(u) - (kappa_3 / Var_p(u))^2.
+
+    For terms spread over u in [0, U], |kappa_3| <= U Var_p(u) and |kappa_4|
+    <= U^2 Var_p(u), so |g''| <= B = U + 2 U^2.  U = min(beta d_max e^|t|,
+    700) bounds u over the terms above the floor on the whole way from x to
+    an edge x + t, and the terms below it weigh at most (n - 1) e^-700 of
+    the row.  So g stays within B tau^2 / 2 of g(x) + a tau, and
+
+        H(x + t) - H(x) = s t (1 + a t / 2) + E,
+        |E| <= s |t| (B t^2 / 6 + q^2 e^q / 2),  q = |a t| + B t^2 / 2.
+
+    The window is root -+ w around the Newton root x - f / s, with
+    w = (1 + _MARGIN) _TOL / (perplexity s), where to first order the
+    perplexity lies (1 + _MARGIN) _TOL from its target.  Its high edge is
+    first widened by b / s, with b = (n - 1) PROB_FLOOR / e:
+    _row_perplexities takes log max(p, PROB_FLOOR), which only lowers the
+    evaluated log-perplexity, by at most max p log(PROB_FLOOR / p) =
+    PROB_FLOOR / e per term.  An edge is proved when H's bound there lies
+    beyond log(perplexity -+ (1 + _MARGIN / 2) _TOL) after the allowance
+    _ROUNDING (2 + beta_low d_min), one share for the rounding of the
+    solve's f and one for the evaluation's, and at the high edge after b.
+    So the slack of _MARGIN / 2 of _TOL pays for the curvature term
+    s a t^2 / 2, the remainder E, the rounding and the floor's bias.  A row
+    where the rounding alone could fill it is not proved: there the
+    evaluated perplexity need not rise with the bandwidth, as when the
+    nearest distances differ by rounding error alone.
     """
-    edges = np.full((2, len(d)), np.nan)
     k = int(np.ceil(perplexity))
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1].copy()
+    far = d.max(axis=1)
     rows = np.flatnonzero(kth > 0)
     if len(rows) < len(d):
         d = d[rows]
     x = np.log(kth[rows]) - np.log(2.0 * np.e)
     lo, hi = np.full(len(rows), -np.inf), np.full(len(rows), np.inf)
     target = np.log(perplexity)
+    # x, f, slope and kappa_3 where each row's solve stops; nan where it never does
+    stop = np.full((4, len(far)), np.nan)
     e = np.empty_like(d)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_STEPS):
@@ -227,12 +288,12 @@ def _locate(d, nearest, perplexity):
                     | (np.abs(f) <= _NEWTON_STOP * slope)) & (slope > 0)
             step = x - f / slope
             if done.any():
-                root, solved = step[done], rows[done]
-                w = (1.0 + _MARGIN) * _TOL / (perplexity * slope[done])
-                beta_low = 0.5 * np.exp(w - root)
-                rounding = _ROUNDING * perplexity * (1.0 + beta_low * nearest[solved])
-                fine = (rounding <= 0.5 * _MARGIN * _TOL) & (np.abs(root) + w <= 700.0)
-                edges[:, solved[fine]] = (root - w)[fine], (root + w)[fine]
+                # kappa_3 from the raw moments; e, now the terms times d^2, is
+                # formed again at the next step
+                e *= d
+                m3 = np.einsum("ij,ij->i", e, d) / z
+                kappa3 = beta**3 * (m3 - m1 * (3.0 * m2 - 2.0 * m1 * m1))
+                stop[:, rows[done]] = np.array([x, f, slope, kappa3])[:, done]
             # a non-finite sum or a flat row drops out, unsolved
             keep = ~done & np.isfinite(f) & (slope > 0)
             if not keep.all():
@@ -245,7 +306,7 @@ def _locate(d, nearest, perplexity):
             # from x, is replaced by the bisection's step
             inside = (step > lo) & (step < hi) & (np.abs(step - x) <= _NEWTON_REACH)
             x = np.where(inside, step, fallback)
-    return edges
+        return _prove(*stop, far, nearest, d.shape[1] + 1, perplexity)
 
 
 def _calibrate(D, perplexity, conditional):
@@ -260,17 +321,19 @@ def _calibrate(D, perplexity, conditional):
     the search left it.
 
     Most steps of the search are decided before they are taken.  _locate
-    finds, per row, log-bandwidths low < high between which the target is
-    reached; when the row's perplexity at low is below target - _TOL and at
-    high above target + _TOL, each by a margin, the row is certified, and a
-    step of its search below low counts as too narrow and one above high as
-    too wide without forming its Gaussian row.  Every other step is formed
-    and evaluated, so sigma^2 is that of the plain search to the last bit as
-    long as the evaluated perplexity rises with the bandwidth, which it does
-    to far within the certification margin.  Decided steps are taken first,
-    and one call then evaluates every row where it stands.  A nan window,
-    left by _locate or by a failed certification, is the one "no window": no
-    comparison with nan is true, so it decides no step.
+    finds, per row, log-bandwidths low < high and proves from its Newton
+    solve that the perplexity evaluated at low lies below target - _TOL and
+    at high above target + _TOL, each by _MARGIN / 2 of _TOL after the
+    proof's Taylor remainder, its rounding allowance and, at high, the bias
+    of PROB_FLOOR.  A step of the row's search below low counts as too
+    narrow and one above high as too wide, without forming its Gaussian
+    row.  Every other step is formed and evaluated, so sigma^2 is that of
+    the plain search to the last bit as long as the evaluated perplexity
+    rises with the bandwidth, which it does to far within the margin.
+    Decided steps are taken first, and one call then evaluates every row
+    where it stands.  A nan window, which _locate leaves for a row it did
+    not solve or could not prove, is the one "no window": no comparison
+    with nan is true, so it decides no step.
 
     A row's last evaluated step is at its returned sigma^2: the step where it
     lands within _TOL, or the check of a row out of steps.  So the rows come
@@ -296,11 +359,6 @@ def _calibrate(D, perplexity, conditional):
         d -= nearest[block, None]
         edges[:, block] = _locate(d, nearest[block], perplexity)
     del d  # freed before the rows' array is made
-    located = np.flatnonzero(~np.isnan(edges[0]))
-    low, high = (_row_perplexities(D, located, np.exp(edge[located]), nearest[located])
-                 for edge in edges)
-    margin = (1.0 + _MARGIN / 2) * _TOL
-    edges[:, located[~((low <= perplexity - margin) & (high >= perplexity + margin))]] = np.nan
     x = np.log(start)
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)

@@ -414,14 +414,20 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 2
-    except BctsneError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    # the caller's filters decide each warning; each one they let through is
+    # printed as one line in the errors' form, in order, once the command ends
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            status, error = 2, f"usage: {exc}"
+        except BctsneError as exc:
+            status, error = 1, f"{type(exc).__name__}: {exc}"
+        finally:
+            for w in caught:
+                print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
+    print(f"error: {error}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

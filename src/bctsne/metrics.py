@@ -158,12 +158,12 @@ def _kbet(neigh, codes, expected, alpha):
 
 def lisi(Y, labels, perplexity=30.0):
     """Mean inverse Simpson index of labels under perplexity-calibrated
-    Gaussian neighbor weights, the conditional rows that the bandwidth
+    Gaussian neighbor weights, the rows p_j|i that the bandwidth
     search leaves; rescaled to [0, 1] by (mean - 1)/(L - 1)."""
     Y = ensure_matrix(Y, "Y")
     levels, codes = encode_labels(labels, len(Y))
     ensure_perplexity(perplexity, len(Y))
-    return _lisi(_calibrate(pairwise_sqdist(Y), perplexity, True)[1], levels, codes)
+    return _lisi(_calibrate(pairwise_sqdist(Y), perplexity)[1], levels, codes)
 
 
 def _lisi(W, levels, codes):
@@ -264,7 +264,7 @@ def evaluate(Y, labelings, cfg=MetricsConfig()):
     knn, n_test, encoded = _evaluate_settings(labelings, len(Y), cfg)
     sqdist = pairwise_sqdist(Y)
     neigh = _kbet_neighbours(sqdist, knn, n_test, cfg.seed)
-    weights = _calibrate(sqdist, cfg.lisi_perplexity, True)[1]
+    weights = _calibrate(sqdist, cfg.lisi_perplexity)[1]
     records = []
     for name, (levels, codes, counts, expected) in encoded.items():
         sil_raw, sil_resc = _silhouette(sqdist, codes, counts)

@@ -100,59 +100,46 @@ def ensure_perplexity(value, n, name="perplexity"):
         raise DomainError(f"{name} must lie in [2, n - 1]; got {value} with n={n}")
 
 
-def _offdiag(D, rows):
-    """D[rows] without each row's own entry: a new len(rows) x (n - 1) array,
-    from which the bandwidth search takes its start values and windows."""
-    return D[rows][np.arange(len(D)) != rows[:, None]].reshape(len(rows), -1)
-
-
-def _gaussian_rows(D, rows, sigma2, nearest, out):
-    """Rows `rows` of D (an index array) as Gaussian conditional
+def _row_perplexities(D, rows, sigma2, nearest, out):
+    """Perplexity of rows `rows` of D (an index array, self excluded) under
+    Gaussian bandwidths sigma2 and least distances nearest (each row's least
+    distance to another point), one per row; each row's Gaussian
     probabilities p_j|i = exp(-d_ij / 2 sigma2_i) / sum_{k != i} exp(-d_ik /
-    2 sigma2_i), with p_i|i = 0, sigma2 and nearest (the row's least distance
-    to another point) one per row; written into out, a len(rows) x n array.
+    2 sigma2_i), with p_i|i = 0, are written to its row of out, an n x n
+    array.
 
     The package's one Gaussian softmax: the bandwidth search forms every row
     it evaluates here, and the input affinities and LISI's weights keep its
-    last row per point.  Each row keeps all n entries, its own logit set to
-    -inf, so no row is copied to drop it.  The row's largest logit is
-    (-0.5 nearest) / sigma2, with no pass over the row: rounding is
-    monotone, so the least distance gives the largest logit to the bit.
+    last row per point.  The rows and their log terms are formed
+    _BLOCK_ROWS / 2 at a time in two reused buffers, one block of rows in
+    all.  Each row keeps all n entries, its own logit set to -inf, so no row
+    is copied to drop it.  The row's largest logit is (-0.5 nearest) /
+    sigma2, with no pass over the row: rounding is monotone, so the least
+    distance gives the largest logit to the bit.
     """
-    # with mode "clip", take writes into out without a buffer of its own; the
-    # rows are in range, so the mode changes no value
-    logits = np.take(D, rows, axis=0, out=out, mode="clip")
-    logits *= -0.5
-    # at a row whose least distance is 0, sigma2 may be so small that
-    # -d / 2 sigma2 overflows: -inf is the logit's limit, and its exp is 0
-    with np.errstate(over="ignore"):
-        logits /= sigma2[:, None]
-    logits[np.arange(len(rows)), rows] = -np.inf
-    logits -= ((-0.5 * nearest) / sigma2)[:, None]
-    p = np.exp(logits, out=logits)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
-
-
-def _row_perplexities(D, rows, sigma2, nearest, out=None):
-    """Perplexity of the given rows of D (self excluded) under Gaussian
-    bandwidths sigma2 and least distances nearest, one per row; with out, an
-    n x n array, each Gaussian row is also written to its row of out.  The
-    rows and their log terms are formed _BLOCK_ROWS / 2 at a time in two
-    reused buffers, one block of rows in all."""
     half = _BLOCK_ROWS // 2
     perp = np.empty(len(rows))
     p_buf, logp_buf = np.empty((2, min(len(rows), half), D.shape[1]))
     for i in range(0, len(rows), half):
         block = slice(i, i + half)
         m = len(rows[block])
-        p = _gaussian_rows(D, rows[block], sigma2[block], nearest[block], p_buf[:m])
+        # with mode "clip", take writes into the buffer without one of its
+        # own; the rows are in range, so the mode changes no value
+        p = np.take(D, rows[block], axis=0, out=p_buf[:m], mode="clip")
+        p *= -0.5
+        # at a row whose least distance is 0, sigma2 may be so small that
+        # -d / 2 sigma2 overflows: -inf is the logit's limit, and its exp is 0
+        with np.errstate(over="ignore"):
+            p /= sigma2[block, None]
+        p[np.arange(m), rows[block]] = -np.inf
+        p -= ((-0.5 * nearest[block]) / sigma2[block])[:, None]
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
         logp = np.maximum(p, PROB_FLOOR, out=logp_buf[:m])
         np.log(logp, out=logp)
         logp *= p
         perp[block] = np.exp(-np.sum(logp, axis=1))
-        if out is not None:
-            out[rows[block]] = p
+        out[rows[block]] = p
     return perp
 
 
@@ -167,11 +154,12 @@ def _bisect(x, lo, hi, wide, reach):
 
 
 def _prove(x, f, slope, kappa3, far, nearest, n, perplexity):
-    """The proof of _locate's windows, for rows whose Newton solve stopped at
-    x with sums f, slope and kappa3 there, far and nearest being each row's
-    largest shifted and least distance and n the number of points: the
-    edges (low, high) per row, or nan where an edge's bound does not clear
-    target -+ (1 + _MARGIN / 2) _TOL.
+    """The proof of _locate's windows, one call for all rows, each row on its
+    own: for rows whose Newton solve stopped at x with sums f, slope and
+    kappa3 there (nan for a row it never stopped on), far and nearest being
+    each row's largest shifted and least distance and n the number of
+    points, the edges (low, high) per row, or nan where an edge's bound does
+    not clear target -+ (1 + _MARGIN / 2) _TOL.
 
     The raw moments behind f, slope and kappa3 lose at most a few ulps times
     n to cancellation, since the nearest term, at u = 0, holds 1 / n of the
@@ -203,15 +191,24 @@ def _prove(x, f, slope, kappa3, far, nearest, n, perplexity):
     return np.where(proved, edges, np.nan)
 
 
-def _locate(d, nearest, perplexity):
-    """Proved log-bandwidths (low, high) per row of d, between which the row
-    reaches its target perplexity; nan, the one mark of no window, for a row
-    left unsolved or unproved.  d holds a block's distances without each
-    row's own entry, each row already shifted by its least distance,
-    nearest.
+def _locate(D, perplexity):
+    """(start, nearest, edges) for the bandwidth search on the squared
+    distances D: each row's start value for the search, its least distance
+    to another point, and its proved log-bandwidths edges = (low, high),
+    between which the row reaches its target perplexity; nan, the one mark
+    of no window, for a row left unsolved or unproved.
 
-    Newton's method on the log-perplexity H(x) = beta E_p[d] + log Z in
-    x = log sigma^2, with beta = 1 / 2 sigma^2 and the slope
+    The search's one pass over D, _BLOCK_ROWS rows at a time.  A block's
+    distances are copied without each row's own entry.  From them come each
+    row's start value, the mean distance (the mean positive one where the
+    least is 0), and its least distance; a row of duplicates, with no
+    positive distance, raises ValidationError.  The block is then shifted in
+    place by the least distances and solved, and the sums where each row's
+    solve stops are kept.  One call of _prove, after the pass, proves every
+    row's window from them.
+
+    The solve is Newton's method on the log-perplexity H(x) = beta E_p[d] +
+    log Z in x = log sigma^2, with beta = 1 / 2 sigma^2 and the slope
     dH/dx = beta^2 Var_p(d), bracketed by the steps it has taken.  It starts
     from sigma^2 = r^2 / 2e, r^2 being the ceil(perplexity)-th nearest
     distance: around a point of 2-D data at even density rho, a Gaussian of
@@ -257,62 +254,78 @@ def _locate(d, nearest, perplexity):
     evaluated perplexity need not rise with the bandwidth, as when the
     nearest distances differ by rounding error alone.
     """
-    k = int(np.ceil(perplexity))
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1].copy()
-    far = d.max(axis=1)
-    rows = np.flatnonzero(kth > 0)
-    if len(rows) < len(d):
-        d = d[rows]
-    x = np.log(kth[rows]) - np.log(2.0 * np.e)
-    lo, hi = np.full(len(rows), -np.inf), np.full(len(rows), np.inf)
+    n, k = len(D), int(np.ceil(perplexity))
+    start, nearest = np.empty((2, n))
+    # x, f, slope and kappa_3 where each row's solve stops (nan where it never
+    # does), and the row's largest shifted distance
+    sums = np.full((5, n), np.nan)
     target = np.log(perplexity)
-    # x, f, slope and kappa_3 where each row's solve stops; nan where it never does
-    stop = np.full((4, len(far)), np.nan)
-    e = np.empty_like(d)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            beta = 0.5 * np.exp(-x)
-            np.multiply(d, -beta[:, None], out=e)
-            np.maximum(e, -700.0, out=e)
-            np.exp(e, out=e)
-            z = e.sum(axis=1)
-            e *= d
-            m1 = e.sum(axis=1) / z
-            m2 = np.einsum("ij,ij->i", e, d) / z
-            f = beta * m1 + np.log(z) - target
-            slope = beta * beta * (m2 - m1 * m1)
-            # converged within a tenth of the margin, in units of H, or with
-            # a Newton step of at most _NEWTON_STOP, which leaves the root off
-            # by about its square
-            done = ((np.abs(f) <= 0.1 * _MARGIN * _TOL / perplexity)
-                    | (np.abs(f) <= _NEWTON_STOP * slope)) & (slope > 0)
-            step = x - f / slope
-            if done.any():
-                # kappa_3 from the raw moments; e, now the terms times d^2, is
-                # formed again at the next step
+    for i in range(0, n, _BLOCK_ROWS):
+        block = np.arange(i, min(i + _BLOCK_ROWS, n))
+        d = D[block][np.arange(n) != block[:, None]].reshape(len(block), -1)
+        start[block] = d.mean(axis=1)
+        nearest[block] = d.min(axis=1)
+        for j in np.flatnonzero(nearest[block] == 0):
+            positive = d[j][d[j] > 0]
+            if not positive.size:
+                raise ValidationError(
+                    f"row {block[j]} has zero distance to every other point (duplicates)"
+                )
+            start[block[j]] = positive.mean()
+        d -= nearest[block, None]
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1].copy()
+        sums[4, block] = d.max(axis=1)
+        rows = block[kth > 0]
+        if len(rows) < len(block):
+            d = d[kth > 0]
+        x = np.log(kth[kth > 0]) - np.log(2.0 * np.e)
+        lo, hi = np.full(len(rows), -np.inf), np.full(len(rows), np.inf)
+        e = np.empty_like(d)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                beta = 0.5 * np.exp(-x)
+                np.multiply(d, -beta[:, None], out=e)
+                np.maximum(e, -700.0, out=e)
+                np.exp(e, out=e)
+                z = e.sum(axis=1)
                 e *= d
-                m3 = np.einsum("ij,ij->i", e, d) / z
-                kappa3 = beta**3 * (m3 - m1 * (3.0 * m2 - 2.0 * m1 * m1))
-                stop[:, rows[done]] = np.array([x, f, slope, kappa3])[:, done]
-            # a non-finite sum or a flat row drops out, unsolved
-            keep = ~done & np.isfinite(f) & (slope > 0)
-            if not keep.all():
-                rows, x, lo, hi, f, step = (a[keep] for a in (rows, x, lo, hi, f, step))
-                d, e = d[keep], e[: len(rows)]
-            if not len(rows):
-                break
-            lo, hi, fallback = _bisect(x, lo, hi, f > 0, _NEWTON_REACH)
-            # a Newton step outside the bracket, or more than _NEWTON_REACH
-            # from x, is replaced by the bisection's step
-            inside = (step > lo) & (step < hi) & (np.abs(step - x) <= _NEWTON_REACH)
-            x = np.where(inside, step, fallback)
-        return _prove(*stop, far, nearest, d.shape[1] + 1, perplexity)
+                m1 = e.sum(axis=1) / z
+                m2 = np.einsum("ij,ij->i", e, d) / z
+                f = beta * m1 + np.log(z) - target
+                slope = beta * beta * (m2 - m1 * m1)
+                # converged within a tenth of the margin, in units of H, or
+                # with a Newton step of at most _NEWTON_STOP, which leaves the
+                # root off by about its square
+                done = ((np.abs(f) <= 0.1 * _MARGIN * _TOL / perplexity)
+                        | (np.abs(f) <= _NEWTON_STOP * slope)) & (slope > 0)
+                step = x - f / slope
+                if done.any():
+                    # kappa_3 from the raw moments; e, now the terms times d^2,
+                    # is formed again at the next step
+                    e *= d
+                    m3 = np.einsum("ij,ij->i", e, d) / z
+                    kappa3 = beta**3 * (m3 - m1 * (3.0 * m2 - 2.0 * m1 * m1))
+                    sums[:4, rows[done]] = np.array([x, f, slope, kappa3])[:, done]
+                # a non-finite sum or a flat row drops out, unsolved
+                keep = ~done & np.isfinite(f) & (slope > 0)
+                if not keep.all():
+                    rows, x, lo, hi, f, step = (a[keep] for a in (rows, x, lo, hi, f, step))
+                    d, e = d[keep], e[: len(rows)]
+                if not len(rows):
+                    break
+                lo, hi, fallback = _bisect(x, lo, hi, f > 0, _NEWTON_REACH)
+                # a Newton step outside the bracket, or more than _NEWTON_REACH
+                # from x, is replaced by the bisection's step
+                inside = (step > lo) & (step < hi) & (np.abs(step - x) <= _NEWTON_REACH)
+                x = np.where(inside, step, fallback)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return start, nearest, _prove(*sums, nearest, n, perplexity)
 
 
-def _calibrate(D, perplexity, conditional):
+def _calibrate(D, perplexity):
     """Per-point bandwidth sigma^2 matching the target perplexity on the
-    squared distances D and, with conditional, the n x n Gaussian
-    conditional rows at that sigma^2 (else None).
+    squared distances D, and the n x n Gaussian rows p_j|i at that
+    sigma^2.
 
     Binary search over log(sigma^2) with expanding brackets, run on all rows
     at once; a row leaves the search when its achieved perplexity is within
@@ -338,32 +351,16 @@ def _calibrate(D, perplexity, conditional):
     A row's last evaluated step is at its returned sigma^2: the step where it
     lands within _TOL, or the check of a row out of steps.  So the rows come
     from the search itself, with no row formed again.  Their array is made
-    once the replay starts, after the Newton solve's scratch is freed.
+    after _locate returns, so no block of its scratch is alive beside it.
     """
     n = len(D)
     ensure_perplexity(perplexity, n)
-    start, nearest = np.empty((2, n))
-    edges = np.empty((2, n))
-    for i in range(0, n, _BLOCK_ROWS):
-        block = np.arange(i, min(i + _BLOCK_ROWS, n))
-        d = _offdiag(D, block)
-        start[block] = d.mean(axis=1)
-        nearest[block] = d.min(axis=1)
-        for j in np.flatnonzero(nearest[block] == 0):
-            positive = d[j][d[j] > 0]
-            if not positive.size:
-                raise ValidationError(
-                    f"row {block[j]} has zero distance to every other point (duplicates)"
-                )
-            start[block[j]] = positive.mean()
-        d -= nearest[block, None]
-        edges[:, block] = _locate(d, nearest[block], perplexity)
-    del d  # freed before the rows' array is made
+    start, nearest, edges = _locate(D, perplexity)
     x = np.log(start)
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
     steps = np.zeros(n, dtype=int)
-    cond = np.empty_like(D) if conditional else None
+    cond = np.empty_like(D)
     active, missed = np.arange(n), []
     while active.size:
         # each pass takes the next step of every row whose window decides it;
@@ -408,7 +405,7 @@ def input_affinities(X, perplexity):
         raise ValidationError("need at least 4 points")
     ensure_perplexity(perplexity, n)
     D = pairwise_sqdist(X)
-    sigma2, cond = _calibrate(D, perplexity, True)
+    sigma2, cond = _calibrate(D, perplexity)
     del D  # at most two n x n arrays are alive at any time
     P = cond + cond.T
     del cond

@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 
 from bctsne import (
-    CalibrationWarning,
     DomainError,
     MetricsConfig,
     OptimizerConfig,
@@ -290,6 +290,30 @@ class TestEvaluateAndPlot:
         err = capsys.readouterr().err
         assert err == "error: ValidationError: need at least one labeling\n"
         assert not report.exists()
+
+    def test_calibration_warning_prints_one_line(self, tmp_path):
+        # 40 of 60 points at the origin cannot reach LISI's perplexity of 5.
+        # Left to the warnings module, the warning would print as
+        # "<string>:1: CalibrationWarning: ..." (the first frame outside the
+        # package) and, from a script, with its source line; the CLI prints
+        # one line in its errors' form.  Under -W error it still ends the run
+        Y = np.zeros((60, 2))
+        Y[2::3] = np.random.default_rng(42).normal(5.0, 1.0, (20, 2))
+        ids = [f"cell{i}" for i in range(60)]
+        embedding, labels = tmp_path / "collapsed.csv", tmp_path / "labels.csv"
+        write_embedding_csv(Y, ids, embedding)
+        matrixio.write_labels_csv(ids, {"abc": ["abc"[i % 3] for i in range(60)]}, labels)
+        script = "import sys; from bctsne.cli import main; sys.exit(main(sys.argv[1:]))"
+        args = ["evaluate", str(embedding), str(labels), "--lisi-perplexity", "5",
+                "--out", str(tmp_path / "report.csv")]
+        runs = [subprocess.run([sys.executable, *flags, "-c", script, *args],
+                               capture_output=True, text=True, timeout=120, env=package_env())
+                for flags in ([], ["-W", "error::UserWarning"])]
+        assert runs[0].returncode == 0, runs[0].stderr
+        assert re.fullmatch(r"warning: CalibrationWarning: \d+ of 60 rows missed "
+                            r"perplexity 5\.0 by tol=1e-05 .*\n", runs[0].stderr)
+        assert runs[1].returncode == 1
+        assert "Traceback" in runs[1].stderr and "CalibrationWarning" in runs[1].stderr
 
     def test_plot_legend_and_determinism(self, dataset, embedding, tmp_path):
         _, labels = dataset
@@ -820,16 +844,24 @@ class TestPipelineInTwoProcesses:
         assert len(files[1]) == 11
         assert files[1] == files[0]
 
-    def test_child_warnings_reach_the_caller(self, pipeline, monkeypatch):
+    def test_child_warnings_reach_the_caller(self, pipeline, monkeypatch, capsys):
         cfg, _ = pipeline
         monkeypatch.setattr(tsne, "_MAX_ITER", 2)  # every calibration misses
-        with pytest.warns(CalibrationWarning) as record:
-            assert main(["pipeline", str(cfg)]) == 0
-        caught = [w for w in record if issubclass(w.category, CalibrationWarning)]
+        # the messages in the order this process warns with them: the child's
+        # own calls are made in its memory, and _receive warns with its messages
+        raised, warn = [], tsne._warn_caller
+
+        def recorded(message, category):
+            raised.append(f"warning: {category.__name__}: {message}")
+            warn(message, category)
+
+        monkeypatch.setattr(tsne, "_warn_caller", recorded)
+        monkeypatch.setattr(cli, "_warn_caller", recorded)
+        assert main(["pipeline", str(cfg)]) == 0
         # per embedding, one from its run's affinities and one from its
         # report's LISI weights; the third came from the child's run
-        assert len(caught) == 4
-        assert [w.filename for w in caught] == [__file__] * 4
+        assert len(raised) == 4 and all("CalibrationWarning" in line for line in raised)
+        assert capsys.readouterr().err.splitlines() == raised
         assert multiprocessing.active_children() == []
 
     def test_spawned_child_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys):

@@ -25,9 +25,9 @@ from bctsne import (
     run_tsne,
     simulate,
 )
-from bctsne.linalg import _BLOCK_ROWS, pairwise_sqdist
+from bctsne.linalg import pairwise_sqdist
 from bctsne.metrics import lisi, silhouette
-from bctsne.tsne import (_MARGIN, _TOL, _calibrate, _Kernel, _offdiag, _row_perplexities,
+from bctsne.tsne import (_MARGIN, _TOL, _calibrate, _Kernel, _locate, _row_perplexities,
                          input_affinities)
 
 
@@ -103,7 +103,8 @@ def planted_layout(n=400, apart=12.0):
 
 
 def count_evaluated_rows(monkeypatch):
-    """A one-element list that counts the rows _row_perplexities forms."""
+    """A one-element list that counts the Gaussian rows _row_perplexities
+    forms, each of them evaluated."""
     count, evaluate = [0], bctsne.tsne._row_perplexities
 
     def counted(D, rows, *args):
@@ -114,34 +115,9 @@ def count_evaluated_rows(monkeypatch):
     return count
 
 
-def count_gaussian_rows(monkeypatch):
-    """A one-element list that counts the rows _gaussian_rows forms."""
-    count, form = [0], bctsne.tsne._gaussian_rows
-
-    def counted(D, rows, *args):
-        count[0] += len(rows)
-        return form(D, rows, *args)
-
-    monkeypatch.setattr(bctsne.tsne, "_gaussian_rows", counted)
-    return count
-
-
 def bandwidths(D, perplexity):
     """The bandwidth search's sigma^2 on squared distances D."""
-    return _calibrate(D, perplexity, False)[0]
-
-
-def locate_blocks(D, perplexity):
-    """_locate on D's blocks of 128 rows, as _calibrate runs it: the windows
-    (low, high) of all rows and each row's least distance."""
-    edges, nearest = np.empty((2, len(D))), np.empty(len(D))
-    for i in range(0, len(D), _BLOCK_ROWS):
-        block = np.arange(i, min(i + _BLOCK_ROWS, len(D)))
-        d = _offdiag(D, block)
-        nearest[block] = d.min(axis=1)
-        edges[:, block] = bctsne.tsne._locate(d - nearest[block, None], nearest[block],
-                                              perplexity)
-    return edges, nearest
+    return _calibrate(D, perplexity)[0]
 
 
 def assert_windows_hold(D, perplexity):
@@ -149,10 +125,11 @@ def assert_windows_hold(D, perplexity):
     routine of every bisection step: the perplexity must lie below target -
     (1 + _MARGIN / 2) _TOL at the low edge and above target + (1 + _MARGIN /
     2) _TOL at the high edge.  Returns the number of windows."""
-    edges, nearest = locate_blocks(D, perplexity)
+    _, nearest, edges = _locate(D, perplexity)
     rows = np.flatnonzero(~np.isnan(edges[0]))
     assert np.array_equal(rows, np.flatnonzero(~np.isnan(edges[1])))
-    low, high = (_row_perplexities(D, rows, np.exp(edge[rows]), nearest[rows])
+    low, high = (_row_perplexities(D, rows, np.exp(edge[rows]), nearest[rows],
+                                   np.empty_like(D))
                  for edge in edges)
     margin = (1.0 + _MARGIN / 2) * _TOL
     assert (low <= perplexity - margin).all(), rows[low > perplexity - margin]
@@ -171,7 +148,7 @@ def newton_steps_per_row(monkeypatch, D, perplexity):
 
     with monkeypatch.context() as patch:
         patch.setattr(bctsne.tsne, "_bisect", counted)
-        locate_blocks(D, perplexity)
+        _locate(D, perplexity)
     return count[0] / len(D)
 
 
@@ -372,10 +349,10 @@ class TestCalibrateBandwidths:
         # which keeps each point's last; one more row per point would fail,
         # and so would 1 row in 500 left to the plain search
         X, D = realistic_points[name], realistic[name]
-        for call in (lambda: _calibrate(D, perplexity, True),
+        for call in (lambda: _calibrate(D, perplexity),
                      lambda: input_affinities(X, perplexity)):
             with monkeypatch.context() as patch:
-                count = count_gaussian_rows(patch)
+                count = count_evaluated_rows(patch)
                 call()
             assert count[0] <= 1.05 * len(X), count[0]
 
@@ -397,7 +374,7 @@ class TestCalibrateBandwidths:
         # exp is many times slower on arguments below about -708, where its
         # results are subnormal; each block of these inputs reached them
         with np.errstate(under="raise"):
-            locate_blocks(realistic[name], 30.0)
+            _locate(realistic[name], 30.0)
 
     def test_proof_bounds_the_third_order_term(self):
         # at x0, where a row's slope H' peaks, a = d log H'/dx is 0, so the
@@ -406,7 +383,7 @@ class TestCalibrateBandwidths:
         # above x0, that term puts the root outside the window around the
         # Newton root, and only the remainder bound of _prove can tell
         D = pairwise_sqdist(planted_layout(40))
-        d = _offdiag(D, np.array([0]))[0]
+        d = np.delete(D[0], 0)
         nearest = d.min()
         d = d - nearest
 
@@ -433,7 +410,8 @@ class TestCalibrateBandwidths:
             assert (~np.isnan(edges)).all() == proved, delta
             root, w = x0 - f / slope, (1.0 + _MARGIN) * _TOL / (perplexity * slope)
             low, high = edges[:, 0] if proved else (root - w, root + w)
-            low, high = (_row_perplexities(D, np.array([0]), np.exp([edge]), np.array([nearest]))[0]
+            low, high = (_row_perplexities(D, np.array([0]), np.exp([edge]), np.array([nearest]),
+                                           np.empty_like(D))[0]
                          for edge in (low, high))
             assert (low <= perplexity - margin and high >= perplexity + margin) == proved, delta
 
@@ -446,9 +424,11 @@ class TestCalibrateBandwidths:
         # oracle's.  At 0.01 the proof still holds for 15 of the 400 rows;
         # at 1e-5 it holds for all of them
         if stop is None:
-            locate = bctsne.tsne._locate
-            monkeypatch.setattr(bctsne.tsne, "_locate",
-                                lambda *args: np.full_like(locate(*args), np.nan))
+            def unlocated(D, perplexity):  # start values and least distances kept
+                start, nearest, edges = _locate(D, perplexity)
+                return start, nearest, np.full_like(edges, np.nan)
+
+            monkeypatch.setattr(bctsne.tsne, "_locate", unlocated)
         else:
             monkeypatch.setattr(bctsne.tsne, "_NEWTON_STOP", stop)
         n = 400
@@ -458,19 +438,47 @@ class TestCalibrateBandwidths:
         assert np.array_equal(sigma2, calibrate_bandwidths_loop(D, 30.0))
         assert count[0] >= 20 * n, count[0]
 
-    def test_peak_a_few_blocks_above_the_distances(self):
-        # the start values, the Newton solve and the Gaussian rows each work
-        # on 128 rows at a time: at most 4 blocks of 128 x n float64 besides D
-        # (3.31 here)
-        n = 1000
-        D = pairwise_sqdist(np.random.default_rng(35).standard_normal((n, 30)))
+    @staticmethod
+    def traced_peak(call):
+        """The tracemalloc peak, in bytes, of call()."""
         tracemalloc.start()
         try:
-            bandwidths(D, 30.0)
-            peak = tracemalloc.get_traced_memory()[1]
+            call()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_peak_a_few_blocks_above_the_distances(self):
+        # the start values and the Newton solve work on 128 rows at a time:
+        # at most 4 blocks of 128 x n float64 besides D (3.19 here)
+        n = 1000
+        D = pairwise_sqdist(np.random.default_rng(35).standard_normal((n, 30)))
+        peak = self.traced_peak(lambda: _locate(D, 30.0))
         assert peak <= 4 * 128 * n * 8 + 256 * 1024, peak
+
+    def test_peak_the_rows_and_two_blocks_above_the_distances(self):
+        # the conditional rows are the search's one n x n array besides D,
+        # made once _locate's scratch is freed, and the replay's Gaussian rows
+        # take one block of 128 rows: at most n^2 float64 and 2 blocks
+        # (n^2 + 1.17 blocks here)
+        n = 1000
+        D = pairwise_sqdist(np.random.default_rng(35).standard_normal((n, 30)))
+        peak = self.traced_peak(lambda: _calibrate(D, 30.0))
+        assert peak <= n * n * 8 + 2 * 128 * n * 8 + 256 * 1024, peak
+
+    def test_one_proof_per_search(self, monkeypatch):
+        # one call of _prove proves the windows of all 8 blocks of 128 rows
+        n = 1000
+        D = pairwise_sqdist(np.random.default_rng(35).standard_normal((n, 30)))
+        calls, prove = [], bctsne.tsne._prove
+
+        def counted(x, *args):
+            calls.append(len(x))
+            return prove(x, *args)
+
+        monkeypatch.setattr(bctsne.tsne, "_prove", counted)
+        _calibrate(D, 30.0)
+        assert calls == [n]
 
     def test_zero_distance_rows_start_from_positive_mean(self, monkeypatch):
         D = CALIBRATION_INPUTS["duplicates"]
@@ -557,8 +565,7 @@ class TestConditionalRows:
                 monkeypatch.setattr(bctsne.tsne, "_MAX_ITER", max_iter)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", CalibrationWarning)
-                    sigma2 = bandwidths(D, perplexity)
-                    W = _calibrate(D, perplexity, True)[1]
+                    sigma2, W = _calibrate(D, perplexity)
                     t = input_affinities(X, perplexity)
                 cond = reference_conditional_rows(D, sigma2)
                 P = (cond + cond.T) / (2.0 * len(X))
@@ -576,7 +583,7 @@ class TestConditionalRows:
                 sigma2 = calibrate_bandwidths_loop(D, perplexity)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CalibrationWarning)
-                W = _calibrate(D, perplexity, True)[1]
+                W = _calibrate(D, perplexity)[1]
             assert np.array_equal(W, reference_conditional_rows(D, sigma2)), name
 
     def test_input_affinities_match_reference_bitwise(self):
